@@ -105,7 +105,7 @@ impl ObliviousAlgorithm for RandomizedColoring {
         &self,
         mut state: ColoringState,
         round: usize,
-        received: &[ColoringMessage],
+        received: &[&ColoringMessage],
         bit: bool,
         actions: &mut Actions<u32>,
     ) -> ColoringState {

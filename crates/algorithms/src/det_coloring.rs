@@ -71,7 +71,7 @@ impl<C: Label> ObliviousAlgorithm for DeterministicColoring<C> {
         &self,
         mut state: DetColoringState<C>,
         _round: usize,
-        received: &[DetColoringMessage<C>],
+        received: &[&DetColoringMessage<C>],
         _bit: bool,
         actions: &mut Actions<u32>,
     ) -> DetColoringState<C> {

@@ -95,7 +95,7 @@ impl<C: Label> ObliviousAlgorithm for DeterministicMis<C> {
         &self,
         mut state: DetMisState<C>,
         round: usize,
-        received: &[DetMisMessage<C>],
+        received: &[&DetMisMessage<C>],
         _bit: bool,
         actions: &mut Actions<bool>,
     ) -> DetMisState<C> {

@@ -84,7 +84,7 @@ impl<C: Label> ObliviousAlgorithm for TwoHopReduction<C> {
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         _bit: bool,
         actions: &mut Actions<u32>,
     ) -> Self::State {

@@ -115,7 +115,7 @@ where
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State {
@@ -132,13 +132,13 @@ where
                 state.neighbor_colors = Some(colors);
             }
             Some(colors) => {
-                let mut slots: Vec<Option<A::Message>> = vec![None; colors.len()];
+                let mut slots: Vec<Option<&A::Message>> = vec![None; colors.len()];
                 for m in received {
                     if let VpMessage::Data { sender, directed } = m {
                         if let Ok(port) = colors.binary_search(sender) {
                             for (addr, payload) in directed {
                                 if *addr == state.color {
-                                    slots[port] = Some(payload.clone());
+                                    slots[port] = Some(payload);
                                 }
                             }
                         }

@@ -82,7 +82,7 @@ impl<C: Label> ObliviousAlgorithm for KLocalElection<C> {
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         _bit: bool,
         actions: &mut Actions<bool>,
     ) -> Self::State {

@@ -96,7 +96,7 @@ impl<C: Label> ObliviousAlgorithm for RandomizedMatching<C> {
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         bit: bool,
         actions: &mut Actions<Option<C>>,
     ) -> Self::State {

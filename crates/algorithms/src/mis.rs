@@ -119,7 +119,7 @@ impl ObliviousAlgorithm for RandomizedMis {
         &self,
         mut state: MisState,
         round: usize,
-        received: &[MisMessage],
+        received: &[&MisMessage],
         bit: bool,
         actions: &mut Actions<bool>,
     ) -> MisState {

@@ -67,7 +67,7 @@ impl ObliviousAlgorithm for MonteCarloLeader {
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[BitString],
+        received: &[&BitString],
         bit: bool,
         actions: &mut Actions<bool>,
     ) -> Self::State {
@@ -84,7 +84,7 @@ impl ObliviousAlgorithm for MonteCarloLeader {
             // Flooding phase.
             for m in received {
                 if m.as_slice() > st.max_seen.as_slice() {
-                    st.max_seen = m.clone();
+                    st.max_seen = (*m).clone();
                 }
             }
             if round >= self.id_bits + *bound {

@@ -145,7 +145,7 @@ impl ObliviousAlgorithm for TwoHopColoring {
         &self,
         mut state: TwoHopState,
         _round: usize,
-        received: &[Message],
+        received: &[&Message],
         bit: bool,
         actions: &mut Actions<BitString>,
     ) -> TwoHopState {
@@ -201,8 +201,10 @@ impl ObliviousAlgorithm for TwoHopColoring {
         }
 
         // Refresh the relay table with this round's fresh neighbor states.
+        // `received` is sorted by `(peer, table)`, so the peers already
+        // come in order.
         state.table = received.iter().map(|(peer, _)| peer.clone()).collect();
-        state.table.sort();
+        debug_assert!(state.table.is_sorted());
 
         // Halting: decided, and every still-active neighbor reports a
         // fully decided 1-hop and 2-hop picture. Silent (halted) neighbors

@@ -55,11 +55,11 @@ impl ObliviousAlgorithm for MisVerifier {
         &self,
         state: bool,
         _round: usize,
-        received: &[bool],
+        received: &[&bool],
         _bit: bool,
         actions: &mut Actions<DecisionOutput>,
     ) -> bool {
-        let member_neighbor = received.iter().any(|&m| m);
+        let member_neighbor = received.iter().any(|&&m| m);
         let ok = if state {
             !member_neighbor // independence
         } else {
@@ -103,11 +103,11 @@ impl<C: Label> ObliviousAlgorithm for ColoringVerifier<C> {
         &self,
         state: C,
         _round: usize,
-        received: &[C],
+        received: &[&C],
         _bit: bool,
         actions: &mut Actions<DecisionOutput>,
     ) -> C {
-        let clash = received.contains(&state);
+        let clash = received.contains(&&state);
         actions.output(if clash { DecisionOutput::No } else { DecisionOutput::Yes });
         actions.halt();
         state
@@ -173,7 +173,7 @@ impl<C: Label> ObliviousAlgorithm for TwoHopColoringVerifier<C> {
         &self,
         mut state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         _bit: bool,
         actions: &mut Actions<DecisionOutput>,
     ) -> Self::State {

@@ -28,15 +28,23 @@
 //! batch must not take the cache down with it, and every value is updated
 //! atomically under the lock, so a poisoned state is still consistent.
 //!
+//! Assignment misses are **single-flight**: the first lookup that misses
+//! an address gets a [`SearchClaim`], and concurrent lookups of the same
+//! address wait until the claim is dropped — after the holder inserted
+//! the assignment, or gave up — instead of repeating the search. Each
+//! distinct address therefore counts exactly one miss however the jobs of
+//! a batch interleave, so the accounting is as reproducible as the
+//! outputs.
+//!
 //! Optionally, a [`CacheBackend`] (see [`crate::persist`]) sits beneath
 //! the tables as a durable second tier: memory misses fall through to it
 //! (outside the lock), disk hits are promoted into memory, and fresh
 //! inserts write through. Backend failures never fail a lookup — they
 //! count as [`CacheStats::disk_errors`] and the cache runs memory-only.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use anonet_graph::BitString;
 use anonet_graph::{Label, LabeledGraph};
@@ -108,6 +116,8 @@ struct AssignmentEntry {
 struct Tables {
     quotients: HashMap<Vec<u8>, QuotientEntry>,
     assignments: HashMap<(String, Vec<u8>), AssignmentEntry>,
+    /// Assignment addresses held by a live [`SearchClaim`].
+    claimed: HashSet<(String, Vec<u8>)>,
     quotient_hits: u64,
     quotient_misses: u64,
     assignment_hits: u64,
@@ -262,6 +272,26 @@ impl fmt::Display for CounterRegression {
 
 impl std::error::Error for CounterRegression {}
 
+/// A claimed assignment miss, from [`DerandCache::lookup_or_claim`].
+///
+/// The holder is the one caller searching this address; concurrent
+/// lookups of it wait until the claim is dropped. Insert the found
+/// assignment with [`DerandCache::insert_assignment`] *before* dropping
+/// the claim, so the waiters hit it.
+#[must_use = "dropping the claim at once lets concurrent lookups search too"]
+#[derive(Debug)]
+pub struct SearchClaim<'a> {
+    cache: &'a DerandCache,
+    address: (String, Vec<u8>),
+}
+
+impl Drop for SearchClaim<'_> {
+    fn drop(&mut self) {
+        self.cache.lock().claimed.remove(&self.address);
+        self.cache.released.notify_all();
+    }
+}
+
 /// Thread-safe, content-addressed store for derandomization artifacts.
 ///
 /// Shared by wrapping in [`std::sync::Arc`]; every method takes `&self`.
@@ -289,6 +319,8 @@ impl std::error::Error for CounterRegression {}
 #[derive(Debug, Default)]
 pub struct DerandCache {
     tables: Mutex<Tables>,
+    /// Signalled whenever a [`SearchClaim`] is released.
+    released: Condvar,
     max_entries: Option<usize>,
     backend: Option<Arc<dyn CacheBackend>>,
 }
@@ -364,8 +396,21 @@ impl DerandCache {
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
+    /// addressed by `key`: [`DerandCache::lookup_or_claim`] without
+    /// keeping the claim on a miss.
+    pub fn lookup_assignment(&self, problem: &str, key: &[u8]) -> Option<CachedAssignment> {
+        self.lookup_or_claim(problem, key).ok()
+    }
+
+    /// Looks up the canonical simulation for `problem` on the quotient
     /// addressed by `key`. Clones the entry out so the lock is held only
     /// briefly.
+    ///
+    /// A miss returns a [`SearchClaim`] on the address: the caller
+    /// searches, inserts what it finds, then drops the claim. While the
+    /// claim lives, lookups of the same address from other threads wait,
+    /// and then hit the inserted entry (or, if the holder gave up, one of
+    /// them claims the address in turn).
     ///
     /// Memory answers first; with a backend attached, a memory miss falls
     /// through to the disk tier (outside the lock), and a disk hit is
@@ -373,28 +418,37 @@ impl DerandCache {
     /// backend error counts as a miss plus a
     /// [`disk_errors`](CacheStats::disk_errors) tick — persistence never
     /// fails a lookup.
-    pub fn lookup_assignment(&self, problem: &str, key: &[u8]) -> Option<CachedAssignment> {
+    ///
+    /// # Errors
+    ///
+    /// `Err` is the claim of a miss, not a failure.
+    pub fn lookup_or_claim(
+        &self,
+        problem: &str,
+        key: &[u8],
+    ) -> Result<CachedAssignment, SearchClaim<'_>> {
+        let address = (problem.to_string(), key.to_vec());
         {
             let mut t = self.lock();
+            while t.claimed.contains(&address) {
+                t = self.released.wait(t).unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
             t.clock += 1;
             let now = t.clock;
-            // Avoid allocating the owned key pair on the miss path is not
-            // worth the contortions; lookups are rare relative to
-            // simulations.
-            let k = (problem.to_string(), key.to_vec());
-            if let Some(entry) = t.assignments.get_mut(&k) {
+            if let Some(entry) = t.assignments.get_mut(&address) {
                 entry.hits += 1;
                 entry.last_use = now;
                 let cached = entry.cached.clone();
                 t.assignment_hits += 1;
-                return Some(cached);
+                return Ok(cached);
             }
+            t.claimed.insert(address.clone());
             if self.backend.is_none() {
                 t.assignment_misses += 1;
-                return None;
             }
         }
-        let backend = self.backend.as_ref()?;
+        let claim = SearchClaim { cache: self, address };
+        let Some(backend) = &self.backend else { return Err(claim) };
         match backend.load_assignment(problem, key) {
             Ok(Some(cached)) => {
                 let mut t = self.lock();
@@ -403,24 +457,27 @@ impl DerandCache {
                 t.assignment_hits += 1;
                 t.disk_hits += 1;
                 let bytes = assignment_bytes(problem, key, &cached);
-                // or_insert: a concurrent promoter/inserter may have won.
-                t.assignments.entry((problem.to_string(), key.to_vec())).or_insert(
-                    AssignmentEntry { cached: cached.clone(), bytes, hits: 0, last_use: now },
-                );
+                // or_insert: an inserter that held no claim may have won.
+                t.assignments.entry(claim.address.clone()).or_insert(AssignmentEntry {
+                    cached: cached.clone(),
+                    bytes,
+                    hits: 0,
+                    last_use: now,
+                });
                 self.enforce_capacity(&mut t);
-                Some(cached)
+                Ok(cached)
             }
             Ok(None) => {
                 let mut t = self.lock();
                 t.assignment_misses += 1;
                 t.disk_misses += 1;
-                None
+                Err(claim)
             }
             Err(_) => {
                 let mut t = self.lock();
                 t.assignment_misses += 1;
                 t.disk_errors += 1;
-                None
+                Err(claim)
             }
         }
     }
@@ -739,6 +796,42 @@ mod tests {
         let got = cache.lookup_assignment("mis", &key).unwrap();
         assert_eq!(got.tapes.len(), 3);
         assert_eq!(got.attempts, 3);
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_address_search_once() {
+        let cache = DerandCache::new();
+        let claim = cache.lookup_or_claim("mis", b"k").unwrap_err();
+        std::thread::scope(|scope| {
+            // Whether a waiter looks up before or after the insert, it
+            // must hit: while the claim lives it waits for the holder.
+            let waiters: Vec<_> =
+                (0..4).map(|_| scope.spawn(|| cache.lookup_or_claim("mis", b"k").ok())).collect();
+            cache.insert_assignment(
+                "mis",
+                b"k",
+                CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 },
+            );
+            drop(claim);
+            for w in waiters {
+                assert!(w.join().unwrap().is_some());
+            }
+        });
+        let s = cache.stats();
+        assert_eq!((s.assignment_misses, s.assignment_hits), (1, 4));
+    }
+
+    #[test]
+    fn an_abandoned_claim_passes_to_the_next_lookup() {
+        let cache = DerandCache::new();
+        let claim = cache.lookup_or_claim("mis", b"k").unwrap_err();
+        std::thread::scope(|scope| {
+            let next = scope.spawn(|| cache.lookup_or_claim("mis", b"k").is_err());
+            drop(claim); // the holder's search failed: nothing inserted
+            assert!(next.join().unwrap());
+        });
+        assert_eq!(cache.stats().assignment_misses, 2);
+        assert!(cache.lookup_or_claim("mis", b"k").is_err(), "no claim outlives its holder");
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod views_par;
 
 pub use cache::{
     instance_key, quotient_key, CacheStats, CachedAssignment, CounterRegression, DerandCache,
+    SearchClaim,
 };
 pub use persist::{CacheBackend, PersistentDerandCache, StoreBackend, WarmEntry};
 pub use scheduler::{BatchOutcome, BatchScheduler, BatchStats, JobResult};

@@ -187,11 +187,15 @@ where
         // is already in hand. A hit turns the search into one replay.
         let t1 = Instant::now();
         let mut address: Option<(String, Vec<u8>)> = None;
+        // Held from a miss until the search result is inserted, so
+        // concurrent jobs on the same quotient wait for it and then hit.
+        let mut claim = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
             cache.record_quotient(&key, q.graph().node_count(), q.multiplicity().unwrap_or(0));
             let problem = self.problem_id();
-            if let Some(hit) = cache.lookup_assignment(&problem, &key) {
+            let hit = cache.lookup_or_claim(&problem, &key).map_err(|miss| claim = Some(miss));
+            if let Ok(hit) = hit {
                 if hit.tapes.len() == order.len() {
                     // Cached tapes are by canonical position; reindex them
                     // to this presentation's node ids before replaying.
@@ -268,6 +272,7 @@ where
                 },
             );
         }
+        drop(claim);
 
         // Step 3: lift outputs along the projection.
         if observing {

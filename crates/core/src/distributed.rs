@@ -138,7 +138,7 @@ where
         &self,
         mut state: Self::State,
         _round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         _bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State {
@@ -147,7 +147,7 @@ where
         }
         // Gather: extend by the neighbors' views plus the own view (the
         // self-loop of the *closed* view construction).
-        let mut children: Vec<&FoldedView<(A::Input, C)>> = received.iter().collect();
+        let mut children = received.to_vec();
         children.push(&state.view);
         state.view = FoldedView::extend(state.label.clone(), &children);
 

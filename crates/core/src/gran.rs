@@ -130,7 +130,7 @@ impl<I: Label + std::fmt::Debug> ObliviousAlgorithm for TrivialDecider<I> {
         &self,
         _state: (),
         _round: usize,
-        _received: &[()],
+        _received: &[&()],
         _bit: bool,
         actions: &mut Actions<DecisionOutput>,
     ) {
@@ -225,7 +225,7 @@ mod tests {
             &self,
             state: u32,
             _round: usize,
-            _received: &[()],
+            _received: &[&()],
             _bit: bool,
             actions: &mut Actions<DecisionOutput>,
         ) -> u32 {
@@ -265,7 +265,7 @@ mod tests {
             &self,
             _state: bool,
             round: usize,
-            _received: &[()],
+            _received: &[&()],
             bit: bool,
             actions: &mut Actions<DecisionOutput>,
         ) -> bool {
@@ -299,7 +299,7 @@ mod tests {
             fn broadcast(&self, _: &()) -> Option<()> {
                 None
             }
-            fn step(&self, _: (), _: usize, _: &[()], _: bool, _: &mut Actions<DecisionOutput>) {}
+            fn step(&self, _: (), _: usize, _: &[&()], _: bool, _: &mut Actions<DecisionOutput>) {}
         }
         let g = generators::path(2).unwrap().with_uniform_label(0u32);
         let err = decide_by_simulation(&Mute, &g, 6, &ExecConfig::with_max_rounds(10)).unwrap_err();
@@ -345,7 +345,7 @@ mod tests {
                 &self,
                 _: (),
                 _: usize,
-                _: &[()],
+                _: &[&()],
                 _: bool,
                 actions: &mut Actions<DecisionOutput>,
             ) {

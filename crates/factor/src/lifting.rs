@@ -204,12 +204,12 @@ mod tests {
             &self,
             mut state: Self::State,
             round: usize,
-            received: &[Self::Message],
+            received: &[&Self::Message],
             bit: bool,
             actions: &mut Actions<Self::Output>,
         ) -> Self::State {
             state.1 = bit;
-            state.2.extend_from_slice(received);
+            state.2.extend(received.iter().map(|&&m| m));
             state.2.sort();
             if round == 3 {
                 actions.output(state.2.clone());

@@ -16,15 +16,18 @@ use anonet_graph::Port;
 /// In round `r` (rounds are numbered from 1) each non-halted node:
 ///
 /// 1. composes an optional message for each of its ports from its current
-///    state ([`Algorithm::compose`]);
-/// 2. the runtime delivers all messages along edges;
+///    state ([`Algorithm::compose`], or [`Algorithm::compose_round`] for
+///    all ports at once);
+/// 2. the runtime delivers all messages along edges, by reference: every
+///    receiver reads the message its sender composed, and nothing is
+///    copied;
 /// 3. steps its state given the round number, its inbox, and one random
 ///    bit ([`Algorithm::step`]), possibly writing its irrevocable output
 ///    and/or halting through [`Actions`].
 ///
 /// # Determinism requirement
 ///
-/// Both methods must be **pure functions** of their arguments: the entire
+/// Every method must be a **pure function** of its arguments: the entire
 /// derandomization machinery (simulations induced by prescribed bit
 /// assignments, execution lifting) relies on replaying executions
 /// bit-for-bit. Do not read clocks, global RNGs, or other ambient state.
@@ -53,15 +56,36 @@ pub trait Algorithm {
     /// The message to send on `port` this round, or `None` for silence.
     fn compose(&self, state: &Self::State, port: Port) -> Option<Self::Message>;
 
+    /// Composes all of this round's outgoing messages into `out`, which
+    /// the engine hands over empty and reuses from round to round.
+    ///
+    /// Push either one entry per port, in port order, or a **single**
+    /// entry that goes out unchanged on every port (for a node of degree
+    /// one the two readings agree). The default composes per port through
+    /// [`Algorithm::compose`]. A sender whose message cannot depend on the
+    /// port, such as [`Oblivious`](crate::Oblivious), pushes one entry: the
+    /// engine then composes each broadcast once and every receiver reads
+    /// it by reference.
+    fn compose_round(
+        &self,
+        state: &Self::State,
+        degree: usize,
+        out: &mut Vec<Option<Self::Message>>,
+    ) {
+        out.extend((0..degree).map(|p| self.compose(state, Port::new(p))));
+    }
+
     /// State transition at the end of a round.
     ///
     /// `round` is 1-indexed. `bit` is this round's random bit — exactly
-    /// one per round, per the paper's normalization.
+    /// one per round, per the paper's normalization. The state is moved in
+    /// and out, never cloned; `inbox` borrows the messages the neighbors
+    /// composed this round, which live until every node has stepped.
     fn step(
         &self,
         state: Self::State,
         round: usize,
-        inbox: &Inbox<Self::Message>,
+        inbox: &Inbox<'_, Self::Message>,
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State;
@@ -69,22 +93,20 @@ pub trait Algorithm {
 
 /// The messages a node received this round, indexed by its own ports.
 ///
-/// `None` on a port means the neighbor sent nothing (or has halted).
+/// Each slot borrows the message its sender composed; a broadcast read by
+/// `deg` receivers exists once. `None` on a port means the neighbor sent
+/// nothing (or has halted).
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Inbox<M> {
-    slots: Vec<Option<M>>,
+pub struct Inbox<'a, M> {
+    slots: Vec<Option<&'a M>>,
 }
 
-impl<M> Inbox<M> {
-    pub(crate) fn new(slots: Vec<Option<M>>) -> Self {
-        Inbox { slots }
-    }
-
+impl<'a, M> Inbox<'a, M> {
     /// Builds an inbox from explicit per-port slots. Useful for unit
     /// testing algorithms in isolation and for adapters (such as the
     /// color-based port emulation) that reconstruct port-indexed
     /// deliveries from other message formats.
-    pub fn from_slots(slots: Vec<Option<M>>) -> Self {
+    pub fn from_slots(slots: Vec<Option<&'a M>>) -> Self {
         Inbox { slots }
     }
 
@@ -93,8 +115,8 @@ impl<M> Inbox<M> {
     /// # Panics
     ///
     /// Panics if `port` is out of range for this node's degree.
-    pub fn get(&self, port: Port) -> Option<&M> {
-        self.slots[port.index()].as_ref()
+    pub fn get(&self, port: Port) -> Option<&'a M> {
+        self.slots[port.index()]
     }
 
     /// Number of ports (= the node's degree).
@@ -108,8 +130,8 @@ impl<M> Inbox<M> {
     }
 
     /// Iterates over `(port, message)` pairs for ports that received one.
-    pub fn iter(&self) -> impl Iterator<Item = (Port, &M)> {
-        self.slots.iter().enumerate().filter_map(|(p, m)| m.as_ref().map(|m| (Port::new(p), m)))
+    pub fn iter(&self) -> impl Iterator<Item = (Port, &'a M)> + '_ {
+        self.slots.iter().enumerate().filter_map(|(p, m)| m.map(|m| (Port::new(p), m)))
     }
 
     /// `true` if every port received a message.
@@ -163,7 +185,7 @@ mod tests {
 
     #[test]
     fn inbox_access() {
-        let inbox = Inbox::new(vec![Some(1u8), None, Some(3)]);
+        let inbox = Inbox::from_slots(vec![Some(&1u8), None, Some(&3)]);
         assert_eq!(inbox.len(), 3);
         assert!(!inbox.is_empty());
         assert_eq!(inbox.get(Port::new(0)), Some(&1));

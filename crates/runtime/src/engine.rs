@@ -136,8 +136,10 @@ impl<A: Algorithm> Execution<A> {
         self.messages_sent
     }
 
-    /// Total bytes of message payload delivered (in-memory size of
-    /// `A::Message` per delivered message).
+    /// Nominal message volume: `size_of::<A::Message>()` per delivered
+    /// message. This is a model-level count, not the bytes the engine
+    /// copied — a broadcast is composed once and read by reference, and
+    /// heap data behind the message is not counted.
     pub fn message_bytes(&self) -> usize {
         self.message_bytes
     }
@@ -223,14 +225,16 @@ where
     }
     let n = g.node_count();
 
-    let mut states: Vec<A::State> =
-        g.nodes().map(|v| alg.init(net.label(v), g.degree(v))).collect();
+    // States live in `Option` slots so `step` can move them out and back
+    // in; outside the step loop every slot holds a state.
+    let mut states: Vec<Option<A::State>> =
+        g.nodes().map(|v| Some(alg.init(net.label(v), g.degree(v)))).collect();
     let mut outputs: Vec<Option<A::Output>> = vec![None; n];
     let mut output_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halt_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halted = vec![false; n];
     let mut history: Option<Vec<Vec<A::State>>> =
-        config.record_states.then(|| vec![states.clone()]);
+        config.record_states.then(|| vec![snapshot(&states)]);
 
     let mut events: Option<Vec<crate::Event>> = config.record_events.then(Vec::new);
     let message_size = std::mem::size_of::<A::Message>();
@@ -240,6 +244,9 @@ where
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut bits_consumed = 0usize;
     let mut rounds = 0usize;
+    // One reusable outgoing buffer per node, filled by `compose_round`:
+    // a single entry for a uniform sender, one per port otherwise.
+    let mut outgoing: Vec<Vec<Option<A::Message>>> = vec![Vec::new(); n];
 
     let status = loop {
         if halted.iter().all(|&h| h) {
@@ -273,22 +280,24 @@ where
         active_per_round.push(halted.iter().filter(|&&h| !h).count());
         let round_message_base = messages_sent;
 
-        // Compose and deliver messages, in the adversary's delivery order.
-        // Every node composes against the same pre-round state snapshot and
-        // each inbox slot is written by exactly one (sender, port) pair, so
-        // the order cannot change the delivered messages — the adversary
-        // only gets to prove that.
-        let mut inboxes: Vec<Vec<Option<A::Message>>> =
-            g.nodes().map(|v| vec![None; g.degree(v)]).collect();
+        // Compose, in the adversary's delivery order. Every node composes
+        // against the same pre-round state snapshot into its own buffer,
+        // so the order cannot change the delivered messages — the
+        // adversary only gets to prove that. A halted node's buffer stays
+        // empty: its neighbors hear silence.
         for v in checked_order(adversary.compose_order(n, round), n, round, "compose")? {
+            let out = &mut outgoing[v.index()];
+            out.clear();
             if halted[v.index()] {
                 continue;
             }
+            let Some(state) = states[v.index()].as_ref() else {
+                continue;
+            };
+            alg.compose_round(state, g.degree(v), out);
             for p in 0..g.degree(v) {
                 let port = Port::new(p);
-                if let Some(msg) = alg.compose(&states[v.index()], port) {
-                    let u = g.endpoint(v, port);
-                    let q = g.reverse_port(v, port);
+                if sent_on(out, || port).is_some() {
                     messages_sent += 1;
                     message_bytes += message_size;
                     if let Some(ev) = events.as_mut() {
@@ -299,29 +308,41 @@ where
                             bytes: message_size,
                         });
                     }
-                    inboxes[u.index()][q.index()] = Some(msg);
                 }
             }
         }
 
-        // Step states, in the adversary's wakeup order. Each node writes
-        // only its own slots, so this order is equally inert.
+        // Deliver and step, in the adversary's wakeup order. A node's
+        // inbox borrows its neighbors' buffers, which nobody writes until
+        // the next round, and each node writes only its own slots, so
+        // this order is equally inert.
         for v in checked_order(adversary.step_order(n, round), n, round, "step")? {
             if halted[v.index()] {
                 continue;
             }
+            let Some(state) = states[v.index()].take() else {
+                continue;
+            };
             bits_consumed += 1;
             if let Some(ev) = events.as_mut() {
                 ev.push(crate::Event::BitsDrawn { round, node: v, count: 1 });
             }
-            let inbox = Inbox::new(std::mem::take(&mut inboxes[v.index()]));
-            let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].clone());
-            let state = states[v.index()].clone();
-            states[v.index()] = alg.step(state, round, &inbox, bits[v.index()], &mut actions);
+            let inbox = Inbox::from_slots(
+                (0..g.degree(v))
+                    .map(|p| {
+                        let port = Port::new(p);
+                        let u = g.endpoint(v, port);
+                        sent_on(&outgoing[u.index()], || g.reverse_port(v, port))
+                    })
+                    .collect(),
+            );
+            let had_output = outputs[v.index()].is_some();
+            let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].take());
+            states[v.index()] = Some(alg.step(state, round, &inbox, bits[v.index()], &mut actions));
             if actions.output_written {
                 return Err(RuntimeError::OutputConflict { node: v, round });
             }
-            if outputs[v.index()].is_none() && actions.output.is_some() {
+            if !had_output && actions.output.is_some() {
                 output_rounds[v.index()] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::OutputSet { round, node: v });
@@ -340,7 +361,7 @@ where
         rounds = round;
         messages_per_round.push(messages_sent - round_message_base);
         if let Some(h) = history.as_mut() {
-            h.push(states.clone());
+            h.push(snapshot(&states));
         }
     };
 
@@ -351,7 +372,7 @@ where
         outputs,
         output_rounds,
         halt_rounds,
-        final_states: states,
+        final_states: states.into_iter().flatten().collect(),
         state_history: history,
         rounds,
         messages_sent,
@@ -362,6 +383,21 @@ where
         bits_consumed,
         status,
     })
+}
+
+/// The message a sender's `compose_round` buffer carries on one of its
+/// ports: the single entry of a uniform sender (the port is never
+/// computed), else the entry of that port.
+fn sent_on<M>(out: &[Option<M>], port: impl FnOnce() -> Port) -> Option<&M> {
+    match out {
+        [uniform] => uniform.as_ref(),
+        per_port => per_port.get(port().index())?.as_ref(),
+    }
+}
+
+/// Clones the states of every node, for the recorded history.
+fn snapshot<S: Clone>(states: &[Option<S>]) -> Vec<S> {
+    states.iter().flatten().cloned().collect()
 }
 
 /// Validates an adversary-supplied order as a permutation of `0..n`.

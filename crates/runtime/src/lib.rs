@@ -8,9 +8,10 @@
 //!   input is exactly its input label (which, per the paper's convention,
 //!   includes its degree — the runtime passes the degree explicitly).
 //! * Execution proceeds in **synchronous rounds**: each round every active
-//!   node composes one optional message per port, messages are delivered,
-//!   and each node steps its state with its inbox and **exactly one random
-//!   bit** (the paper's normalization).
+//!   node composes one optional message per port (or one broadcast for all
+//!   of them), messages are delivered by reference, and each node steps
+//!   its state with its inbox and **exactly one random bit** (the paper's
+//!   normalization).
 //! * Outputs are **irrevocable**: writing two different outputs is an
 //!   algorithm bug, reported as [`RuntimeError::OutputConflict`].
 //! * Randomness is abstracted as a [`RandomSource`]. A live RNG gives
@@ -35,7 +36,7 @@
 //!
 //!     fn init(&self, _input: &u32, degree: usize) -> u32 { degree as u32 }
 //!     fn compose(&self, _state: &u32, _port: anonet_graph::Port) -> Option<()> { None }
-//!     fn step(&self, state: u32, _round: usize, _inbox: &Inbox<()>, _bit: bool,
+//!     fn step(&self, state: u32, _round: usize, _inbox: &Inbox<'_, ()>, _bit: bool,
 //!             actions: &mut Actions<u32>) -> u32 {
 //!         actions.output(state);
 //!         actions.halt();

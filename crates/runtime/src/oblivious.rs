@@ -44,20 +44,23 @@ pub trait ObliviousAlgorithm {
     /// The message broadcast to **all** neighbors this round, if any.
     fn broadcast(&self, state: &Self::State) -> Option<Self::Message>;
 
-    /// State transition. `received` is sorted ascending and contains one
-    /// entry per neighbor that broadcast this round.
+    /// State transition. `received` holds one reference per neighbor that
+    /// broadcast this round, sorted ascending by the messages they point
+    /// to. The messages are the senders' own broadcasts, shared by all of
+    /// their receivers; clone what must outlive the step.
     fn step(
         &self,
         state: Self::State,
         round: usize,
-        received: &[Self::Message],
+        received: &[&Self::Message],
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State;
 }
 
 /// Adapter running an [`ObliviousAlgorithm`] under the port-numbered
-/// runtime: broadcasts on every port, sorts the inbox before stepping.
+/// runtime: composes each broadcast once for all ports, and sorts
+/// references to the received messages before stepping.
 ///
 /// # Example
 ///
@@ -77,9 +80,9 @@ pub trait ObliviousAlgorithm {
 ///
 ///     fn init(&self, input: &u32, _degree: usize) -> u32 { *input }
 ///     fn broadcast(&self, state: &u32) -> Option<u32> { Some(*state) }
-///     fn step(&self, state: u32, _round: usize, received: &[u32], _bit: bool,
+///     fn step(&self, state: u32, _round: usize, received: &[&u32], _bit: bool,
 ///             actions: &mut Actions<usize>) -> u32 {
-///         actions.output(received.iter().filter(|&&m| m == state).count());
+///         actions.output(received.iter().filter(|&&&m| m == state).count());
 ///         actions.halt();
 ///         state
 ///     }
@@ -121,15 +124,24 @@ impl<A: ObliviousAlgorithm> Algorithm for Oblivious<A> {
         self.0.broadcast(state)
     }
 
+    fn compose_round(
+        &self,
+        state: &Self::State,
+        _degree: usize,
+        out: &mut Vec<Option<Self::Message>>,
+    ) {
+        out.push(self.0.broadcast(state));
+    }
+
     fn step(
         &self,
         state: Self::State,
         round: usize,
-        inbox: &Inbox<Self::Message>,
+        inbox: &Inbox<'_, Self::Message>,
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State {
-        let mut received: Vec<Self::Message> = inbox.iter().map(|(_, m)| m.clone()).collect();
+        let mut received: Vec<&Self::Message> = inbox.iter().map(|(_, m)| m).collect();
         received.sort();
         self.0.step(state, round, &received, bit, actions)
     }
@@ -162,11 +174,11 @@ mod tests {
             &self,
             state: u32,
             _round: usize,
-            received: &[u32],
+            received: &[&u32],
             _bit: bool,
             actions: &mut Actions<Vec<u32>>,
         ) -> u32 {
-            actions.output(received.to_vec());
+            actions.output(received.iter().map(|&&m| m).collect());
             actions.halt();
             state
         }
