@@ -14,8 +14,8 @@
 //! against the reference.
 //!
 //! [`report`] writes `BENCH_astar.json` (shared [`Json`] serializer; the
-//! `astar-perf` CI job asserts `byte_identical == true` and a nonzero
-//! pool hit count from it).
+//! `astar-perf` CI job asserts `byte_identical == true`, a nonzero pool
+//! hit count, and `candidate_steps < c2_hits` on C12 from it).
 
 use std::time::{Duration, Instant};
 
@@ -59,6 +59,10 @@ pub struct AstarRow {
     pub c2_lookups: u64,
     /// C2 lookups that selected a candidate.
     pub c2_hits: u64,
+    /// Update-Output/Update-Bits steps of the fast run (its
+    /// `update_bits` span count): one per distinct candidate selected in
+    /// a phase, so below `c2_hits` wherever fibres share a candidate.
+    pub candidate_steps: u64,
     /// Every fast/threaded run equals the reference on every field.
     pub byte_identical: bool,
 }
@@ -173,6 +177,7 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
             pool_misses: fast_snap.counter(names::ASTAR_POOL_MISS),
             c2_lookups: fast_snap.counter(names::ASTAR_C2_LOOKUPS),
             c2_hits: fast_snap.counter(names::ASTAR_C2_HITS),
+            candidate_steps: fast_snap.span_total(names::SPAN_UPDATE_BITS).count,
             byte_identical,
         });
     }
@@ -201,6 +206,7 @@ pub fn to_json(m: &AstarMeasurement) -> String {
             ("pool_misses", Json::from(r.pool_misses)),
             ("c2_lookups", Json::from(r.c2_lookups)),
             ("c2_hits", Json::from(r.c2_hits)),
+            ("candidate_steps", Json::from(r.candidate_steps)),
             ("byte_identical", Json::from(r.byte_identical)),
         ])
     });
@@ -239,6 +245,7 @@ pub fn report() -> ExpResult<String> {
             "UG ref",
             "UG fast",
             "pool h/m",
+            "steps/hits",
             "identical",
         ],
     );
@@ -254,6 +261,7 @@ pub fn report() -> ExpResult<String> {
             format!("{:.2?}", r.reference_update_graph),
             format!("{:.2?}", r.fast_update_graph),
             format!("{}/{}", r.pool_hits, r.pool_misses),
+            format!("{}/{}", r.candidate_steps, r.c2_hits),
             tick(r.byte_identical),
         ]);
     }
@@ -292,8 +300,19 @@ mod tests {
             // Same-phase nodes share universes on colored cycles: at most
             // 3 color classes, so at least 3/4 of requests hit on C12.
             assert!(r.c2_lookups >= r.c2_hits);
+            assert!(r.candidate_steps <= r.c2_hits);
             assert!(r.phases_used >= 1);
         }
+        // The multiplicity-4 tower: a fibre's nodes share one candidate
+        // step, so the per-candidate engine runs fewer steps than nodes
+        // select candidates.
+        let c12 = &m.rows[2];
+        assert!(
+            c12.candidate_steps < c12.c2_hits,
+            "C12 ran {} candidate steps for {} selections",
+            c12.candidate_steps,
+            c12.c2_hits
+        );
         // C12 shares pools across its 12 nodes; the hit rate must clear
         // the 2-in-3 mark overall (C3 contributes the worst case).
         assert!(

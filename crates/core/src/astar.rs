@@ -29,16 +29,20 @@
 //!   `Update-Graph` runs against the [`crate::astar_cache`] memo —
 //!   candidate pools built once per `(p_capped, universe)`, the C2 scan
 //!   replaced by one hash lookup against a per-depth selection index, and
-//!   balls-by-radius hoisted out of the node loop;
+//!   balls-by-radius hoisted out of the node loop; `Update-Output` and
+//!   `Update-Bits` run once per distinct candidate selected in a phase,
+//!   since they depend on the node only through its image `v̊` (DESIGN
+//!   §8.4);
 //! * [`run_astar_reference`] / [`run_astar_reference_observed`] — the
 //!   literal per-node enumeration, kept as the semantic baseline. The
 //!   testkit's differential oracle pins `fast ≡ reference` byte-for-byte
 //!   (outputs, output phases, final bits, phase counts) across problem
 //!   families and adversarial schedules.
 //!
-//! [`run_astar_threaded`] additionally fans the per-node phase loop across
-//! an [`anonet_batch`] scoped thread pool; results are committed in node
-//! order, so the run is byte-identical at every thread count.
+//! [`run_astar_threaded`] additionally fans each phase's per-node and then
+//! per-candidate steps across an [`anonet_batch`] scoped thread pool;
+//! results are committed in node order, so the run is byte-identical at
+//! every thread count.
 //!
 //! On *successful* runs the engines agree exactly. On runs that abort with
 //! a budget or view error the fast path may surface a different (equally
@@ -49,6 +53,8 @@
 //! is in the paper, too); even the fast path is meant for the small
 //! instances of experiments E3/E9/E17, with the engineering-grade path
 //! provided by [`crate::derandomizer`].
+
+use std::collections::HashMap;
 
 use anonet_batch::{BatchScheduler, JobResult};
 use anonet_graph::{distance, BitString, Label, LabeledGraph, NodeId};
@@ -61,7 +67,7 @@ use anonet_views::{
     ViewTree,
 };
 
-use crate::astar_cache::{AstarCache, CandidateLabel, PoolKey};
+use crate::astar_cache::{AstarCache, CandidateLabel, CandidateQuotient, PoolKey};
 use crate::candidates::candidate_pool;
 use crate::error::CoreError;
 use crate::Result;
@@ -126,20 +132,25 @@ pub fn run_astar<A, P, C>(
     cfg: &AStarConfig,
 ) -> Result<AStarRun<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
+    A: ObliviousAlgorithm + Clone + Sync,
+    A::Input: Label + Sync,
+    A::Output: Send,
     P: Problem<Input = A::Input>,
-    C: Label,
+    C: Label + Sync,
 {
     run_astar_observed(alg, problem, instance, cfg, &NoopRecorder)
 }
 
-/// [`run_astar`] under an observability [`Recorder`]: each per-node phase
-/// step reports `update_graph` / `update_output` / `update_bits` spans
-/// (nested under an `astar` parent), so aggregating backends expose the
-/// wall-time breakdown of the paper's three Update-* rules; the memo
-/// additionally reports `astar.pool.hit` / `astar.pool.miss` and the C2
-/// lookup counters. With the no-op recorder this is exactly [`run_astar`].
+/// [`run_astar`] under an observability [`Recorder`]. Each phase reports
+/// an `astar/prepare` span (candidate pools and selection indexes), one
+/// `update_graph` span per node, and one `update_output` plus one
+/// `update_bits` span per *distinct selected candidate* — every node that
+/// selected the same candidate reads its output and tape from that one
+/// step — all nested under an `astar` parent, so aggregating backends
+/// expose the wall-time breakdown of the paper's three Update-* rules.
+/// The memo additionally reports `astar.pool.hit` / `astar.pool.miss` and
+/// the per-node C2 lookup counters. With the no-op recorder this is
+/// exactly [`run_astar`].
 ///
 /// # Errors
 ///
@@ -152,43 +163,27 @@ pub fn run_astar_observed<A, P, C>(
     rec: &dyn Recorder,
 ) -> Result<AStarRun<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
+    A: ObliviousAlgorithm + Clone + Sync,
+    A::Input: Label + Sync,
+    A::Output: Send,
     P: Problem<Input = A::Input>,
-    C: Label,
+    C: Label + Sync,
 {
-    let _astar_span = Span::new(rec, names::SPAN_ASTAR);
-    let g = instance.graph();
-    let n = g.node_count();
-    let mut state = AStarState::new(n);
-    let mut cache: AstarCache<A::Input, C> = AstarCache::new();
-
-    for p in 1..=cfg.max_phases {
-        state.equivalent_rounds += p;
-        let ip = augment(instance, &state.bits)?;
-        let keys = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
-        let results: Vec<Result<NodeOutcome<A::Output>>> = g
-            .nodes()
-            .map(|v| astar_node_step(alg, &ip, v, p, keys[v.index()], &cache, cfg, rec))
-            .collect();
-        if let Some(done) = state.commit_phase(results, p)? {
-            return Ok(done);
-        }
-    }
-    Err(CoreError::PhaseBudgetExceeded { phases: cfg.max_phases })
+    drive_astar(alg, problem, instance, cfg, rec, &InOrder)
 }
 
-/// [`run_astar_observed`] with the per-node phase loop fanned across
-/// `threads` scoped workers on an [`anonet_batch::BatchScheduler`]. Node
-/// steps only read shared phase state and write their own slot, and the
-/// coordinator commits results in node order, so the run is
-/// **byte-identical** to [`run_astar`] at every thread count (`threads ==
-/// 0` is treated as 1). Tracing is causal across the fan-out: the
-/// scheduler adopts the `astar` span as parent (via
-/// [`anonet_obs::TraceContext`]), so worker-side `update_*` spans nest
-/// below `astar/batch_run/job` instead of becoming fresh per-thread
-/// roots, and the per-phase tree reduces to the sequential one once the
-/// scheduler segments are erased
+/// [`run_astar_observed`] with each phase fanned across `threads` scoped
+/// workers on an [`anonet_batch::BatchScheduler`]: first the per-node
+/// Update-Graph steps, then the per-candidate Update-Output/Update-Bits
+/// steps. Steps only read shared phase state, candidates are listed in
+/// order of first selection in node order, and the coordinator commits
+/// results in node order, so the run is **byte-identical** to
+/// [`run_astar`] at every thread count (`threads == 0` is treated as 1).
+/// Tracing is causal across the fan-out: the scheduler adopts the `astar`
+/// span as parent (via [`anonet_obs::TraceContext`]), so worker-side
+/// `update_*` spans nest below `astar/batch_run/job` instead of becoming
+/// fresh per-thread roots, and the per-phase tree reduces to the
+/// sequential one once the scheduler segments are erased
 /// ([`MemorySnapshot::reduced_span_paths`][anonet_obs::MemorySnapshot::reduced_span_paths]).
 ///
 /// # Errors
@@ -197,8 +192,8 @@ where
 ///
 /// # Panics
 ///
-/// Re-raises panics from node jobs (the scheduler isolates them; a panic
-/// in `A_*`'s per-node step is a bug, not a recoverable outcome).
+/// Re-raises panics from phase jobs (the scheduler isolates them; a panic
+/// in one of `A_*`'s steps is a bug, not a recoverable outcome).
 pub fn run_astar_threaded<A, P, C>(
     alg: &A,
     problem: &P,
@@ -214,50 +209,96 @@ where
     P: Problem<Input = A::Input>,
     C: Label + Sync,
 {
-    let rec: &dyn Recorder = &**recorder;
-    let _astar_span = Span::new(rec, names::SPAN_ASTAR);
-    let g = instance.graph();
-    let n = g.node_count();
-    let mut state = AStarState::new(n);
-    let mut cache: AstarCache<A::Input, C> = AstarCache::new();
     let scheduler =
         BatchScheduler::with_threads(threads.max(1)).with_recorder(std::sync::Arc::clone(recorder));
+    drive_astar(alg, problem, instance, cfg, &**recorder, &scheduler)
+}
+
+/// How a phase maps a step over its nodes or its candidates: in order on
+/// the calling thread ([`InOrder`]) or across a [`BatchScheduler`]'s
+/// workers. Either way the results come back in item order.
+trait PhaseFan {
+    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync;
+}
+
+/// The sequential fan: a plain in-order map.
+struct InOrder;
+
+impl PhaseFan for InOrder {
+    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        Ok(items.iter().map(step).collect())
+    }
+}
+
+impl PhaseFan for BatchScheduler {
+    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        // Jobs wrap the step's typed result in their Ok value, so the
+        // scheduler never renders a CoreError to a string; the commit
+        // propagates the first error in node order.
+        self.run(items, |_, item| Ok::<R, String>(step(item)))
+            .results
+            .into_iter()
+            .map(|r| match r {
+                JobResult::Ok(value) => Ok(value),
+                JobResult::Failed(msg) => {
+                    Err(CoreError::internal(format!("A_* phase jobs never return Err: {msg}")))
+                }
+                // Re-raising keeps the sequential panic semantics: a panic
+                // in a phase step aborts the run either way.
+                // anonet-lint: allow(panic-hygiene, reason = "re-raises a worker panic to preserve sequential semantics")
+                JobResult::Panicked(msg) => panic!("A_* phase job panicked: {msg}"),
+            })
+            .collect()
+    }
+}
+
+/// The fast engine's phase loop, shared by the sequential and threaded
+/// drivers: prepare the phase's pools, run [`astar_phase`] through `fan`,
+/// commit in node order.
+fn drive_astar<A, P, C, F>(
+    alg: &A,
+    problem: &P,
+    instance: &LabeledGraph<(A::Input, C)>,
+    cfg: &AStarConfig,
+    rec: &dyn Recorder,
+    fan: &F,
+) -> Result<AStarRun<A::Output>>
+where
+    A: ObliviousAlgorithm + Clone + Sync,
+    A::Input: Label + Sync,
+    A::Output: Send,
+    P: Problem<Input = A::Input>,
+    C: Label + Sync,
+    F: PhaseFan,
+{
+    let _astar_span = Span::new(rec, names::SPAN_ASTAR);
+    let g = instance.graph();
     let nodes: Vec<NodeId> = g.nodes().collect();
+    let mut state = AStarState::new(nodes.len());
+    let mut cache: AstarCache<A::Input, C> = AstarCache::new();
 
     for p in 1..=cfg.max_phases {
         state.equivalent_rounds += p;
         let ip = augment(instance, &state.bits)?;
+        let prepare_span = Span::new(rec, names::SPAN_ASTAR_PREPARE);
         let keys = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
-        // Jobs wrap the node step's typed result in their Ok value, so
-        // the scheduler never renders a CoreError to a string; the commit
-        // below propagates the first error in node order.
-        let outcome = scheduler.run(&nodes, |_, &v| {
-            Ok::<Result<NodeOutcome<A::Output>>, String>(astar_node_step(
-                alg,
-                &ip,
-                v,
-                p,
-                keys[v.index()],
-                &cache,
-                cfg,
-                rec,
-            ))
-        });
-        let results: Vec<Result<NodeOutcome<A::Output>>> = outcome
-            .results
-            .into_iter()
-            .map(|r| match r {
-                JobResult::Ok(inner) => inner,
-                JobResult::Failed(msg) => {
-                    Err(CoreError::internal(format!("A_* node jobs never return Err: {msg}")))
-                }
-                // Re-raising keeps the sequential panic semantics: a panic
-                // in a node step aborts the run either way.
-                // anonet-lint: allow(panic-hygiene, reason = "re-raises a worker panic to preserve sequential semantics")
-                JobResult::Panicked(msg) => panic!("A_* node job panicked: {msg}"),
-            })
-            .collect();
-        if let Some(done) = state.commit_phase(results, p)? {
+        drop(prepare_span);
+        let phase = astar_phase(fan, alg, &ip, &nodes, p, &keys, &cache, cfg, rec)?;
+        if let Some(done) = state.commit_phase(phase, p)? {
             return Ok(done);
         }
     }
@@ -296,35 +337,92 @@ where
     universes.iter().map(|u| cache.ensure_pool(problem, p_capped, p, u, rec)).collect()
 }
 
-/// What one node's phase step produced: its adopted output (if the
-/// simulation succeeded) and its extended bitstring (if an extension
-/// succeeded). Only node `v` ever writes slot `v`, which is what makes
-/// the parallel fan-out commit deterministic.
-struct NodeOutcome<O> {
-    output: Option<O>,
-    new_bits: Option<BitString>,
+/// One phase's results, before the commit: per node, its Update-Graph
+/// outcome — the slot of its selected candidate in `steps` and its image
+/// `v̊` there, or `None` if it skips the phase — and per distinct selected
+/// candidate, the shared Update-Output/Update-Bits step.
+struct PhaseResults<O> {
+    selections: Vec<Result<Option<(usize, NodeId)>>>,
+    steps: Vec<Result<CandidateStep<O>>>,
 }
 
-/// One node's phase `p`: C2 lookup against the pool's selection index
-/// (`Update-Graph`), quotient simulation (`Update-Output`), minimal tape
-/// extension (`Update-Bits`). Reads shared phase state only.
+/// Update-Output and Update-Bits for one selected candidate. Both depend
+/// on the selecting node only through its image `v̊`, so one step serves
+/// every node that selected the candidate in this phase.
+struct CandidateStep<O> {
+    /// Every quotient node's output under the candidate's own tapes, if
+    /// that simulation succeeded.
+    outputs: Option<Vec<Option<O>>>,
+    /// The lexicographically smallest successful `p`-extension, if any.
+    extension: Option<BitAssignment>,
+}
+
+/// Phase `p` of the fast engine, in three steps:
+///
+/// 1. per node, Update-Graph: the canonical depth-`p` view and the C2
+///    lookup against the pool's selection index;
+/// 2. per distinct selected `(PoolKey, candidate index)`, listed in order
+///    of first selection in node order, one [`candidate_step`];
+/// 3. (in [`AStarState::commit_phase`]) per node, read `v̊`'s output and
+///    tape from its candidate's step.
+///
+/// Steps 1 and 2 go through `fan`. The candidate memo lives for this
+/// phase only: Update-Bits extends tapes to length `p`, so a candidate
+/// selected again in a later phase needs a fresh step.
 #[allow(clippy::too_many_arguments)]
-fn astar_node_step<A, C>(
+fn astar_phase<A, C, F>(
+    fan: &F,
     alg: &A,
     ip: &LabeledGraph<CandidateLabel<A::Input, C>>,
-    v: NodeId,
+    nodes: &[NodeId],
     p: usize,
-    key: PoolKey,
+    keys: &[PoolKey],
     cache: &AstarCache<A::Input, C>,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
-) -> Result<NodeOutcome<A::Output>>
+) -> Result<PhaseResults<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-    C: Label,
+    A: ObliviousAlgorithm + Clone + Sync,
+    A::Input: Label + Sync,
+    A::Output: Send,
+    C: Label + Sync,
+    F: PhaseFan,
 {
-    let update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
+    let selected = fan.fan(nodes, |&v| update_graph(ip, v, p, keys[v.index()], cache, rec))?;
+
+    let mut slot_of: HashMap<(PoolKey, usize), usize> = HashMap::new();
+    let mut candidates: Vec<&CandidateQuotient<A::Input, C>> = Vec::new();
+    let selections = selected
+        .into_iter()
+        .map(|sel| {
+            Ok(sel?.map(|(id, q, v_star)| {
+                let slot = *slot_of.entry(id).or_insert_with(|| {
+                    candidates.push(q);
+                    candidates.len() - 1
+                });
+                (slot, v_star)
+            }))
+        })
+        .collect();
+
+    let steps = fan.fan(&candidates, |q| candidate_step(alg, q, p, cfg, rec))?;
+    Ok(PhaseResults { selections, steps })
+}
+
+/// A node's selection: `((pool key, candidate index), Ĝ_*, v̊)`.
+type Selection<'c, I, C> = ((PoolKey, usize), &'c CandidateQuotient<I, C>, NodeId);
+
+/// One node's Update-Graph in phase `p`: its canonical depth-`p` view
+/// looked up in the pool's selection index. Reads shared phase state only.
+fn update_graph<'c, I: Label, C: Label>(
+    ip: &LabeledGraph<CandidateLabel<I, C>>,
+    v: NodeId,
+    p: usize,
+    key: PoolKey,
+    cache: &'c AstarCache<I, C>,
+    rec: &dyn Recorder,
+) -> Result<Option<Selection<'c, I, C>>> {
+    let _update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
     // Arena-backed build: byte-identical to `ViewTree::build(..)?.
     // canonical_encoding()` (pinned by the views tests and the testkit
     // oracle), allocation-free after the per-thread arena warms up.
@@ -333,47 +431,40 @@ where
         rec.counter(names::ASTAR_C2_LOOKUPS, 1);
     }
     let selected = cache.select(key, p, &view_v);
-    drop(update_graph_span);
-    let Some((q, v_star)) = selected else {
-        return Ok(NodeOutcome { output: None, new_bits: None }); // skip phase p at v
-    };
-    if rec.is_enabled() {
+    if selected.is_some() && rec.is_enabled() {
         rec.counter(names::ASTAR_C2_HITS, 1);
     }
+    Ok(selected.map(|(idx, q, v_star)| ((key, idx), q, v_star)))
+}
 
+/// Update-Output (simulate `A_R` on the candidate with its tapes) and
+/// Update-Bits (smallest successful `p`-extension) for one candidate.
+fn candidate_step<A, C>(
+    alg: &A,
+    q: &CandidateQuotient<A::Input, C>,
+    p: usize,
+    cfg: &AStarConfig,
+    rec: &dyn Recorder,
+) -> Result<CandidateStep<A::Output>>
+where
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
+    C: Label,
+{
     let order = canonical_order(q.graph(), ViewMode::Portless)?;
     let j = q.graph().map_labels(|((i, _c), _b)| i.clone());
     let tapes: Vec<BitString> = q.graph().labels().iter().map(|(_ic, b)| b.clone()).collect();
     let assignment = BitAssignment::new(tapes);
 
-    // Update-Output: simulate with the candidate's tapes.
     let update_output_span = Span::new(rec, names::SPAN_UPDATE_OUTPUT);
     let mut src = TapeSource::new(assignment.clone());
     let exec = run(&Oblivious(alg.clone()), &j, &mut src, &cfg.sim_config)?;
-    let output = if exec.is_successful() {
-        let out = exec
-            .output(v_star)
-            .ok_or_else(|| CoreError::internal("successful simulations output everywhere"))?;
-        Some(out.clone())
-    } else {
-        None
-    };
+    let outputs = exec.is_successful().then(|| exec.outputs().to_vec());
     drop(update_output_span);
 
-    // Update-Bits: smallest p-extension inducing success.
-    let update_bits_span = Span::new(rec, names::SPAN_UPDATE_BITS);
-    let new_bits = match smallest_successful_extension(alg, &j, &assignment, p, &order, cfg)? {
-        Some(b_min) => {
-            let tape = b_min
-                .tape(v_star)
-                .ok_or_else(|| CoreError::internal("extension covers the quotient"))?;
-            Some(tape.clone())
-        }
-        None => None,
-    };
-    drop(update_bits_span);
-
-    Ok(NodeOutcome { output, new_bits })
+    let _update_bits_span = Span::new(rec, names::SPAN_UPDATE_BITS);
+    let extension = smallest_successful_extension(alg, &j, &assignment, p, &order, cfg)?;
+    Ok(CandidateStep { outputs, extension })
 }
 
 /// Mutable run state shared by the engines; phase results are committed
@@ -395,31 +486,38 @@ impl<O: Clone + PartialEq> AStarState<O> {
         }
     }
 
-    /// Applies one phase's node outcomes in node order — adopt outputs
-    /// (trapping Lemma-9 inconsistencies), extend bitstrings — and
-    /// returns the finished run once every node has output.
-    fn commit_phase(
-        &mut self,
-        results: Vec<Result<NodeOutcome<O>>>,
-        p: usize,
-    ) -> Result<Option<AStarRun<O>>> {
+    /// Applies one phase's results in node order — each node reads `v̊`'s
+    /// output and extended tape from its candidate's step, adopts the
+    /// output (trapping Lemma-9 inconsistencies) and extends its
+    /// bitstring — and returns the finished run once every node has
+    /// output. A node's error is its own Update-Graph error or its
+    /// candidate's; the first in node order wins.
+    fn commit_phase(&mut self, phase: PhaseResults<O>, p: usize) -> Result<Option<AStarRun<O>>> {
         let mut new_bits = self.bits.clone();
-        for (v, result) in results.into_iter().enumerate() {
-            let outcome = result?;
-            if let Some(out) = outcome.output {
+        for (v, selection) in phase.selections.into_iter().enumerate() {
+            let Some((slot, v_star)) = selection? else { continue }; // skip phase p at v
+            let step = phase.steps[slot].as_ref().map_err(CoreError::clone)?;
+            if let Some(outputs) = &step.outputs {
+                let out =
+                    outputs.get(v_star.index()).and_then(Option::as_ref).ok_or_else(|| {
+                        CoreError::internal("successful simulations output everywhere")
+                    })?;
                 match &self.outputs[v] {
-                    Some(existing) if *existing != out => {
+                    Some(existing) if existing != out => {
                         return Err(CoreError::InconsistentOutput { node: v, phase: p });
                     }
                     Some(_) => {}
                     None => {
-                        self.outputs[v] = Some(out);
+                        self.outputs[v] = Some(out.clone());
                         self.output_phase[v] = p;
                     }
                 }
             }
-            if let Some(b) = outcome.new_bits {
-                new_bits[v] = b;
+            if let Some(b_min) = &step.extension {
+                let tape = b_min
+                    .tape(v_star)
+                    .ok_or_else(|| CoreError::internal("extension covers the quotient"))?;
+                new_bits[v] = tape.clone();
             }
         }
         self.bits = new_bits;
@@ -784,6 +882,7 @@ mod tests {
         assert!(ug.count >= 3, "one Update-Graph per node per phase, got {}", ug.count);
         assert!(snap.span("astar/update_output").unwrap().count >= 1);
         assert!(snap.span("astar/update_bits").unwrap().count >= 1);
+        assert_eq!(snap.span("astar/prepare").unwrap().count, observed.phases_used as u64);
         // The memo is exercised: the triangle's three nodes share one
         // universe, so all but the first pool request per phase must hit.
         assert!(snap.counter(names::ASTAR_POOL_HIT) > 0, "pool memo never hit");
@@ -793,6 +892,47 @@ mod tests {
             run_astar(&RandomizedMis::new(), &MisProblem, &inst, &AStarConfig::default()).unwrap();
         assert_eq!(observed.outputs, plain.outputs);
         assert_eq!(observed.final_bits, plain.final_bits);
+    }
+
+    #[test]
+    fn candidate_steps_run_once_per_distinct_phase_candidate() {
+        // The colored C12 is a 4-fold lift of the colored triangle: every
+        // fibre shares one candidate per phase.
+        let inst = anonet_graph::lift::cyclic_cycle_lift(3, 4)
+            .unwrap()
+            .lift_labels(&[((), 1u32), ((), 2), ((), 3)])
+            .unwrap();
+        let (alg, cfg) = (RandomizedMis::new(), AStarConfig::default());
+        let rec = anonet_obs::MemoryRecorder::new();
+        let run = run_astar_observed(&alg, &MisProblem, &inst, &cfg, &rec).unwrap();
+
+        // Replay the run, collecting each phase's selected (pool key,
+        // candidate index) pairs node by node.
+        let nodes: Vec<NodeId> = inst.graph().nodes().collect();
+        let mut cache: AstarCache<(), u32> = AstarCache::new();
+        let mut state = AStarState::new(nodes.len());
+        let mut distinct = 0usize;
+        for p in 1..=run.phases_used {
+            let ip = augment(&inst, &state.bits).unwrap();
+            let keys = prepare_phase(&mut cache, &MisProblem, &ip, p, &cfg, &NoopRecorder).unwrap();
+            let mut phase_pairs = std::collections::HashSet::new();
+            for &v in &nodes {
+                let view = canonical_view_encoding(&ip, v, p).unwrap();
+                if let Some((idx, _, _)) = cache.select(keys[v.index()], p, &view) {
+                    phase_pairs.insert((keys[v.index()], idx));
+                }
+            }
+            distinct += phase_pairs.len();
+            let phase =
+                astar_phase(&InOrder, &alg, &ip, &nodes, p, &keys, &cache, &cfg, &NoopRecorder);
+            let done = state.commit_phase(phase.unwrap(), p).unwrap();
+            assert_eq!(done.is_some(), p == run.phases_used);
+        }
+
+        let snap = rec.snapshot();
+        assert_eq!(snap.span_total(names::SPAN_UPDATE_BITS).count, distinct as u64);
+        assert_eq!(snap.span_total(names::SPAN_UPDATE_OUTPUT).count, distinct as u64);
+        assert!(4 * distinct as u64 <= snap.counter(names::ASTAR_C2_HITS));
     }
 
     #[test]

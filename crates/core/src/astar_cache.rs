@@ -45,7 +45,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use anonet_graph::{coloring, distance, BitString, Label, LabeledGraph, NodeId};
+use anonet_graph::distance::BallScratch;
+use anonet_graph::{coloring, BitString, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
 use anonet_views::{
@@ -58,6 +59,9 @@ use crate::Result;
 
 /// The label type `A_*` works over: `((input, color), bitstring)`.
 pub type CandidateLabel<I, C> = ((I, C), BitString);
+
+/// A candidate's finite view graph `Ĝ_*`.
+pub type CandidateQuotient<I, C> = ViewQuotient<CandidateLabel<I, C>>;
 
 /// Key of a memoized pool: `(p_capped, interned universe encoding)`.
 pub type PoolKey = (usize, Sym);
@@ -139,10 +143,10 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         radius: usize,
     ) -> Vec<Vec<CandidateLabel<I, C>>> {
         let g = ip.graph();
-        let balls = self
-            .balls
-            .entry(radius)
-            .or_insert_with(|| g.nodes().map(|v| distance::ball(g, v, radius)).collect());
+        let balls = self.balls.entry(radius).or_insert_with(|| {
+            let mut scratch = BallScratch::new(g.node_count());
+            g.nodes().map(|v| scratch.ball(g, v, radius).to_vec()).collect()
+        });
         balls
             .iter()
             .map(|ball| {
@@ -205,19 +209,22 @@ impl<I: Label, C: Label> AstarCache<I, C> {
 
     /// The `Update-Graph` selection for a node whose depth-`depth`
     /// canonical view encoding is `view_encoding`: the minimal candidate's
-    /// finite view graph and the projection `v̊` of the matched node.
-    /// `None` when no candidate matches (the node skips this phase).
+    /// index in pool `key`, its finite view graph, and the projection `v̊`
+    /// of the matched node. Within one phase, `(key, index)` identifies
+    /// the candidate, so nodes that share it share Update-Output and
+    /// Update-Bits. `None` when no candidate matches (the node skips this
+    /// phase).
     pub fn select(
         &self,
         key: PoolKey,
         depth: usize,
         view_encoding: &[u8],
-    ) -> Option<(&ViewQuotient<CandidateLabel<I, C>>, NodeId)> {
+    ) -> Option<(usize, &CandidateQuotient<I, C>, NodeId)> {
         let sym = self.interner.sym(view_encoding)?;
         let entry = self.pools.get(&key)?;
         let &(idx, v_hat) = entry.indexes.get(&depth)?.map.get(&sym)?;
         let cand = &entry.candidates[idx];
-        Some((&cand.quotient, cand.quotient.project(v_hat)))
+        Some((idx, &cand.quotient, cand.quotient.project(v_hat)))
     }
 }
 
@@ -245,11 +252,13 @@ pub fn pool_keys<L: Label>(
     max_candidate_nodes: usize,
 ) -> Vec<(usize, Vec<u8>)> {
     let g = ip.graph();
+    let mut scratch = BallScratch::new(g.node_count());
     g.nodes()
         .map(|v| {
-            let mut universe: Vec<L> = distance::ball(g, v, p.saturating_sub(1))
-                .into_iter()
-                .map(|u| ip.label(u).clone())
+            let mut universe: Vec<L> = scratch
+                .ball(g, v, p.saturating_sub(1))
+                .iter()
+                .map(|&u| ip.label(u).clone())
                 .collect();
             universe.sort();
             universe.dedup();
@@ -335,7 +344,7 @@ fn build_index<I: Label, C: Label>(
 mod tests {
     use super::*;
     use anonet_algorithms::problems::MisProblem;
-    use anonet_graph::generators;
+    use anonet_graph::{distance, generators};
     use anonet_obs::NoopRecorder;
     use anonet_views::{canonical_order, update_graph_cmp, ViewTree};
 
@@ -422,7 +431,7 @@ mod tests {
                 let reference = reference_select(&pool, &view_v, p);
                 match (fast, reference) {
                     (None, None) => {}
-                    (Some((fq, fv)), Some((rq, rv))) => {
+                    (Some((_, fq, fv)), Some((rq, rv))) => {
                         assert_eq!(
                             selection_fingerprint(fq, fv),
                             selection_fingerprint(&rq, rv),

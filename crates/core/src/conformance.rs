@@ -150,10 +150,11 @@ pub fn astar_infinity_agreement<A, P, C>(
     max_total_bits: usize,
 ) -> Result<Vec<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
+    A: ObliviousAlgorithm + Clone + Sync,
+    A::Input: Label + Sync,
+    A::Output: Send,
     P: Problem<Input = A::Input>,
-    C: Label,
+    C: Label + Sync,
 {
     let astar = run_astar(alg, problem, instance, astar_cfg)?;
     let inf = solve_infinity(alg, instance, max_total_bits, &astar_cfg.sim_config)?;

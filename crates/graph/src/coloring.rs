@@ -11,7 +11,7 @@
 //! and the candidate machinery of `A_*`) and a centralized greedy colorer
 //! for building test fixtures.
 
-use crate::distance::pairs_within;
+use crate::distance::BallScratch;
 use crate::graph::Graph;
 use crate::labeled::LabeledGraph;
 use crate::labels::Label;
@@ -36,8 +36,14 @@ pub fn check_k_hop_coloring<L: Label>(
     g: &LabeledGraph<L>,
     k: usize,
 ) -> Result<(), ColoringViolation> {
-    for (u, v) in pairs_within(g.graph(), k) {
-        if g.label(u) == g.label(v) {
+    // Walks each node's radius-k ball directly, in the order of
+    // `pairs_within`, so the witness is the first pair that list holds.
+    let graph = g.graph();
+    let mut scratch = BallScratch::new(graph.node_count());
+    for u in graph.nodes() {
+        if let Some(&v) =
+            scratch.ball(graph, u, k).iter().find(|&&v| u < v && g.label(u) == g.label(v))
+        {
             return Err(ColoringViolation { u, v });
         }
     }

@@ -36,13 +36,65 @@ pub fn distance(g: &Graph, u: NodeId, v: NodeId) -> Option<usize> {
 /// The paper uses `H^i(v)` in the proof of Lemma 9 to track how far
 /// prescribed random bits must agree for the first `t` rounds of an
 /// execution to be determined.
+///
+/// The BFS stops at depth `r`, so the walk costs `O(|ball|·Δ)`. Loops
+/// over many centres should hold one [`BallScratch`] instead, which
+/// reuses its visit marks and output buffer across calls.
 pub fn ball(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
-    bfs_distances(g, v)
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.is_some_and(|d| d <= r))
-        .map(|(i, _)| NodeId::new(i))
-        .collect()
+    BallScratch::new(g.node_count()).ball(g, v, r).to_vec()
+}
+
+/// Reusable state for radius-bounded BFS balls: one visit stamp per node
+/// (bumped per ball, so starting a ball is `O(1)`), the BFS queue, and the
+/// sorted output.
+#[derive(Clone, Debug, Default)]
+pub struct BallScratch {
+    stamps: Vec<u32>,
+    epoch: u32,
+    nodes: Vec<NodeId>,
+}
+
+impl BallScratch {
+    /// Scratch for graphs with up to `n` nodes (it grows on demand).
+    pub fn new(n: usize) -> Self {
+        BallScratch { stamps: vec![0; n], epoch: 0, nodes: Vec::new() }
+    }
+
+    /// `H^r(v)` in ascending node order — equal to [`ball`] — borrowed
+    /// until the next call.
+    pub fn ball(&mut self, g: &Graph, v: NodeId, r: usize) -> &[NodeId] {
+        if self.stamps.len() < g.node_count() {
+            self.stamps.resize(g.node_count(), 0);
+        }
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        self.nodes.clear();
+        self.nodes.push(v);
+        self.stamps[v.index()] = epoch;
+        // `nodes[level_start..]` is the frontier at the current depth.
+        let mut level_start = 0;
+        for _ in 0..r {
+            let level_end = self.nodes.len();
+            if level_start == level_end {
+                break;
+            }
+            for i in level_start..level_end {
+                for &u in g.neighbors(self.nodes[i]) {
+                    if self.stamps[u.index()] != epoch {
+                        self.stamps[u.index()] = epoch;
+                        self.nodes.push(u);
+                    }
+                }
+            }
+            level_start = level_end;
+        }
+        self.nodes.sort_unstable();
+        &self.nodes
+    }
 }
 
 /// Eccentricity of `v` (greatest distance to any node), or `None` if the
@@ -62,14 +114,12 @@ pub fn diameter(g: &Graph) -> Option<usize> {
 ///
 /// This is the constraint set of a *k-hop coloring*: a labeling is a k-hop
 /// coloring iff it assigns distinct labels to every pair returned here.
+/// Pairs come in ascending `(u, v)` order with `u < v`.
 pub fn pairs_within(g: &Graph, k: usize) -> Vec<(NodeId, NodeId)> {
+    let mut scratch = BallScratch::new(g.node_count());
     let mut pairs = Vec::new();
     for v in g.nodes() {
-        for u in ball(g, v, k) {
-            if v < u {
-                pairs.push((v, u));
-            }
-        }
+        pairs.extend(scratch.ball(g, v, k).iter().filter(|&&u| v < u).map(|&u| (v, u)));
     }
     pairs
 }

@@ -23,6 +23,47 @@ fn permuted(g: &Graph, perm: &[usize]) -> Graph {
     Graph::from_edges(g.node_count(), &edges).expect("permutation preserves simplicity")
 }
 
+/// A graph with every edge present with probability `p`: possibly
+/// disconnected, possibly edgeless.
+fn sparse_graph(seed: u64, n: usize, p: f64) -> Graph {
+    use rand::Rng;
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut edges = Vec::new();
+    for u in 0..n {
+        for v in u + 1..n {
+            if rng.gen_bool(p) {
+                edges.push((u, v));
+            }
+        }
+    }
+    Graph::from_edges(n, &edges).expect("simple by construction")
+}
+
+/// The full-BFS definition of `H^r(v)`: every node whose BFS distance
+/// from `v` is at most `r`, in ascending order. Oracle for the
+/// radius-bounded walk.
+fn ball_oracle(g: &Graph, v: NodeId, r: usize) -> Vec<NodeId> {
+    distance::bfs_distances(g, v)
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_some_and(|d| d <= r))
+        .map(|(i, _)| NodeId::new(i))
+        .collect()
+}
+
+/// The pair-list definition of a k-hop coloring check: the first pair
+/// `(u, v)`, `u < v`, in ascending order, within `k` hops and sharing a
+/// label.
+fn k_hop_oracle(g: &anonet_graph::LabeledGraph<u32>, k: usize) -> Option<(NodeId, NodeId)> {
+    let graph = g.graph();
+    graph.nodes().find_map(|u| {
+        ball_oracle(graph, u, k)
+            .into_iter()
+            .find(|&v| u < v && g.label(u) == g.label(v))
+            .map(|v| (u, v))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -138,6 +179,35 @@ proptest! {
         // Prefixes are never greater in shortlex.
         if x.is_prefix_of(&y) {
             prop_assert!(x <= y);
+        }
+    }
+
+    /// Radius-bounded balls, pair lists and k-hop checks agree with the
+    /// full-BFS definitions on random (possibly disconnected) graphs, for
+    /// valid colorings and for random labelings that are often invalid —
+    /// including the first violating pair.
+    #[test]
+    fn bounded_balls_match_the_full_bfs(seed in 0u64..10_000, n in 1usize..18, density in 0u8..4, palette in 1u32..6) {
+        let g = sparse_graph(seed, n, [0.08, 0.15, 0.3, 0.6][density as usize]);
+        let mut scratch = distance::BallScratch::new(0);
+        for k in 0..=3usize {
+            let mut pairs = Vec::new();
+            for v in g.nodes() {
+                let want = ball_oracle(&g, v, k);
+                prop_assert_eq!(distance::ball(&g, v, k), want.clone());
+                prop_assert_eq!(scratch.ball(&g, v, k), &want[..]);
+                pairs.extend(want.into_iter().filter(|&u| v < u).map(|u| (v, u)));
+            }
+            prop_assert_eq!(distance::pairs_within(&g, k), pairs);
+
+            let valid = coloring::greedy_k_hop_coloring(&g, k);
+            prop_assert_eq!(k_hop_oracle(&valid, k), None);
+            prop_assert!(coloring::check_k_hop_coloring(&valid, k).is_ok());
+            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x5eed);
+            let labels = (0..n).map(|_| { use rand::Rng; rng.gen_range(0..palette) }).collect();
+            let random = g.with_labels(labels).expect("one label per node");
+            let got = coloring::check_k_hop_coloring(&random, k).err().map(|w| (w.u, w.v));
+            prop_assert_eq!(got, k_hop_oracle(&random, k));
         }
     }
 }

@@ -201,6 +201,8 @@ pub mod names {
     pub const SPAN_UPDATE_OUTPUT: &str = "update_output";
     /// `A_*` Update-Bits phase (minimal tape extension).
     pub const SPAN_UPDATE_BITS: &str = "update_bits";
+    /// `A_*` per-phase setup: candidate pools and C2 selection indexes.
+    pub const SPAN_ASTAR_PREPARE: &str = "prepare";
     /// Memoized candidate pools served from the `A_*` pool cache.
     pub const ASTAR_POOL_HIT: &str = "astar.pool.hit";
     /// Candidate pools built from scratch by the `A_*` pool cache.

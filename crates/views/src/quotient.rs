@@ -38,6 +38,7 @@ pub struct ViewQuotient<L> {
     class_of: Vec<NodeId>,
     representatives: Vec<NodeId>,
     mode: ViewMode,
+    stabilization_depth: usize,
 }
 
 impl<L: Label> ViewQuotient<L> {
@@ -70,8 +71,12 @@ impl<L: Label> ViewQuotient<L> {
     /// quotients of connected graphs: `|V| = m·|V_*|`, paper Section
     /// 2.3.1), `None` otherwise.
     pub fn multiplicity(&self) -> Option<usize> {
-        let first = self.fiber_size(NodeId::new(0));
-        self.graph.graph().nodes().all(|c| self.fiber_size(c) == first).then_some(first)
+        let mut sizes = vec![0usize; self.graph.node_count()];
+        for c in &self.class_of {
+            sizes[c.index()] += 1;
+        }
+        let first = sizes.first().copied().unwrap_or(0);
+        sizes.iter().all(|&s| s == first).then_some(first)
     }
 
     /// `true` iff the quotient is trivial: the original graph already had
@@ -93,6 +98,13 @@ impl<L: Label> ViewQuotient<L> {
     /// The view mode the quotient was computed under.
     pub fn mode(&self) -> ViewMode {
         self.mode
+    }
+
+    /// The refinement round at which the view partition stabilized (the
+    /// depth [`BoundedRefinement::stabilization_depth`] reports for the
+    /// same graph and mode), recorded while the quotient was built.
+    pub fn stabilization_depth(&self) -> usize {
+        self.stabilization_depth
     }
 }
 
@@ -169,7 +181,13 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
 
     let class_of: Vec<NodeId> = classes.iter().map(|&c| NodeId::new(c as usize)).collect();
 
-    Ok(ViewQuotient { graph: qlabeled, class_of, representatives, mode })
+    Ok(ViewQuotient {
+        graph: qlabeled,
+        class_of,
+        representatives,
+        mode,
+        stabilization_depth: refinement.stabilization_depth(),
+    })
 }
 
 #[cfg(test)]
@@ -295,6 +313,40 @@ mod tests {
         for n in [6usize, 9, 12, 15] {
             let q = quotient(&colored_cycle(n), ViewMode::Portless).unwrap();
             assert_eq!(q.multiplicity(), Some(n / 3), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn multiplicity_counts_fibers_and_detects_non_uniform_ones() {
+        // Two P2s and a P3: the P2 fibers have size 2, the P3 nodes 1.
+        let g = Graph::from_edges(7, &[(0, 1), (2, 3), (4, 5), (5, 6)])
+            .unwrap()
+            .with_labels(vec![1u32, 2, 1, 2, 1, 2, 3])
+            .unwrap();
+        let q = quotient(&g, ViewMode::Portless).unwrap();
+        let sizes: Vec<usize> = q.graph().graph().nodes().map(|c| q.fiber_size(c)).collect();
+        assert_eq!(sizes.iter().filter(|&&s| s == 2).count(), 2);
+        assert_eq!(q.multiplicity(), None);
+        for n in [3usize, 12] {
+            let q = quotient(&colored_cycle(n), ViewMode::Portless).unwrap();
+            assert!(q.graph().graph().nodes().all(|c| q.fiber_size(c) == n / 3));
+            assert_eq!(q.multiplicity(), Some(n / 3));
+        }
+    }
+
+    #[test]
+    fn stabilization_depth_matches_a_separate_refinement() {
+        let cases = [
+            colored_cycle(12),
+            generators::path(7).unwrap().with_labels(vec![1u32, 2, 3, 1, 2, 3, 1]).unwrap(),
+            generators::petersen().with_labels((0..10u32).collect()).unwrap(),
+        ];
+        for g in &cases {
+            for mode in [ViewMode::Portless, ViewMode::PortAware] {
+                let q = quotient(g, mode).unwrap();
+                let depth = BoundedRefinement::compute(g, mode).stabilization_depth();
+                assert_eq!(q.stabilization_depth(), depth);
+            }
         }
     }
 
