@@ -136,6 +136,9 @@ pub struct ScaleRow {
     pub incremental_total: Duration,
     /// Σ retained from-scratch [`Refinement::compute`] over the phases.
     pub fromscratch_total: Duration,
+    /// Σ [`BoundedRefinement::compute`] (the flat round kernel) over the
+    /// same phases.
+    pub bounded_total: Duration,
     /// Refinement rounds the from-scratch path executed, all phases.
     pub rounds_total: usize,
     /// Stabilization depth after the final phase.
@@ -157,6 +160,9 @@ pub struct ScaleRow {
     pub byte_identical: bool,
     /// Engine ids equaled from-scratch ids after every phase.
     pub incremental_matches: bool,
+    /// Flat-kernel classes and depth equaled from-scratch after every
+    /// phase.
+    pub bounded_matches: bool,
 }
 
 impl ScaleRow {
@@ -188,6 +194,11 @@ impl ScaleMeasurement {
     /// Every tier's incremental ≡ from-scratch gate held.
     pub fn incremental_matches(&self) -> bool {
         self.rows.iter().all(|r| r.incremental_matches)
+    }
+
+    /// Every tier's flat kernel ≡ from-scratch gate held.
+    pub fn bounded_matches(&self) -> bool {
+        self.rows.iter().all(|r| r.bounded_matches)
     }
 
     /// The gating tier: 10⁵ when present (the acceptance criterion),
@@ -235,8 +246,10 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
 
     let mut incremental_total = Duration::ZERO;
     let mut fromscratch_total = Duration::ZERO;
+    let mut bounded_total = Duration::ZERO;
     let mut rounds_total = 0usize;
     let mut incremental_matches = true;
+    let mut bounded_matches = true;
     let mut full_bytes = 0usize;
     for phase in 1..=MUTATION_PHASES {
         mutate(&mut labels, phase);
@@ -256,6 +269,12 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
 
         incremental_matches &= engine.classes() == reference.classes()
             && engine.stabilization_depth() == reference.stabilization_depth();
+
+        let t0 = Instant::now();
+        let bounded = BoundedRefinement::compute(&g2, ViewMode::Portless);
+        bounded_total += t0.elapsed();
+        bounded_matches &= bounded.classes() == reference.classes()
+            && bounded.stabilization_depth() == reference.stabilization_depth();
     }
     let g_final = LabeledGraph::new(graph.clone(), labels.clone())?;
     let bounded = BoundedRefinement::compute(&g_final, ViewMode::Portless);
@@ -291,6 +310,7 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
         engine_build,
         incremental_total,
         fromscratch_total,
+        bounded_total,
         rounds_total,
         stabilization_depth,
         class_count,
@@ -301,6 +321,7 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
         encoding_digest,
         byte_identical,
         incremental_matches,
+        bounded_matches,
     })
 }
 
@@ -342,6 +363,7 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
             ("engine_build_secs", secs(r.engine_build)),
             ("incremental_secs", secs(r.incremental_total)),
             ("fromscratch_secs", secs(r.fromscratch_total)),
+            ("bounded_secs", secs(r.bounded_total)),
             ("refine_speedup", Json::Num(round3(r.refine_speedup()))),
             ("rounds_total", Json::from(r.rounds_total)),
             ("rounds_per_sec", Json::Num(round3(r.rounds_per_sec()))),
@@ -354,12 +376,14 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
             ("encoding_digest", Json::str(format!("{:016x}", r.encoding_digest))),
             ("byte_identical", Json::from(r.byte_identical)),
             ("incremental_matches", Json::from(r.incremental_matches)),
+            ("bounded_matches", Json::from(r.bounded_matches)),
         ])
     });
     Json::obj([
         ("experiment", Json::str("scale")),
         ("byte_identical", Json::from(m.byte_identical())),
         ("incremental_matches", Json::from(m.incremental_matches())),
+        ("bounded_matches", Json::from(m.bounded_matches())),
         ("speedup_ok", Json::from(m.speedup_ok())),
         ("gate_speedup", Json::Num(round3(m.gate_row().map_or(0.0, ScaleRow::refine_speedup)))),
         ("tiers", Json::arr(tiers)),
@@ -385,6 +409,7 @@ pub fn report() -> ExpResult<String> {
             "recursive",
             "incr (6ph)",
             "scratch (6ph)",
+            "flat (6ph)",
             "speedup",
             "rounds/s",
             "B/node eng",
@@ -399,11 +424,12 @@ pub fn report() -> ExpResult<String> {
             format!("{:.2?}", r.recursive_encode),
             format!("{:.2?}", r.incremental_total),
             format!("{:.2?}", r.fromscratch_total),
+            format!("{:.2?}", r.bounded_total),
             format!("{:.1}x", r.refine_speedup()),
             format!("{:.0}", r.rounds_per_sec()),
             format!("{:.1}", r.engine_bytes_per_node),
             format!("{:.1}", r.full_bytes_per_node),
-            tick(r.byte_identical && r.incremental_matches),
+            tick(r.byte_identical && r.incremental_matches && r.bounded_matches),
         ]);
     }
 
@@ -416,10 +442,12 @@ pub fn report() -> ExpResult<String> {
          incremental speedup at the gating tier: {gate:.1}x (gate ≥ 5x: {fast_ok})\n\
          byte-identical encodings and partitions at 1/2/8 threads: {ident_ok}\n\
          incremental ≡ from-scratch after every phase: {incr_ok}\n\
+         flat kernel ≡ from-scratch after every phase: {bounded_ok}\n\
          wrote BENCH_scale.json\n",
         fast_ok = tick(m.speedup_ok()),
         ident_ok = tick(m.byte_identical()),
         incr_ok = tick(m.incremental_matches()),
+        bounded_ok = tick(m.bounded_matches()),
     ))
 }
 
@@ -433,6 +461,7 @@ mod tests {
         assert_eq!(m.rows.len(), 2);
         assert!(m.byte_identical(), "thread sweep or arena diverged");
         assert!(m.incremental_matches(), "engine diverged from from-scratch");
+        assert!(m.bounded_matches(), "flat kernel diverged from from-scratch");
         for r in &m.rows {
             assert!(r.rounds_total >= MUTATION_PHASES, "each phase runs at least one pass");
             assert!(r.class_count >= PERIOD / 2, "the beacon offset structure must survive");

@@ -14,7 +14,8 @@
 //!   code: `let _ = fallible(…)`, statement-terminal `.ok();`, and
 //!   `Err(…) => {}` match arms, where "fallible" means every workspace
 //!   definition of the called name returns `Result` (plus a short list
-//!   of std fs operations).
+//!   of std fs operations, and any `fs::<name>` call to a fallible std fs
+//!   function regardless of workspace names).
 //! * **commit-order** — inside the parallel drivers, flags result
 //!   collection that depends on completion order: channel-based
 //!   folding (`mpsc`, `recv`) and accumulation into a shared container
@@ -37,6 +38,23 @@ use crate::rules::RawFinding;
 /// and forgotten"; their failures must be observed too.
 const STD_RESULT_FNS: &[&str] =
     &["create_dir_all", "remove_dir_all", "remove_file", "copy", "rename", "hard_link"];
+
+/// Std filesystem calls that return `Result` but whose bare names are too
+/// common to match alone; they count as fallible when path-qualified.
+const STD_FS_QUALIFIED_FNS: &[&str] = &["write"];
+
+/// Is the identifier at `j` a `fs::<name>` / `std::fs::<name>` call to a
+/// `Result`-returning std fs function? Such a call is fallible whatever
+/// the workspace defines under the same bare name (a unit `fn write` on
+/// a hasher must not hide a discarded `std::fs::write`).
+fn std_fs_call(tokens: &[Tok], j: usize) -> bool {
+    let name = tokens[j].text.as_str();
+    (STD_RESULT_FNS.contains(&name) || STD_FS_QUALIFIED_FNS.contains(&name))
+        && j >= 3
+        && tokens[j - 1].is_punct(':')
+        && tokens[j - 2].is_punct(':')
+        && tokens[j - 3].is_ident("fs")
+}
 
 /// Runs every flow rule; returns `(file index, finding)` pairs.
 pub fn run(graph: &ItemGraph<'_>, cfg: &Config) -> Vec<(usize, RawFinding)> {
@@ -357,7 +375,7 @@ fn error_swallow(graph: &ItemGraph<'_>, cfg: &Config, out: &mut Vec<(usize, RawF
                     if t.kind == TokKind::Ident
                         && j < hi
                         && tokens[j + 1].is_punct('(')
-                        && fallible(&t.text)
+                        && (fallible(&t.text) || std_fs_call(tokens, j))
                         && culprit.is_none()
                     {
                         culprit = Some(t.text.as_str());

@@ -23,3 +23,18 @@ fn silent_arm(x: u32) {
         Err(_) => {}
     }
 }
+
+// A unit-returning `write` elsewhere in the workspace makes the bare
+// name ambiguous, but a path-qualified `std::fs::write` is still the
+// fallible std call, and discarding it still swallows the error.
+struct Hasher(u64);
+
+impl Hasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+fn best_effort_artifact(text: &str) {
+    let _ = std::fs::write("artifact.txt", text);
+}

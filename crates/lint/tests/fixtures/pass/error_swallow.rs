@@ -35,3 +35,19 @@ fn variant_skip(x: u32) {
         Err(e) => escalate(e),
     }
 }
+
+// A unit-returning `write` next to a handled `std::fs::write`: neither
+// the method call nor the observed fs error is a swallow.
+struct Hasher(u64);
+
+impl Hasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+fn hashes_and_persists(h: &mut Hasher, text: &str) -> std::io::Result<()> {
+    let _ = h.write(text.as_bytes());
+    std::fs::write("artifact.txt", text)?;
+    Ok(())
+}

@@ -228,7 +228,10 @@ pub fn check_headlines(bench_dir: &Path) -> DiffOutcome {
         ("BENCH_batch.json", &["byte_identical"]),
         ("BENCH_astar.json", &["byte_identical"]),
         ("BENCH_store.json", &["byte_identical", "warm_strictly_better"]),
-        ("BENCH_scale.json", &["byte_identical", "incremental_matches", "speedup_ok"]),
+        (
+            "BENCH_scale.json",
+            &["byte_identical", "incremental_matches", "bounded_matches", "speedup_ok"],
+        ),
     ];
     for (file, flags) in headlines {
         let path = bench_dir.join(file);

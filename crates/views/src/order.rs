@@ -4,7 +4,7 @@
 use anonet_graph::{canonical, Label, LabeledGraph, NodeId};
 
 use crate::error::ViewError;
-use crate::refinement::{Refinement, ViewMode};
+use crate::refinement::{BoundedRefinement, ViewMode};
 use crate::Result;
 
 /// Computes the canonical total order on the nodes of a graph whose views
@@ -22,17 +22,26 @@ use crate::Result;
 /// paper's proofs; the literal tree order and this one agree on what
 /// matters: both are invariant and total.)
 ///
+/// No history is needed to compute it. Every round's key starts with the
+/// node's previous class, so ids are monotone across rounds: a smaller
+/// stable id implies a smaller-or-equal id at every earlier round, and the
+/// first round where two histories differ is ordered the same way. The
+/// history order is therefore the stable-id order, and on a discrete
+/// partition the order is the inverse of the stable ids.
+///
 /// # Errors
 ///
 /// Returns [`ViewError::NotDiscrete`] if two nodes share a view — only
 /// prime graphs have a canonical node order.
 pub fn canonical_order<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<Vec<NodeId>> {
-    let r = Refinement::compute(g, mode);
+    let r = BoundedRefinement::compute(g, mode);
     if !r.is_discrete() {
         return Err(ViewError::NotDiscrete { nodes: g.node_count(), classes: r.class_count() });
     }
-    let mut nodes: Vec<NodeId> = g.graph().nodes().collect();
-    nodes.sort_by_key(|&v| r.history_key(v));
+    let mut nodes = vec![NodeId::new(0); g.node_count()];
+    for (v, &c) in r.classes().iter().enumerate() {
+        nodes[c as usize] = NodeId::new(v);
+    }
     Ok(nodes)
 }
 

@@ -125,22 +125,7 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
     let graph = g.graph();
     let k = refinement.class_count();
 
-    // Simplicity checks, with witnesses.
-    for v in graph.nodes() {
-        let mut neighbor_classes = Vec::with_capacity(graph.degree(v));
-        for &u in graph.neighbors(v) {
-            if classes[u.index()] == classes[v.index()] {
-                return Err(ViewError::QuotientSelfLoop { node: v.index() });
-            }
-            neighbor_classes.push(classes[u.index()]);
-        }
-        let mut dedup = neighbor_classes.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        if dedup.len() != neighbor_classes.len() {
-            return Err(ViewError::QuotientParallelEdge { node: v.index() });
-        }
-    }
+    simplicity_check(graph, classes, k)?;
 
     // Representatives: the minimum-index node of each class.
     let mut representatives: Vec<Option<NodeId>> = vec![None; k];
@@ -188,6 +173,30 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
         mode,
         stabilization_depth: refinement.stabilization_depth(),
     })
+}
+
+/// The quotient's simplicity check, with witnesses: the lowest node that
+/// shares its class with a neighbor (a self-loop) or with two neighbors
+/// (a parallel edge). A self-loop wins over a parallel edge at the same
+/// node. One stamp per class, reused across nodes, records which node
+/// last saw that class among its neighbors.
+fn simplicity_check(graph: &Graph, classes: &[u32], class_count: usize) -> Result<()> {
+    let mut seen_by = vec![usize::MAX; class_count];
+    for v in graph.nodes() {
+        let own = classes[v.index()];
+        let mut parallel = false;
+        for &u in graph.neighbors(v) {
+            let c = classes[u.index()];
+            if c == own {
+                return Err(ViewError::QuotientSelfLoop { node: v.index() });
+            }
+            parallel |= std::mem::replace(&mut seen_by[c as usize], v.index()) == v.index();
+        }
+        if parallel {
+            return Err(ViewError::QuotientParallelEdge { node: v.index() });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -299,6 +308,23 @@ mod tests {
         let g = generators::cycle(4).unwrap().with_labels(vec![1u8, 2, 1, 2]).unwrap();
         let err = quotient(&g, ViewMode::Portless).unwrap_err();
         assert!(matches!(err, ViewError::QuotientParallelEdge { .. }));
+    }
+
+    #[test]
+    fn self_loop_wins_over_an_earlier_parallel_edge_at_the_same_node() {
+        // Nodes 0–3 (label 1) each see two label-2 nodes and then one
+        // label-1 partner; nodes 4–7 (label 2) each see two label-1 nodes.
+        // The partition is already stable, so node 0's ports reach a
+        // parallel pair (4, 5) before its own class (1): the self-loop is
+        // still the reported witness.
+        let edges =
+            [(0, 4), (0, 5), (1, 6), (1, 7), (2, 4), (2, 5), (3, 6), (3, 7), (0, 1), (2, 3)];
+        let g = Graph::from_edges(8, &edges)
+            .unwrap()
+            .with_labels(vec![1u8, 1, 1, 1, 2, 2, 2, 2])
+            .unwrap();
+        let err = quotient(&g, ViewMode::Portless).unwrap_err();
+        assert_eq!(err, ViewError::QuotientSelfLoop { node: 0 });
     }
 
     #[test]

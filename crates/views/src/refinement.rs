@@ -8,14 +8,15 @@
 //!
 //! Three engines share the round semantics:
 //!
-//! * [`Refinement`] — the full-history reference: retains every round
-//!   (`O(n·rounds)` memory), needed only where per-round histories are
-//!   consumed (the canonical order's `history_key`, per-depth view
-//!   queries).
+//! * [`Refinement`] — the literal full-history reference: retains every
+//!   round (`O(n·rounds)` memory) and builds each round from
+//!   [`round_keys`] and [`assign_dense_classes`]. It is kept as the test
+//!   oracle for the other two and as E21's from-scratch baseline.
 //! * [`BoundedRefinement`] — identical classes and depth, but retains
-//!   only the last two rounds plus the stable partition. The default for
-//!   quotients, Norris reports, and everything that reads only the stable
-//!   partition.
+//!   only the last two rounds plus the stable partition, and builds each
+//!   round with one flat, allocation-free kernel. The engine behind
+//!   quotients, the canonical order, Norris reports, and everything that
+//!   reads only the stable partition.
 //! * [`RefinementEngine`] — *incremental*: keeps the stable partition and
 //!   a sorted per-class dirty set, and when labels evolve monotonically
 //!   (new labels refine old — e.g. `A_*` appending output bits per
@@ -29,7 +30,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use anonet_graph::{Label, LabeledGraph, NodeId};
+use anonet_graph::{Graph, Label, LabeledGraph, NodeId};
 
 /// Which notion of view equivalence to compute.
 ///
@@ -57,7 +58,8 @@ pub enum ViewMode {
 pub type RoundKey = (u32, Vec<(u32, u32)>);
 
 /// The canonical round-0 partition: dense class ids assigned by sorted
-/// label encodings. Shared by every engine in this module.
+/// label encodings. [`BoundedRefinement`] computes the same ids from one
+/// flat encoding buffer.
 pub fn initial_label_classes<L: Label>(g: &LabeledGraph<L>) -> Vec<u32> {
     let keys0: Vec<Vec<u8>> = g.graph().nodes().map(|v| g.label(v).encoded()).collect();
     assign_dense_classes(&keys0)
@@ -124,15 +126,19 @@ fn class_count_of(classes: &[u32]) -> usize {
 }
 
 /// The result of running color refinement to stability, retaining the
-/// full per-round history.
+/// full per-round history — the literal reference implementation.
 ///
 /// Class identifiers are *canonical*: they are assigned by sorting the
 /// refinement keys, so isomorphic labeled graphs receive identical class
 /// structures — which is what lets every node of an anonymous network
 /// compute the same quotient independently.
 ///
-/// Memory is `O(n·rounds)`; prefer [`BoundedRefinement`] unless the
-/// per-round history itself is consumed.
+/// Each round is built literally, from one [`round_keys`] vector and one
+/// [`assign_dense_classes`] map. This type is an oracle: tests pin
+/// [`BoundedRefinement`] and [`RefinementEngine`] to it, and E21 times it
+/// as the from-scratch baseline. Production code uses
+/// [`BoundedRefinement`], which computes the same classes and depth with
+/// `O(n)` memory and no per-node allocation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Refinement {
     /// `history[k][v]` = class of node `v` after `k` rounds (`k = 0` is
@@ -249,19 +255,136 @@ fn partition_of(classes: &[u32], count: usize) -> Vec<Vec<NodeId>> {
     groups
 }
 
+/// Sorts the nodes by their flat key slices and numbers them densely in
+/// sorted order; returns the class count. Node `v`'s key is
+/// `keys[offsets[v]..offsets[v + 1]]`, so `offsets` has `n + 1` entries.
+///
+/// Slices compare lexicographically, element by element and shorter
+/// prefix first — exactly as the label encodings and [`RoundKey`] tuples
+/// they flatten — so the ids equal [`assign_dense_classes`] on the
+/// unflattened keys. `order` is scratch; `ids` is overwritten.
+fn dense_ids_flat<T: Ord>(
+    keys: &[T],
+    offsets: &[usize],
+    order: &mut Vec<u32>,
+    ids: &mut Vec<u32>,
+) -> usize {
+    let n = offsets.len() - 1;
+    let key = |v: u32| &keys[offsets[v as usize]..offsets[v as usize + 1]];
+    order.clear();
+    order.extend(0..n as u32);
+    order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+    ids.clear();
+    ids.resize(n, 0);
+    let mut count = 0usize;
+    let mut last: Option<&[T]> = None;
+    for &v in order.iter() {
+        let k = key(v);
+        if last != Some(k) {
+            count += 1;
+            last = Some(k);
+        }
+        ids[v as usize] = (count - 1) as u32;
+    }
+    count
+}
+
+/// The reused buffers of [`BoundedRefinement`]'s round kernel: one flat
+/// `u32` key buffer whose per-node slice layout is fixed by the degrees,
+/// and the node order the dense-id sort permutes.
+///
+/// Node `v`'s slice is `[prev class, neighbor classes…]`: sorted classes
+/// under [`ViewMode::Portless`] (the reverse ports of [`round_keys`] are
+/// all 0 there, so dropping them preserves the order), and
+/// `(class, reverse port)` pairs interleaved in port order under
+/// [`ViewMode::PortAware`], whose reverse ports are written once.
+struct RoundKernel {
+    mode: ViewMode,
+    offsets: Vec<usize>,
+    keys: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl RoundKernel {
+    fn new(graph: &Graph, mode: ViewMode, order: Vec<u32>) -> Self {
+        let stride = match mode {
+            ViewMode::Portless => 1,
+            ViewMode::PortAware => 2,
+        };
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        offsets.push(0);
+        let mut end = 0usize;
+        for v in graph.nodes() {
+            end += 1 + stride * graph.degree(v);
+            offsets.push(end);
+        }
+        let mut keys = vec![0u32; end];
+        if mode == ViewMode::PortAware {
+            for v in graph.nodes() {
+                let base = offsets[v.index()] + 1;
+                for p in 0..graph.degree(v) {
+                    let rev = graph.reverse_port(v, anonet_graph::Port::new(p));
+                    keys[base + 2 * p + 1] = rev.index() as u32;
+                }
+            }
+        }
+        RoundKernel { mode, offsets, keys, order }
+    }
+
+    /// One refinement round from `prev` into `next`; returns the class
+    /// count of `next`.
+    fn round(&mut self, graph: &Graph, prev: &[u32], next: &mut Vec<u32>) -> usize {
+        for v in graph.nodes() {
+            let key = &mut self.keys[self.offsets[v.index()]..self.offsets[v.index() + 1]];
+            key[0] = prev[v.index()];
+            let nbrs = graph.neighbors(v);
+            match self.mode {
+                ViewMode::Portless => {
+                    for (slot, &u) in key[1..].iter_mut().zip(nbrs) {
+                        *slot = prev[u.index()];
+                    }
+                    key[1..].sort_unstable();
+                }
+                ViewMode::PortAware => {
+                    for (pair, &u) in key[1..].chunks_exact_mut(2).zip(nbrs) {
+                        pair[0] = prev[u.index()];
+                    }
+                }
+            }
+        }
+        dense_ids_flat(&self.keys, &self.offsets, &mut self.order, next)
+    }
+}
+
+/// Every label encoded once into one byte buffer, with `n + 1` offsets
+/// delimiting node `v`'s encoding — the flat round-0 keys.
+fn encode_labels<L: Label>(g: &LabeledGraph<L>) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = Vec::new();
+    let mut offsets = Vec::with_capacity(g.node_count() + 1);
+    offsets.push(0);
+    for v in g.graph().nodes() {
+        g.label(v).encode(&mut bytes);
+        offsets.push(bytes.len());
+    }
+    (bytes, offsets)
+}
+
 /// Color refinement with bounded memory: identical classes, class count,
 /// and stabilization depth as [`Refinement::compute`], retaining only the
 /// last two rounds (the stable partition and its predecessor) instead of
 /// the whole `O(n·rounds)` history.
 ///
 /// This is the fix for the `Refinement` memory blow-up: on a uniform
-/// path, full history is `Θ(n²/2)` integers; this is `2n`.
+/// path, full history is `Θ(n²/2)` integers; this is `2n`. Each round
+/// runs on one flat key buffer that is allocated once per call, and the
+/// class count falls out of the dense-id scan instead of a re-sort.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BoundedRefinement {
     /// The round before stability (equals `stable` when depth is 0).
     penultimate: Vec<u32>,
     /// The stable partition — canonical ids, as in [`Refinement`].
     stable: Vec<u32>,
+    class_count: usize,
     depth: usize,
     mode: ViewMode,
 }
@@ -269,24 +392,43 @@ pub struct BoundedRefinement {
 impl BoundedRefinement {
     /// Runs refinement on `g` until stability, keeping two rounds.
     pub fn compute<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Self {
-        let n = g.node_count();
-        let mut stable = initial_label_classes(g);
-        let mut penultimate = stable.clone();
+        let (labels, label_offsets) = encode_labels(g);
+        Self::compute_flat(g.graph(), &labels, &label_offsets, mode)
+    }
+
+    /// The refinement proper, from the flat label encodings. Not generic
+    /// over the label type, so it is compiled once, here.
+    fn compute_flat(graph: &Graph, labels: &[u8], label_offsets: &[usize], mode: ViewMode) -> Self {
+        let n = graph.node_count();
+        let mut order = Vec::with_capacity(n);
+        let mut stable = Vec::with_capacity(n);
+        // Round 0: labels only, as in `Refinement`.
+        let mut class_count = dense_ids_flat(labels, label_offsets, &mut order, &mut stable);
+        let mut kernel = RoundKernel::new(graph, mode, order);
+        let mut penultimate = Vec::new();
+        let mut next = Vec::with_capacity(n);
         let mut depth = 0usize;
-        loop {
-            let prev_count = class_count_of(&stable);
-            let keys = round_keys(g, &stable, mode, 0, n);
-            let next = assign_dense_classes(&keys);
-            if class_count_of(&next) == prev_count {
+        // A discrete partition cannot split, so the certifying round that
+        // `Refinement` runs on it would change nothing.
+        while class_count < n {
+            let next_count = kernel.round(graph, &stable, &mut next);
+            // Refinement only splits classes, so equal counts ⇒ equal
+            // partitions ⇒ stable.
+            if next_count == class_count {
                 break;
             }
-            penultimate = std::mem::replace(&mut stable, next);
+            std::mem::swap(&mut penultimate, &mut stable);
+            std::mem::swap(&mut stable, &mut next);
+            class_count = next_count;
             depth += 1;
             if depth > n {
                 unreachable!("refinement must stabilize within n rounds");
             }
         }
-        BoundedRefinement { penultimate, stable, depth, mode }
+        if depth == 0 {
+            penultimate = stable.clone();
+        }
+        BoundedRefinement { penultimate, stable, class_count, depth, mode }
     }
 
     /// The stable classes, indexed by node — equal to
@@ -303,7 +445,7 @@ impl BoundedRefinement {
 
     /// Number of stable classes.
     pub fn class_count(&self) -> usize {
-        class_count_of(&self.stable)
+        self.class_count
     }
 
     /// Rounds until stability — equal to
@@ -314,7 +456,7 @@ impl BoundedRefinement {
 
     /// `true` iff all views are distinct (the graph is prime).
     pub fn is_discrete(&self) -> bool {
-        self.class_count() == self.stable.len()
+        self.class_count == self.stable.len()
     }
 
     /// The mode this refinement was computed under.
