@@ -16,10 +16,11 @@
 //!   accordingly.
 //!
 //! Phase `p` of the real message-passing algorithm costs `p` rounds of
-//! communication (gathering the view); this driver computes each node's
-//! phase from its explicit [`ViewTree`] — every quantity is a function of
-//! the view, which is the model-theoretic requirement — and reports the
-//! equivalent round count.
+//! communication (gathering the view); these drivers compute each node's
+//! phase from its view — the reference from the explicit [`ViewTree`],
+//! the fast path from a view id equal exactly when the views are — so
+//! every quantity is a function of the view, which is the model-theoretic
+//! requirement, and report the equivalent round count.
 //!
 //! ## Engines
 //!
@@ -27,8 +28,9 @@
 //!
 //! * [`run_astar`] / [`run_astar_observed`] — the **fast path** (default):
 //!   `Update-Graph` runs against the [`crate::astar_cache`] memo —
-//!   candidate pools built once per `(p_capped, universe)`, the C2 scan
-//!   replaced by one hash lookup against a per-depth selection index, and
+//!   candidate pools built once per `(p_capped, universe)` over 2-hop
+//!   colored labelings only, the C2 scan replaced by one hash lookup of
+//!   the node's layered view id in a per-depth selection index, and
 //!   balls-by-radius hoisted out of the node loop; `Update-Output` and
 //!   `Update-Bits` run once per distinct candidate selected in a phase,
 //!   since they depend on the node only through its image `v̊` (DESIGN
@@ -63,8 +65,7 @@ use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
 use anonet_views::{
-    canonical_order, canonical_view_encoding, quotient, update_graph_cmp, ViewMode, ViewQuotient,
-    ViewTree,
+    canonical_order, quotient, update_graph_cmp, Sym, ViewMode, ViewQuotient, ViewTree,
 };
 
 use crate::astar_cache::{AstarCache, CandidateLabel, CandidateQuotient, PoolKey};
@@ -142,8 +143,9 @@ where
 }
 
 /// [`run_astar`] under an observability [`Recorder`]. Each phase reports
-/// an `astar/prepare` span (candidate pools and selection indexes), one
-/// `update_graph` span per node, and one `update_output` plus one
+/// an `astar/prepare` span (candidate pools, selection indexes and the
+/// instance's view ids), one `update_graph` span per node (its C2
+/// lookup), and one `update_output` plus one
 /// `update_bits` span per *distinct selected candidate* — every node that
 /// selected the same candidate reads its output and tape from that one
 /// step — all nested under an `astar` parent, so aggregating backends
@@ -295,9 +297,9 @@ where
         state.equivalent_rounds += p;
         let ip = augment(instance, &state.bits)?;
         let prepare_span = Span::new(rec, names::SPAN_ASTAR_PREPARE);
-        let keys = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
+        let plan = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
         drop(prepare_span);
-        let phase = astar_phase(fan, alg, &ip, &nodes, p, &keys, &cache, cfg, rec)?;
+        let phase = astar_phase(fan, alg, &nodes, p, &plan, &cache, cfg, rec)?;
         if let Some(done) = state.commit_phase(phase, p)? {
             return Ok(done);
         }
@@ -316,9 +318,18 @@ fn augment<I: Label, C: Label>(
     Ok(g.with_labels(full_labels)?)
 }
 
+/// Phase `p`'s Update-Graph inputs, per node: the key of its candidate
+/// pool and its depth-`p` view id (see [`AstarCache::view_ids`]).
+struct PhasePlan {
+    keys: Vec<PoolKey>,
+    views: Vec<Result<Option<Sym>>>,
+}
+
 /// Phase-`p` setup against the memo: per-node universes (cached balls at
 /// radius `p - 1`), then one [`AstarCache::ensure_pool`] per node — a hash
-/// lookup for every node after the first in its universe class.
+/// lookup for every node after the first in its universe class — and
+/// finally the instance's depth-`p` view ids, looked up against the ids
+/// those pools' indexes interned.
 fn prepare_phase<I, C, P>(
     cache: &mut AstarCache<I, C>,
     problem: &P,
@@ -326,7 +337,7 @@ fn prepare_phase<I, C, P>(
     p: usize,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
-) -> Result<Vec<PoolKey>>
+) -> Result<PhasePlan>
 where
     I: Label,
     C: Label,
@@ -334,7 +345,11 @@ where
 {
     let universes = cache.phase_universes(ip, p - 1);
     let p_capped = p.min(cfg.max_candidate_nodes);
-    universes.iter().map(|u| cache.ensure_pool(problem, p_capped, p, u, rec)).collect()
+    let keys = universes
+        .iter()
+        .map(|u| cache.ensure_pool(problem, p_capped, p, u, rec))
+        .collect::<Result<_>>()?;
+    Ok(PhasePlan { keys, views: cache.view_ids(ip, p) })
 }
 
 /// One phase's results, before the commit: per node, its Update-Graph
@@ -359,8 +374,8 @@ struct CandidateStep<O> {
 
 /// Phase `p` of the fast engine, in three steps:
 ///
-/// 1. per node, Update-Graph: the canonical depth-`p` view and the C2
-///    lookup against the pool's selection index;
+/// 1. per node, Update-Graph: the C2 lookup of its depth-`p` view id in
+///    the pool's selection index;
 /// 2. per distinct selected `(PoolKey, candidate index)`, listed in order
 ///    of first selection in node order, one [`candidate_step`];
 /// 3. (in [`AStarState::commit_phase`]) per node, read `v̊`'s output and
@@ -373,10 +388,9 @@ struct CandidateStep<O> {
 fn astar_phase<A, C, F>(
     fan: &F,
     alg: &A,
-    ip: &LabeledGraph<CandidateLabel<A::Input, C>>,
     nodes: &[NodeId],
     p: usize,
-    keys: &[PoolKey],
+    plan: &PhasePlan,
     cache: &AstarCache<A::Input, C>,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
@@ -388,7 +402,7 @@ where
     C: Label + Sync,
     F: PhaseFan,
 {
-    let selected = fan.fan(nodes, |&v| update_graph(ip, v, p, keys[v.index()], cache, rec))?;
+    let selected = fan.fan(nodes, |&v| update_graph(v, p, plan, cache, rec))?;
 
     let mut slot_of: HashMap<(PoolKey, usize), usize> = HashMap::new();
     let mut candidates: Vec<&CandidateQuotient<A::Input, C>> = Vec::new();
@@ -412,25 +426,22 @@ where
 /// A node's selection: `((pool key, candidate index), Ĝ_*, v̊)`.
 type Selection<'c, I, C> = ((PoolKey, usize), &'c CandidateQuotient<I, C>, NodeId);
 
-/// One node's Update-Graph in phase `p`: its canonical depth-`p` view
-/// looked up in the pool's selection index. Reads shared phase state only.
+/// One node's Update-Graph in phase `p`: its depth-`p` view id looked up
+/// in the pool's selection index. Reads shared phase state only.
 fn update_graph<'c, I: Label, C: Label>(
-    ip: &LabeledGraph<CandidateLabel<I, C>>,
     v: NodeId,
     p: usize,
-    key: PoolKey,
+    plan: &PhasePlan,
     cache: &'c AstarCache<I, C>,
     rec: &dyn Recorder,
 ) -> Result<Option<Selection<'c, I, C>>> {
     let _update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
-    // Arena-backed build: byte-identical to `ViewTree::build(..)?.
-    // canonical_encoding()` (pinned by the views tests and the testkit
-    // oracle), allocation-free after the per-thread arena warms up.
-    let view_v = canonical_view_encoding(ip, v, p)?;
+    let view = plan.views[v.index()].clone()?;
     if rec.is_enabled() {
         rec.counter(names::ASTAR_C2_LOOKUPS, 1);
     }
-    let selected = cache.select(key, p, &view_v);
+    let key = plan.keys[v.index()];
+    let selected = view.and_then(|view| cache.select(key, p, view));
     if selected.is_some() && rec.is_enabled() {
         rec.counter(names::ASTAR_C2_HITS, 1);
     }
@@ -914,17 +925,17 @@ mod tests {
         let mut distinct = 0usize;
         for p in 1..=run.phases_used {
             let ip = augment(&inst, &state.bits).unwrap();
-            let keys = prepare_phase(&mut cache, &MisProblem, &ip, p, &cfg, &NoopRecorder).unwrap();
+            let plan = prepare_phase(&mut cache, &MisProblem, &ip, p, &cfg, &NoopRecorder).unwrap();
             let mut phase_pairs = std::collections::HashSet::new();
             for &v in &nodes {
-                let view = canonical_view_encoding(&ip, v, p).unwrap();
-                if let Some((idx, _, _)) = cache.select(keys[v.index()], p, &view) {
-                    phase_pairs.insert((keys[v.index()], idx));
+                let key = plan.keys[v.index()];
+                let view = plan.views[v.index()].clone().unwrap();
+                if let Some((idx, _, _)) = view.and_then(|view| cache.select(key, p, view)) {
+                    phase_pairs.insert((key, idx));
                 }
             }
             distinct += phase_pairs.len();
-            let phase =
-                astar_phase(&InOrder, &alg, &ip, &nodes, p, &keys, &cache, &cfg, &NoopRecorder);
+            let phase = astar_phase(&InOrder, &alg, &nodes, p, &plan, &cache, &cfg, &NoopRecorder);
             let done = state.commit_phase(phase.unwrap(), p).unwrap();
             assert_eq!(done.is_some(), p == run.phases_used);
         }

@@ -15,45 +15,69 @@
 //!   per-phase universe computation is one label map over a cached ball;
 //! * **Pools** — keyed by `(p_capped, Sym(universe encoding))`, a pool
 //!   entry stores every candidate that passes the node-independent gates
-//!   (C3 instance check, 2-hop coloring, quotient construction) together
-//!   with its precomputed `(|V̂_*|, s(Ĝ_*))` ordering data;
-//! * **Selection indexes** — per *view depth* `p`, a hash map from the
-//!   interned depth-`p` canonical view encoding to the minimal matching
-//!   candidate and its matched node `v̂`, turning the reference's
-//!   `O(|pool| · |candidate|)` C2 scan into one hash lookup per node.
+//!   (2-hop coloring, C3 instance check, quotient construction) together
+//!   with its precomputed `(|V̂_*|, s(Ĝ_*))` ordering data. The pool is
+//!   enumerated by [`two_hop_colored_pool`], which never builds the
+//!   labelings that fail the 2-hop gate;
+//! * **Selection indexes** — per *view depth* `p`, a hash map from a
+//!   depth-`p` view id to the minimal matching candidate and its matched
+//!   node `v̂`, turning the reference's `O(|pool| · |candidate|)` C2 scan
+//!   into one hash lookup per node.
+//!
+//! **Layered view ids.** C2 asks only whether two depth-`p` views are
+//! equal, never for their bytes, so views are compared through hash-consed
+//! ids computed in `p` sweeps over a graph:
+//!
+//! * `id_1(u) = intern(mark(u), 0)`;
+//! * `id_d(u) = intern(mark(u), deg(u), sorted id_{d−1} of the neighbours)`.
+//!
+//! `mark(u)` is the interned label encoding. The Portless canonical view
+//! encoding is the mark, the child count and the child encodings sorted by
+//! bytes, and every label encoding is self-delimiting, so by induction on
+//! `d` two ids are equal iff the
+//! [`canonical_view_encoding`] bytes are. A sweep costs `O(d·|E|)`
+//! instead of one `Δ^d`-vertex tree per node. Candidates intern their ids
+//! when an index is built; the instance's ids are computed once per phase
+//! **lookup-only** ([`Interner::sym`]). A key that misses cannot match any
+//! candidate: a candidate's view contains all of its sub-views, and each
+//! was interned when the index was built. Tree sizes are counted alongside
+//! (saturating); a view larger than [`SIZE_BUDGET`] is handed to
+//! [`canonical_view_encoding`], so the same `ViewTooLarge` error surfaces
+//! at the same node as with explicit trees.
 //!
 //! The index must be keyed by the view depth and not only by `p_capped =
 //! min(p, max_candidate_nodes)`: once `p` exceeds the candidate-size cap
 //! the same `(p_capped, universe)` pool recurs at *different* view depths,
-//! and depth-`p` encodings of the same node differ across depths. An
-//! index keyed by the pool key alone — the literal reading of "memoize by
+//! and depth-`p` views of the same node differ across depths. An index
+//! keyed by the pool key alone — the literal reading of "memoize by
 //! `(p, universe)`" — would silently miss every lookup after the first
 //! depth seen.
 //!
 //! **Why the lookup is complete and faithful.** The node-dependent part of
 //! `Update-Graph` is exactly C2 (a candidate node whose depth-`p` view
-//! equals the node's); C3 and quotient construction are properties of the
-//! candidate alone, so filtering them at pool-build time is the same
-//! per-node filter the reference applies. The reference selects, scanning
-//! in pool order, the first candidate minimal under `(|V̂_*|, s(Ĝ_*))`
-//! with `v̂` the *first* matching node; the index reproduces both
-//! tie-breaks by iterating candidates in pool order, registering only the
-//! first node per encoding within a candidate, and replacing an entry only
-//! on a strictly smaller `(node count, encoding)` pair. Symbols are used
-//! for equality and hashing only — orderings always compare the canonical
-//! bytes (see [`anonet_views::Interner`]).
+//! equals the node's); the 2-hop gate, C3 and quotient construction are
+//! properties of the candidate alone, so filtering them at pool-build time
+//! is the same per-node filter the reference applies. The reference
+//! selects, scanning in pool order, the first candidate minimal under
+//! `(|V̂_*|, s(Ĝ_*))` with `v̂` the *first* matching node; the index
+//! reproduces both tie-breaks by iterating candidates in pool order,
+//! registering only the first node per view id within a candidate, and
+//! replacing an entry only on a strictly smaller `(node count, encoding)`
+//! pair. Ids are used for equality and hashing only — orderings always
+//! compare the canonical bytes `s(Ĝ_*)` (see [`anonet_views::Interner`]).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use anonet_graph::distance::BallScratch;
-use anonet_graph::{coloring, BitString, Label, LabeledGraph, NodeId};
+use anonet_graph::{BitString, Graph, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
 use anonet_views::{
     canonical_encoding, canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient,
+    SIZE_BUDGET,
 };
 
-use crate::candidates::candidate_pool;
+use crate::candidates::two_hop_colored_pool;
 use crate::error::CoreError;
 use crate::Result;
 
@@ -69,8 +93,10 @@ pub type PoolKey = (usize, Sym);
 /// A candidate that survived the node-independent gates, with its
 /// quotient and ordering data precomputed.
 struct PoolCandidate<I: Label, C: Label> {
-    /// The candidate presentation itself (C2 views are built against it).
+    /// The candidate presentation itself (C2 views are taken in it).
     graph: LabeledGraph<CandidateLabel<I, C>>,
+    /// Its nodes' interned label encodings, the first layer of its views.
+    marks: Vec<Option<Sym>>,
     /// Its finite view graph `Ĝ_*`.
     quotient: ViewQuotient<CandidateLabel<I, C>>,
     /// `|V̂_*|` — the primary `Update-Graph` sort key.
@@ -79,7 +105,7 @@ struct PoolCandidate<I: Label, C: Label> {
     encoding: Vec<u8>,
 }
 
-/// Depth-`p` C2 index: interned view encoding → `(candidate index, v̂)`.
+/// Depth-`p` C2 index: view id → `(candidate index, v̂)`.
 struct SelectionIndex {
     map: HashMap<Sym, (usize, NodeId)>,
 }
@@ -94,10 +120,11 @@ struct PoolEntry<I: Label, C: Label> {
 /// `(p_capped, universe)`, C2 selection indexes by view depth.
 ///
 /// One cache serves one instance for the lifetime of a run (the ball memo
-/// assumes a fixed graph); pools and the interner are shared across all
+/// assumes a fixed graph); pools and the interners are shared across all
 /// phases and nodes of that run.
 pub struct AstarCache<I: Label, C: Label> {
     interner: Interner,
+    views: ViewIds,
     balls: HashMap<usize, Vec<Vec<NodeId>>>,
     pools: HashMap<PoolKey, PoolEntry<I, C>>,
     hits: u64,
@@ -108,6 +135,7 @@ impl<I: Label, C: Label> Default for AstarCache<I, C> {
     fn default() -> Self {
         AstarCache {
             interner: Interner::new(),
+            views: ViewIds::default(),
             balls: HashMap::new(),
             pools: HashMap::new(),
             hits: 0,
@@ -166,8 +194,8 @@ impl<I: Label, C: Label> AstarCache<I, C> {
     ///
     /// # Errors
     ///
-    /// Enumeration-size errors from [`candidate_pool`] and view errors
-    /// from candidate view construction.
+    /// Enumeration-size errors from [`two_hop_colored_pool`] and view
+    /// errors from candidate views.
     pub fn ensure_pool<P>(
         &mut self,
         problem: &P,
@@ -179,50 +207,77 @@ impl<I: Label, C: Label> AstarCache<I, C> {
     where
         P: Problem<Input = I>,
     {
-        let ukey = self.interner.intern(&universe_encoding(universe));
-        let key = (p_capped, ukey);
-        if let std::collections::hash_map::Entry::Vacant(slot) = self.pools.entry(key) {
-            self.misses += 1;
-            if rec.is_enabled() {
-                rec.counter(names::ASTAR_POOL_MISS, 1);
+        // Split borrows: pool and index builds intern into `views`.
+        let AstarCache { interner, views, pools, hits, misses, .. } = self;
+        let key = (p_capped, interner.intern(&universe_encoding(universe)));
+        let entry = match pools.entry(key) {
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                *misses += 1;
+                if rec.is_enabled() {
+                    rec.counter(names::ASTAR_POOL_MISS, 1);
+                }
+                let pool = two_hop_colored_pool(p_capped, universe, |((_i, c), _b)| c)?;
+                slot.insert(PoolEntry {
+                    candidates: filter_pool(problem, pool, views)?,
+                    indexes: HashMap::new(),
+                })
             }
-            let pool = candidate_pool(p_capped, universe)?;
-            slot.insert(PoolEntry {
-                candidates: filter_pool(problem, pool)?,
-                indexes: HashMap::new(),
-            });
-        } else {
-            self.hits += 1;
-            if rec.is_enabled() {
-                rec.counter(names::ASTAR_POOL_HIT, 1);
+            std::collections::hash_map::Entry::Occupied(slot) => {
+                *hits += 1;
+                if rec.is_enabled() {
+                    rec.counter(names::ASTAR_POOL_HIT, 1);
+                }
+                slot.into_mut()
             }
-        }
-        // Split borrows: the index build interns candidate view encodings.
-        let AstarCache { interner, pools, .. } = self;
-        let entry =
-            pools.get_mut(&key).ok_or_else(|| CoreError::internal("pool was just ensured"))?;
+        };
         if let std::collections::hash_map::Entry::Vacant(slot) = entry.indexes.entry(depth) {
-            slot.insert(build_index(&entry.candidates, depth, interner)?);
+            slot.insert(build_index(&entry.candidates, depth, views)?);
         }
         Ok(key)
     }
 
-    /// The `Update-Graph` selection for a node whose depth-`depth`
-    /// canonical view encoding is `view_encoding`: the minimal candidate's
-    /// index in pool `key`, its finite view graph, and the projection `v̊`
-    /// of the matched node. Within one phase, `(key, index)` identifies
-    /// the candidate, so nodes that share it share Update-Output and
-    /// Update-Bits. `None` when no candidate matches (the node skips this
-    /// phase).
+    /// Every node's depth-`depth` view id in `ip`, looked up (never
+    /// interned) against the ids the candidates' indexes interned: `None`
+    /// for a view no candidate has, so no C2 lookup can match it. A view
+    /// larger than [`SIZE_BUDGET`] carries the `ViewTooLarge` error of
+    /// [`canonical_view_encoding`] at that node.
+    ///
+    /// Call after [`ensure_pool`](AstarCache::ensure_pool) has prepared
+    /// every pool and depth the lookups will use.
+    pub fn view_ids(
+        &self,
+        ip: &LabeledGraph<CandidateLabel<I, C>>,
+        depth: usize,
+    ) -> Vec<Result<Option<Sym>>> {
+        let marks = marks_of(ip.labels(), |enc| self.views.marks.sym(enc));
+        let mut layers = Layers::default();
+        layers.sweep(ip.graph(), &marks, depth, &mut Table::Lookup(&self.views.layers));
+        ip.graph()
+            .nodes()
+            .map(|v| {
+                if layers.too_large(v, depth) {
+                    Err(view_too_large(ip, v, depth))
+                } else {
+                    Ok(layers.ids[v.index()])
+                }
+            })
+            .collect()
+    }
+
+    /// The `Update-Graph` selection for a node whose depth-`depth` view id
+    /// is `view`: the minimal candidate's index in pool `key`, its finite
+    /// view graph, and the projection `v̊` of the matched node. Within one
+    /// phase, `(key, index)` identifies the candidate, so nodes that share
+    /// it share Update-Output and Update-Bits. `None` when no candidate
+    /// matches (the node skips this phase).
     pub fn select(
         &self,
         key: PoolKey,
         depth: usize,
-        view_encoding: &[u8],
+        view: Sym,
     ) -> Option<(usize, &CandidateQuotient<I, C>, NodeId)> {
-        let sym = self.interner.sym(view_encoding)?;
         let entry = self.pools.get(&key)?;
-        let &(idx, v_hat) = entry.indexes.get(&depth)?.map.get(&sym)?;
+        let &(idx, v_hat) = entry.indexes.get(&depth)?.map.get(&view)?;
         let cand = &entry.candidates[idx];
         Some((idx, &cand.quotient, cand.quotient.project(v_hat)))
     }
@@ -267,12 +322,14 @@ pub fn pool_keys<L: Label>(
         .collect()
 }
 
-/// Applies the node-independent `Update-Graph` gates (C3 instance check,
-/// 2-hop coloring, quotient construction) to a raw pool, in pool order,
-/// precomputing each survivor's ordering data.
+/// Applies the node-independent `Update-Graph` gates that remain after
+/// the 2-hop gate (C3 instance check, quotient construction) to a pool of
+/// 2-hop colored candidates, in pool order, precomputing each survivor's
+/// ordering data and interning its marks.
 fn filter_pool<I, C, P>(
     problem: &P,
     pool: Vec<LabeledGraph<CandidateLabel<I, C>>>,
+    views: &mut ViewIds,
 ) -> Result<Vec<PoolCandidate<I, C>>>
 where
     I: Label,
@@ -286,17 +343,15 @@ where
         if !problem.is_instance(&inputs_only) {
             continue;
         }
-        let colors_only = cand.map_labels(|((_i, c), _b)| c.clone());
-        if !coloring::is_two_hop_coloring(&colors_only) {
-            continue;
-        }
         // Finite view graph of the candidate.
         let Ok(q) = quotient(&cand, ViewMode::Portless) else { continue };
         let encoding = canonical_encoding(q.graph(), ViewMode::Portless)?;
+        let marks = marks_of(cand.labels(), |enc| Some(views.marks.intern(enc)));
         out.push(PoolCandidate {
             node_count: q.graph().node_count(),
             encoding,
             quotient: q,
+            marks,
             graph: cand,
         });
     }
@@ -305,23 +360,31 @@ where
 
 /// Builds the depth-`depth` C2 index over `candidates`, reproducing the
 /// reference scan's tie-breaks: candidates visited in pool order, only the
-/// first node per encoding registered within a candidate, entries replaced
-/// only on strictly smaller `(node count, encoding bytes)`.
+/// first node per view id registered within a candidate, entries replaced
+/// only on strictly smaller `(node count, encoding bytes)`. Every key of
+/// every candidate's sweep is interned into `views`.
 fn build_index<I: Label, C: Label>(
     candidates: &[PoolCandidate<I, C>],
     depth: usize,
-    interner: &mut Interner,
+    views: &mut ViewIds,
 ) -> Result<SelectionIndex> {
     let mut map: HashMap<Sym, (usize, NodeId)> = HashMap::new();
+    let mut layers = Layers::default();
+    let mut seen: Vec<Sym> = Vec::new();
     for (idx, cand) in candidates.iter().enumerate() {
-        let mut seen: HashSet<Sym> = HashSet::new();
-        for u in cand.graph.graph().nodes() {
-            // Arena fast path; byte-identical to the recursive build.
-            let enc = canonical_view_encoding(&cand.graph, u, depth)?;
-            let sym = interner.intern(&enc);
-            if !seen.insert(sym) {
+        let g = cand.graph.graph();
+        layers.sweep(g, &cand.marks, depth, &mut Table::Intern(&mut views.layers));
+        if let Some(u) = g.nodes().find(|&u| layers.too_large(u, depth)) {
+            return Err(view_too_large(&cand.graph, u, depth));
+        }
+        seen.clear();
+        for u in g.nodes() {
+            let sym = layers.ids[u.index()]
+                .ok_or_else(|| CoreError::internal("interning sweeps resolve every key"))?;
+            if seen.contains(&sym) {
                 continue; // v̂ is the *first* matching node of the candidate
             }
+            seen.push(sym);
             match map.entry(sym) {
                 std::collections::hash_map::Entry::Vacant(slot) => {
                     slot.insert((idx, u));
@@ -340,15 +403,146 @@ fn build_index<I: Label, C: Label>(
     Ok(SelectionIndex { map })
 }
 
+/// The error [`canonical_view_encoding`] reports for a view the size count
+/// put over [`SIZE_BUDGET`] — the explicit build is what fixes its value.
+fn view_too_large<L: Label>(g: &LabeledGraph<L>, v: NodeId, depth: usize) -> CoreError {
+    match canonical_view_encoding(g, v, depth) {
+        Err(e) => e.into(),
+        Ok(_) => CoreError::internal("a view over the size budget was built"),
+    }
+}
+
+/// The two interners behind layered view ids: label encodings → marks,
+/// and layer keys → view ids.
+#[derive(Default)]
+struct ViewIds {
+    marks: Interner,
+    layers: Interner,
+}
+
+/// Each label's mark: its encoding resolved through `resolve` (an intern
+/// or a lookup in [`ViewIds`]' mark table) — the one generic step before
+/// a sweep.
+fn marks_of<L: Label>(
+    labels: &[L],
+    mut resolve: impl FnMut(&[u8]) -> Option<Sym>,
+) -> Vec<Option<Sym>> {
+    let mut buf = Vec::new();
+    labels
+        .iter()
+        .map(|label| {
+            buf.clear();
+            label.encode(&mut buf);
+            resolve(&buf)
+        })
+        .collect()
+}
+
+/// How a sweep resolves its keys: candidates intern them, the instance
+/// only looks them up.
+enum Table<'a> {
+    Intern(&'a mut Interner),
+    Lookup(&'a Interner),
+}
+
+impl Table<'_> {
+    fn resolve(&mut self, key: &[u8]) -> Option<Sym> {
+        match self {
+            Table::Intern(table) => Some(table.intern(key)),
+            Table::Lookup(table) => table.sym(key),
+        }
+    }
+}
+
+/// One graph's layered view ids and view-tree sizes at the depth of the
+/// last [`sweep`](Layers::sweep), with the buffers the sweep reuses. Not
+/// generic over labels: marks come in as symbols.
+#[derive(Default)]
+struct Layers {
+    /// `id_d(u)` per node; `None` where a lookup missed.
+    ids: Vec<Option<Sym>>,
+    /// Vertex count of `L_d(u)` per node, saturating.
+    sizes: Vec<usize>,
+    next_ids: Vec<Option<Sym>>,
+    next_sizes: Vec<usize>,
+    kids: Vec<u32>,
+    key: Vec<u8>,
+}
+
+impl Layers {
+    /// Computes `id_depth` and the depth-`depth` tree size of every node
+    /// of `g` in `depth` sweeps (`depth = 0` leaves the depth-1 layer).
+    fn sweep(&mut self, g: &Graph, marks: &[Option<Sym>], depth: usize, table: &mut Table<'_>) {
+        self.ids.clear();
+        self.sizes.clear();
+        self.kids.clear();
+        for &mark in marks {
+            let id = mark.and_then(|m| self.resolve_key(m, table));
+            self.ids.push(id);
+            self.sizes.push(1);
+        }
+        for _ in 1..depth {
+            self.next_ids.clear();
+            self.next_sizes.clear();
+            for v in g.nodes() {
+                let neighbors = g.neighbors(v);
+                let size =
+                    neighbors.iter().fold(1usize, |s, u| s.saturating_add(self.sizes[u.index()]));
+                self.next_sizes.push(size);
+                self.kids.clear();
+                let mut known = marks[v.index()].is_some();
+                for u in neighbors {
+                    match self.ids[u.index()] {
+                        Some(id) => self.kids.push(id.index() as u32),
+                        None => known = false,
+                    }
+                }
+                let id = match marks[v.index()] {
+                    Some(m) if known => {
+                        self.kids.sort_unstable();
+                        self.resolve_key(m, table)
+                    }
+                    _ => None,
+                };
+                self.next_ids.push(id);
+            }
+            std::mem::swap(&mut self.ids, &mut self.next_ids);
+            std::mem::swap(&mut self.sizes, &mut self.next_sizes);
+        }
+    }
+
+    /// Resolves the key `(mark, |kids|, kids)`.
+    fn resolve_key(&mut self, mark: Sym, table: &mut Table<'_>) -> Option<Sym> {
+        self.key.clear();
+        self.key.extend_from_slice(&(mark.index() as u32).to_le_bytes());
+        self.key.extend_from_slice(&(self.kids.len() as u32).to_le_bytes());
+        for kid in &self.kids {
+            self.key.extend_from_slice(&kid.to_le_bytes());
+        }
+        table.resolve(&self.key)
+    }
+
+    /// `true` iff building `v`'s depth-`depth` view explicitly fails: the
+    /// tree is over [`SIZE_BUDGET`], or the depth is 0.
+    fn too_large(&self, v: NodeId, depth: usize) -> bool {
+        depth == 0 || self.sizes[v.index()] > SIZE_BUDGET
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use anonet_algorithms::problems::MisProblem;
-    use anonet_graph::{distance, generators};
+    use anonet_graph::lift::random_connected_lift;
+    use anonet_graph::{coloring, distance, generators};
     use anonet_obs::NoopRecorder;
     use anonet_views::{canonical_order, update_graph_cmp, ViewTree};
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
-    use crate::candidates::candidate_pool_all_presentations;
+    use crate::candidates::{
+        candidate_pool, candidate_pool_all_presentations, connected_graphs_up_to_iso,
+    };
 
     type MisLabel = CandidateLabel<(), u32>;
 
@@ -425,9 +619,11 @@ mod tests {
             let key =
                 cache.ensure_pool(&MisProblem, p.min(3), p, &universe, &NoopRecorder).unwrap();
             let pool = candidate_pool(p.min(3), &universe).unwrap();
+            let views = cache.view_ids(&ip, p);
             for v in ip.graph().nodes() {
                 let view_v = ViewTree::build(&ip, v, p).unwrap().canonical_encoding();
-                let fast = cache.select(key, p, &view_v);
+                let view_id = views[v.index()].clone().unwrap();
+                let fast = view_id.and_then(|id| cache.select(key, p, id));
                 let reference = reference_select(&pool, &view_v, p);
                 match (fast, reference) {
                     (None, None) => {}
@@ -453,40 +649,43 @@ mod tests {
         // The iso-dedup in `candidates::candidate_pool` must not move the
         // Update-Graph selection: index the deduped pool and the literal
         // all-presentations pool, and compare the selected candidate for
-        // every view encoding either index knows.
+        // every view either index knows. Both index into one id table, so
+        // equal ids are equal views.
         let universe = triangle_universe();
         let depth = 3usize;
-        let deduped = filter_pool(&MisProblem, candidate_pool(3, &universe).unwrap()).unwrap();
-        let full =
-            filter_pool(&MisProblem, candidate_pool_all_presentations(3, &universe).unwrap())
-                .unwrap();
+        let mut views = ViewIds::default();
+        let deduped = two_hop_colored_pool(3, &universe, |((_i, c), _b)| c).unwrap();
+        let deduped = filter_pool(&MisProblem, deduped, &mut views).unwrap();
+        let full = candidate_pool_all_presentations(3, &universe)
+            .unwrap()
+            .into_iter()
+            .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
+            .collect();
+        let full = filter_pool(&MisProblem, full, &mut views).unwrap();
         assert!(full.len() > deduped.len(), "dedup should shrink the pool");
 
-        let mut interner_d = Interner::new();
-        let index_d = build_index(&deduped, depth, &mut interner_d).unwrap();
-        let mut interner_f = Interner::new();
-        let index_f = build_index(&full, depth, &mut interner_f).unwrap();
+        let index_d = build_index(&deduped, depth, &mut views).unwrap();
+        let index_f = build_index(&full, depth, &mut views).unwrap();
 
-        let by_bytes =
-            |index: &SelectionIndex, interner: &Interner, cands: &[PoolCandidate<(), u32>]| {
-                index
-                    .map
-                    .iter()
-                    .map(|(&sym, &(idx, v_hat))| {
-                        let q = &cands[idx].quotient;
-                        (interner.resolve(sym).to_vec(), selection_fingerprint(q, q.project(v_hat)))
-                    })
-                    .collect::<HashMap<_, _>>()
-            };
-        let selections_d = by_bytes(&index_d, &interner_d, &deduped);
-        let selections_f = by_bytes(&index_f, &interner_f, &full);
+        let selections = |index: &SelectionIndex, cands: &[PoolCandidate<(), u32>]| {
+            index
+                .map
+                .iter()
+                .map(|(&sym, &(idx, v_hat))| {
+                    let q = &cands[idx].quotient;
+                    (sym, selection_fingerprint(q, q.project(v_hat)))
+                })
+                .collect::<HashMap<_, _>>()
+        };
+        let selections_d = selections(&index_d, &deduped);
+        let selections_f = selections(&index_f, &full);
         assert_eq!(selections_d.len(), selections_f.len());
         assert!(!selections_d.is_empty());
-        for (enc, fp) in &selections_d {
+        for (sym, fp) in &selections_d {
             assert_eq!(
-                selections_f.get(enc),
+                selections_f.get(sym),
                 Some(fp),
-                "presentation dedup moved the selection for one view encoding"
+                "presentation dedup moved the selection for one view"
             );
         }
     }
@@ -521,9 +720,9 @@ mod tests {
         let v = ip.graph().nodes().next().unwrap();
         for depth in 3..=5usize {
             let key = cache.ensure_pool(&MisProblem, 3, depth, &universe, &NoopRecorder).unwrap();
-            let view_v = ViewTree::build(&ip, v, depth).unwrap().canonical_encoding();
+            let view_v = cache.view_ids(&ip, depth)[v.index()].clone().unwrap();
             assert!(
-                cache.select(key, depth, &view_v).is_some(),
+                view_v.and_then(|id| cache.select(key, depth, id)).is_some(),
                 "depth-{depth} lookup missed although the triangle has a candidate"
             );
         }
@@ -574,9 +773,182 @@ mod tests {
         for v in 0..3 {
             assert_eq!(keys[v], keys_r[perm.apply(v)], "memo key did not follow node {v}");
         }
-        use rand::SeedableRng;
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xA57A);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xA57A);
         let shuffled = ip.with_shuffled_ports(&mut rng);
         assert_eq!(keys, pool_keys(&shuffled, 2, 4), "memo keys saw port numbering");
+    }
+
+    /// Interns `g`'s depth-`depth` view ids, as an index build does.
+    fn interned_ids(
+        views: &mut ViewIds,
+        g: &LabeledGraph<MisLabel>,
+        depth: usize,
+    ) -> Vec<Option<Sym>> {
+        let marks = marks_of(g.labels(), |enc| Some(views.marks.intern(enc)));
+        let mut layers = Layers::default();
+        layers.sweep(g.graph(), &marks, depth, &mut Table::Intern(&mut views.layers));
+        layers.ids
+    }
+
+    /// A label from three colors and bitstrings of at most one bit, so
+    /// that equal views are common.
+    fn small_label(rng: &mut ChaCha8Rng) -> MisLabel {
+        let mut b = BitString::new();
+        if rng.gen_bool(0.5) {
+            b.push(rng.gen_bool(0.5));
+        }
+        (((), rng.gen_range(1..=3u32)), b)
+    }
+
+    /// A labeled graph for the layered-id property: `kind` 0 is a
+    /// connected G(n, p), 1 a random lift of a small base with lifted
+    /// labels, 2 a candidate on at most four nodes.
+    fn sample_graph(kind: usize, seed: u64) -> LabeledGraph<MisLabel> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        match kind {
+            0 => {
+                let n = rng.gen_range(2..=9usize);
+                let g = generators::gnp_connected(n, 0.4, &mut rng).unwrap();
+                let labels = (0..n).map(|_| small_label(&mut rng)).collect();
+                g.with_labels(labels).unwrap()
+            }
+            1 => {
+                let bases = [
+                    generators::complete(3).unwrap(),
+                    generators::cycle(4).unwrap(),
+                    Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap(),
+                    generators::complete(4).unwrap(),
+                ];
+                let base = &bases[rng.gen_range(0..bases.len())];
+                let m = rng.gen_range(2..=4usize);
+                let lift = random_connected_lift(base, m, 1000, &mut rng).unwrap();
+                let labels: Vec<MisLabel> =
+                    (0..base.node_count()).map(|_| small_label(&mut rng)).collect();
+                lift.lift_labels(&labels).unwrap()
+            }
+            _ => {
+                let n = rng.gen_range(1..=4usize);
+                let shapes = connected_graphs_up_to_iso(n).unwrap();
+                let shape = &shapes[rng.gen_range(0..shapes.len())];
+                shape.with_labels((0..n).map(|_| small_label(&mut rng)).collect()).unwrap()
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Layered ids are equal exactly when the canonical view bytes
+        /// are, both between interned ids and for the lookup-only ids of a
+        /// second graph against a table only the first one filled.
+        #[test]
+        fn layered_ids_agree_with_view_bytes(
+            kind_a in 0..3usize,
+            kind_b in 0..3usize,
+            seed in 0u64..1_000_000,
+        ) {
+            let a = sample_graph(kind_a, seed);
+            let b = sample_graph(kind_b, seed.wrapping_add(1));
+            for depth in 1..=6usize {
+                let bytes = |g: &LabeledGraph<MisLabel>| -> Vec<Vec<u8>> {
+                    g.graph().nodes().map(|v| canonical_view_encoding(g, v, depth).unwrap()).collect()
+                };
+                let (bytes_a, bytes_b) = (bytes(&a), bytes(&b));
+
+                let mut cache: AstarCache<(), u32> = AstarCache::new();
+                let ids_a = interned_ids(&mut cache.views, &a, depth);
+                let looked_up: Vec<Option<Sym>> =
+                    cache.view_ids(&b, depth).into_iter().map(Result::unwrap).collect();
+                let ids_b = interned_ids(&mut cache.views, &b, depth);
+                for (u, bytes_u) in bytes_a.iter().enumerate() {
+                    for (w, bytes_w) in bytes_b.iter().enumerate() {
+                        let equal = bytes_u == bytes_w;
+                        proptest::prop_assert_eq!(ids_a[u] == ids_b[w], equal, "depth {depth}: {u} vs {w}");
+                        proptest::prop_assert_eq!(looked_up[w] == ids_a[u], equal, "depth {depth}: lookup {w} vs {u}");
+                    }
+                    for (x, bytes_x) in bytes_a.iter().enumerate() {
+                        proptest::prop_assert_eq!(ids_a[u] == ids_a[x], bytes_u == bytes_x);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_instance_views_fail_like_the_explicit_build() {
+        // The star K_{1,1415} at depth 4: the hub's view has 2,005,056
+        // vertices, over the budget; each leaf's has 2,832. The hub is
+        // node 2, so two passing nodes precede the first failing one.
+        const LEAVES: usize = 1415;
+        let edges: Vec<(usize, usize)> = (0..=LEAVES).filter(|&x| x != 2).map(|x| (2, x)).collect();
+        let star = Graph::from_edges(LEAVES + 1, &edges).unwrap();
+        let labels = (0..=LEAVES).map(|i| (((), i as u32), BitString::new())).collect();
+        let ip = star.with_labels(labels).unwrap();
+        let depth = 4;
+        let cache: AstarCache<(), u32> = AstarCache::new();
+        let ids = cache.view_ids(&ip, depth);
+        let failing: Vec<usize> = (0..=LEAVES).filter(|&v| ids[v].is_err()).collect();
+        assert_eq!(failing, vec![2], "only the hub is over the budget");
+        // The literal per-node build fixes the error value and which node
+        // fails first; the run surfaces the first failure in node order.
+        for v in (0..=2).map(NodeId::new) {
+            let explicit = canonical_view_encoding(&ip, v, depth).map_err(CoreError::from);
+            match (&ids[v.index()], explicit) {
+                (Err(e), Err(want)) => assert_eq!(e, &want, "node {v:?}"),
+                (Ok(_), Ok(_)) => {}
+                (got, want) => panic!("node {v:?}: layered {got:?}, explicit {want:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_candidate_views_fail_like_the_explicit_build() {
+        // K6 with six colors has a depth-10 view of 2,441,406 vertices
+        // (over the budget) and a depth-9 view of 488,281 (under it). The
+        // index build must report the error of the first failing
+        // candidate node in pool order, exactly as the explicit build did.
+        let path: MisLabel = (((), 1u32), BitString::new());
+        let p2 = generators::path(2)
+            .unwrap()
+            .with_labels(vec![path.clone(), (((), 2), BitString::new())])
+            .unwrap();
+        let k6 = generators::complete(6)
+            .unwrap()
+            .with_labels((1..=6u32).map(|c| (((), c), BitString::new())).collect())
+            .unwrap();
+        let mut views = ViewIds::default();
+        let cands = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views).unwrap();
+        assert_eq!(cands.len(), 2);
+        assert!(build_index(&cands, 9, &mut views).is_ok());
+        let want: CoreError = canonical_view_encoding(&k6, NodeId::new(0), 10).unwrap_err().into();
+        assert!(canonical_view_encoding(&p2, NodeId::new(0), 10).is_ok());
+        assert_eq!(build_index(&cands, 10, &mut views).err(), Some(want));
+    }
+
+    #[test]
+    fn pruned_pools_filter_like_the_full_pool() {
+        // The pool builder skips labelings that fail the 2-hop gate; what
+        // filter_pool keeps of it must be what it keeps of the full pool
+        // filtered by that gate: same candidates, same order, same data.
+        let mut universe = triangle_universe();
+        universe.push((((), 1u32), BitString::from_bits([true])));
+        universe.sort();
+        let mut views = ViewIds::default();
+        let pruned = two_hop_colored_pool(4, &universe, |((_i, c), _b)| c).unwrap();
+        let pruned = filter_pool(&MisProblem, pruned, &mut views).unwrap();
+        let full = candidate_pool(4, &universe)
+            .unwrap()
+            .into_iter()
+            .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
+            .collect();
+        let full = filter_pool(&MisProblem, full, &mut views).unwrap();
+        let summary = |cands: &[PoolCandidate<(), u32>]| -> Vec<_> {
+            cands
+                .iter()
+                .map(|c| (c.graph.clone(), c.marks.clone(), c.node_count, c.encoding.clone()))
+                .collect()
+        };
+        assert!(!pruned.is_empty());
+        assert_eq!(summary(&pruned), summary(&full));
     }
 }

@@ -11,7 +11,9 @@
 //! candidate occurs as a mark in `v`'s depth-`p` view. Enumerating over
 //! the view's label set is therefore **complete**, not a heuristic.
 
-use anonet_graph::{iso, Graph, Label, LabeledGraph};
+use std::sync::OnceLock;
+
+use anonet_graph::{distance, iso, Graph, Label, LabeledGraph, NodeId};
 
 use crate::error::CoreError;
 use crate::Result;
@@ -25,9 +27,18 @@ use crate::Result;
 /// [`CoreError::EnumerationTooLarge`] for `n > 6` (the edge-subset count
 /// is `2^(n(n-1)/2)`).
 pub fn connected_graphs(n: usize) -> Result<Vec<Graph>> {
+    check_shape_size(n)?;
+    Ok(enumerate_connected(n))
+}
+
+fn check_shape_size(n: usize) -> Result<()> {
     if n == 0 || n > 6 {
         return Err(CoreError::EnumerationTooLarge { max_nodes: n, universe: 0 });
     }
+    Ok(())
+}
+
+fn enumerate_connected(n: usize) -> Vec<Graph> {
     let pairs: Vec<(usize, usize)> =
         (0..n).flat_map(|u| ((u + 1)..n).map(move |v| (u, v))).collect();
     let mut graphs = Vec::new();
@@ -43,7 +54,54 @@ pub fn connected_graphs(n: usize) -> Result<Vec<Graph>> {
             graphs.push(g);
         }
     }
-    Ok(graphs)
+    graphs
+}
+
+/// One connected graph of the deduplicated enumeration, with its radius-2
+/// conflict lists: `conflicts[k]` holds the nodes `j < k` within distance
+/// 2 of `k`, which a 2-hop coloring must color differently from `k`.
+struct Shape {
+    graph: Graph,
+    conflicts: Vec<Vec<usize>>,
+}
+
+impl Shape {
+    fn new(graph: Graph) -> Self {
+        let conflicts = graph
+            .nodes()
+            .map(|k| {
+                let mut near: Vec<usize> = distance::ball(&graph, k, 2)
+                    .into_iter()
+                    .map(NodeId::index)
+                    .filter(|&j| j < k.index())
+                    .collect();
+                near.sort_unstable();
+                near
+            })
+            .collect();
+        Shape { graph, conflicts }
+    }
+}
+
+/// The deduplicated shapes on `n` nodes, enumerated once per process:
+/// [`connected_graphs`] costs `2^(n(n-1)/2)` edge sets plus isomorphism
+/// checks, and every pool build would otherwise repeat it.
+fn shapes(n: usize) -> Result<&'static [Shape]> {
+    static SHAPES: [OnceLock<Vec<Shape>>; 7] = [const { OnceLock::new() }; 7];
+    check_shape_size(n)?;
+    Ok(SHAPES[n].get_or_init(|| {
+        let mut classes: Vec<LabeledGraph<u8>> = Vec::new();
+        let mut out = Vec::new();
+        for g in enumerate_connected(n) {
+            let plain = g.with_uniform_label(0u8);
+            if classes.iter().any(|seen| iso::are_isomorphic(seen, &plain)) {
+                continue;
+            }
+            classes.push(plain);
+            out.push(Shape::new(g));
+        }
+        out
+    }))
 }
 
 /// [`connected_graphs`] deduplicated up to (unlabeled) isomorphism,
@@ -60,21 +118,22 @@ pub fn connected_graphs(n: usize) -> Result<Vec<Graph>> {
 /// the matched node is identical. The `pool_selection_is_invariant_
 /// under_presentation_dedup` test in [`crate::astar_cache`] pins this.
 ///
+/// The enumeration runs once per process and size; later calls copy it.
+///
 /// # Errors
 ///
 /// [`CoreError::EnumerationTooLarge`] as for [`connected_graphs`].
 pub fn connected_graphs_up_to_iso(n: usize) -> Result<Vec<Graph>> {
-    let mut classes: Vec<LabeledGraph<u8>> = Vec::new();
-    let mut out = Vec::new();
-    for g in connected_graphs(n)? {
-        let plain = g.with_uniform_label(0u8);
-        if classes.iter().any(|seen| iso::are_isomorphic(seen, &plain)) {
-            continue;
-        }
-        classes.push(plain);
-        out.push(g);
+    Ok(shapes(n)?.iter().map(|s| s.graph.clone()).collect())
+}
+
+/// [`CoreError::EnumerationTooLarge`] when `|universe|^n` exceeds `2^20`.
+fn check_labeling_count(universe: usize, n: usize) -> Result<()> {
+    let total = (universe as u128).checked_pow(n as u32).unwrap_or(u128::MAX);
+    if total > (1 << 20) {
+        return Err(CoreError::EnumerationTooLarge { max_nodes: n, universe });
     }
-    Ok(out)
+    Ok(())
 }
 
 /// All labelings of `n` vertices over `universe` (i.e. `universe^n`),
@@ -89,11 +148,8 @@ pub fn labelings<L: Label>(universe: &[L], n: usize) -> Result<Vec<Vec<L>>> {
     if u == 0 {
         return Ok(Vec::new());
     }
-    let total = (u as u128).checked_pow(n as u32).unwrap_or(u128::MAX);
-    if total > (1 << 20) {
-        return Err(CoreError::EnumerationTooLarge { max_nodes: n, universe: u });
-    }
-    let mut out = Vec::with_capacity(total as usize);
+    check_labeling_count(u, n)?;
+    let mut out = Vec::with_capacity(u.pow(n as u32));
     let mut idx = vec![0usize; n];
     loop {
         out.push(idx.iter().map(|&i| universe[i].clone()).collect());
@@ -126,7 +182,82 @@ pub fn labelings<L: Label>(universe: &[L], n: usize) -> Result<Vec<Vec<L>>> {
 ///
 /// Enumeration-size errors from [`connected_graphs`] / [`labelings`].
 pub fn candidate_pool<L: Label>(max_nodes: usize, universe: &[L]) -> Result<Vec<LabeledGraph<L>>> {
-    pool_over(max_nodes, universe, connected_graphs_up_to_iso)
+    let mut pool = Vec::new();
+    for n in 1..=max_nodes {
+        for shape in shapes(n)? {
+            for labels in labelings(universe, n)? {
+                pool.push(shape.graph.with_labels(labels)?);
+            }
+        }
+    }
+    Ok(pool)
+}
+
+/// [`candidate_pool`] restricted to the candidates whose `color` parts
+/// form a 2-hop coloring — the same candidates in the same order as
+/// filtering [`candidate_pool`] by
+/// [`is_two_hop_coloring`](anonet_graph::coloring::is_two_hop_coloring),
+/// without building the rest.
+///
+/// Labelings are walked in [`labelings`]' lexicographic order, and a
+/// prefix is abandoned as soon as its last node repeats a color within
+/// distance 2: every labeling that extends it fails the same check.
+///
+/// # Errors
+///
+/// The enumeration-size errors of [`candidate_pool`], for the same
+/// arguments.
+pub fn two_hop_colored_pool<L: Label, K: PartialEq>(
+    max_nodes: usize,
+    universe: &[L],
+    color: impl Fn(&L) -> &K,
+) -> Result<Vec<LabeledGraph<L>>> {
+    // Each universe entry's color as the index of its first occurrence,
+    // so the search below compares integers only.
+    let classes: Vec<usize> = universe
+        .iter()
+        .enumerate()
+        .map(|(i, l)| universe[..i].iter().position(|m| color(m) == color(l)).unwrap_or(i))
+        .collect();
+    let mut pool = Vec::new();
+    let mut indices = Vec::new();
+    for n in 1..=max_nodes {
+        let shapes = shapes(n)?;
+        if universe.is_empty() {
+            continue;
+        }
+        check_labeling_count(universe.len(), n)?;
+        for shape in shapes {
+            indices.clear();
+            two_hop_labelings(&shape.conflicts, &classes, &mut Vec::with_capacity(n), &mut indices);
+            for labeling in indices.chunks_exact(n) {
+                let labels = labeling.iter().map(|&i| universe[i].clone()).collect();
+                pool.push(shape.graph.with_labels(labels)?);
+            }
+        }
+    }
+    Ok(pool)
+}
+
+/// Appends to `out`, in lexicographic order, every index vector that
+/// extends `prefix` and gives nodes within distance 2 distinct classes.
+fn two_hop_labelings(
+    conflicts: &[Vec<usize>],
+    classes: &[usize],
+    prefix: &mut Vec<usize>,
+    out: &mut Vec<usize>,
+) {
+    let Some(near) = conflicts.get(prefix.len()) else {
+        out.extend_from_slice(prefix);
+        return;
+    };
+    for (i, &class) in classes.iter().enumerate() {
+        if near.iter().all(|&j| classes[prefix[j]] != class) {
+            prefix.push(i);
+            two_hop_labelings(conflicts, classes, prefix, out);
+            prefix.pop();
+        }
+    }
 }
 
 /// The pre-dedup pool: every *presentation* of every connected graph,
@@ -140,19 +271,11 @@ pub fn candidate_pool_all_presentations<L: Label>(
     max_nodes: usize,
     universe: &[L],
 ) -> Result<Vec<LabeledGraph<L>>> {
-    pool_over(max_nodes, universe, connected_graphs)
-}
-
-fn pool_over<L: Label>(
-    max_nodes: usize,
-    universe: &[L],
-    graphs: impl Fn(usize) -> Result<Vec<Graph>>,
-) -> Result<Vec<LabeledGraph<L>>> {
     let mut pool = Vec::new();
     for n in 1..=max_nodes {
-        for g in graphs(n)? {
+        for g in connected_graphs(n)? {
             for labels in labelings(universe, n)? {
-                pool.push(g.with_labels(labels).expect("labeling length matches by construction"));
+                pool.push(g.with_labels(labels)?);
             }
         }
     }
@@ -162,6 +285,7 @@ fn pool_over<L: Label>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anonet_graph::coloring;
 
     #[test]
     fn connected_graph_counts_match_oeis() {
@@ -247,5 +371,60 @@ mod tests {
         // The literal presentation pool is strictly larger.
         let full = candidate_pool_all_presentations(3, &universe).unwrap();
         assert_eq!(full.len(), 2 + 4 + 32);
+    }
+
+    /// `candidate_pool` filtered by the 2-hop gate on the color part.
+    fn filtered_pool(
+        max_nodes: usize,
+        universe: &[(u8, u32)],
+    ) -> Result<Vec<LabeledGraph<(u8, u32)>>> {
+        Ok(candidate_pool(max_nodes, universe)?
+            .into_iter()
+            .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|(_i, c)| *c)))
+            .collect())
+    }
+
+    #[test]
+    fn two_hop_colored_pool_is_the_filtered_pool() {
+        // Labels are (input, color); some colors repeat across inputs, so
+        // distinct labels can still conflict.
+        let universes: Vec<Vec<(u8, u32)>> = vec![
+            vec![],
+            vec![(0, 1)],
+            vec![(0, 1), (0, 2), (0, 3)],
+            vec![(0, 1), (0, 2), (1, 1), (1, 3)],
+            vec![(0, 5), (1, 5), (2, 5)],
+        ];
+        for universe in &universes {
+            for max_nodes in 1..=4 {
+                let pruned = two_hop_colored_pool(max_nodes, universe, |(_i, c)| c).unwrap();
+                let want = filtered_pool(max_nodes, universe).unwrap();
+                assert_eq!(pruned, want, "universe {universe:?}, {max_nodes} nodes");
+            }
+        }
+        // A path on three nodes needs three colors: distance-2 conflicts
+        // are what empties this pool beyond two nodes.
+        let two_colors = [(0u8, 1u32), (0, 2)];
+        let pool = two_hop_colored_pool(3, &two_colors, |(_i, c)| c).unwrap();
+        assert!(pool.iter().all(|g| g.node_count() <= 2));
+        assert_eq!(pool.len(), 2 + 2);
+    }
+
+    #[test]
+    fn two_hop_colored_pool_rejects_what_candidate_pool_rejects() {
+        // Both builders take their graphs from `shapes`, which rejects
+        // seven nodes before enumerating anything.
+        assert_eq!(
+            connected_graphs_up_to_iso(7).unwrap_err(),
+            CoreError::EnumerationTooLarge { max_nodes: 7, universe: 0 }
+        );
+        // 102^3 labelings exceed 2^20 at three nodes, after the smaller
+        // sizes enumerate.
+        let wide: Vec<(u8, u32)> = (0..102).map(|c| (0, c)).collect();
+        let want = CoreError::EnumerationTooLarge { max_nodes: 3, universe: 102 };
+        assert_eq!(candidate_pool(3, &wide).unwrap_err(), want);
+        assert_eq!(two_hop_colored_pool(3, &wide, |(_i, c)| c).unwrap_err(), want);
+        // An empty universe enumerates nothing, without error.
+        assert!(two_hop_colored_pool(4, &[] as &[(u8, u32)], |(_i, c)| c).unwrap().is_empty());
     }
 }

@@ -16,7 +16,8 @@
 //!   faithful to the pseudocode, feasible on small instances;
 //! * [`astar_cache`] — the memo behind the fast `A_*` path: candidate
 //!   pools keyed by `(p_capped, universe)`, per-depth C2 selection
-//!   indexes, interned view encodings, and cached balls-by-radius;
+//!   indexes over hash-consed layered view ids, and cached
+//!   balls-by-radius;
 //! * [`derandomizer`] — the engineering-grade variant of the same
 //!   construction: quotient once, pick a canonical successful assignment
 //!   (exhaustive-minimal or seeded-replay), lift;

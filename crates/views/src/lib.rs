@@ -74,7 +74,7 @@ pub use refinement::{
     assign_dense_classes, initial_label_classes, round_keys, BoundedRefinement, EngineStats,
     Refinement, RefinementEngine, RoundKey, ViewMode,
 };
-pub use view_tree::ViewTree;
+pub use view_tree::{ViewTree, SIZE_BUDGET};
 
 /// Convenient alias for results with [`ViewError`].
 pub type Result<T> = std::result::Result<T, ViewError>;

@@ -9,8 +9,10 @@ use crate::Result;
 
 /// Hard cap on explicit view-tree sizes; deeper views must go through
 /// refinement instead. Shared with the arena path so both fail on
-/// exactly the same inputs.
-pub(crate) const SIZE_BUDGET: usize = 2_000_000;
+/// exactly the same inputs: a build fails with
+/// [`ViewError::ViewTooLarge`] exactly when the tree has more than this
+/// many vertices.
+pub const SIZE_BUDGET: usize = 2_000_000;
 
 /// An explicit depth-`d` local view: a rooted tree whose vertices carry
 /// *marks* (the labels of the underlying nodes).
