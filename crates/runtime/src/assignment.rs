@@ -107,43 +107,6 @@ impl BitAssignment {
             std::cmp::Ordering::Equal
         })
     }
-
-    /// Enumerates all `2^(n·extra)` extensions of `self` by `extra` more
-    /// bits per node, in the canonical order induced by `node_order`
-    /// (smallest first). The borrowed data is cloned into the iterator.
-    ///
-    /// This is the search space of the paper's `Update-Bits`: all
-    /// `p`-extensions of the current assignment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node_order` is not a permutation of the assignment's
-    /// nodes, or if `n·extra ≥ 64` (the enumeration would not terminate in
-    /// any reasonable time anyway).
-    pub fn extensions(
-        &self,
-        extra: usize,
-        node_order: &[NodeId],
-    ) -> impl Iterator<Item = BitAssignment> + '_ {
-        assert_eq!(node_order.len(), self.tapes.len(), "node order must cover the assignment");
-        let total_bits = self.tapes.len() * extra;
-        assert!(total_bits < 64, "extension space of 2^{total_bits} is not enumerable");
-        let base = self.clone();
-        let order: Vec<NodeId> = node_order.to_vec();
-        (0u64..(1u64 << total_bits)).map(move |code| {
-            // The order must make earlier nodes' bits more significant so
-            // that increasing `code` enumerates in canonical order.
-            let mut tapes = base.tapes.clone();
-            let mut shift = total_bits;
-            for &v in &order {
-                for _ in 0..extra {
-                    shift -= 1;
-                    tapes[v.index()].push((code >> shift) & 1 == 1);
-                }
-            }
-            BitAssignment { tapes }
-        })
-    }
 }
 
 impl fmt::Display for BitAssignment {
@@ -205,41 +168,5 @@ mod tests {
         // In the reversed node order the comparison flips.
         let rev = vec![NodeId::new(1), NodeId::new(0)];
         assert_eq!(a.cmp_in_order(&b, &rev), std::cmp::Ordering::Greater);
-    }
-
-    #[test]
-    fn extensions_enumerate_in_canonical_order() {
-        let base = BitAssignment::empty(2);
-        let ord = order(2);
-        let all: Vec<BitAssignment> = base.extensions(1, &ord).collect();
-        assert_eq!(all.len(), 4);
-        // Must be sorted under cmp_in_order.
-        for w in all.windows(2) {
-            assert_eq!(w[0].cmp_in_order(&w[1], &ord), std::cmp::Ordering::Less);
-        }
-        // All extend the base.
-        assert!(all.iter().all(|a| a.extends(&base)));
-        // First is all-zeros, last all-ones.
-        assert_eq!(all[0].tape(NodeId::new(0)).unwrap().to_string(), "0");
-        assert_eq!(all[3].tape(NodeId::new(0)).unwrap().to_string(), "1");
-        assert_eq!(all[3].tape(NodeId::new(1)).unwrap().to_string(), "1");
-    }
-
-    #[test]
-    fn extensions_respect_existing_prefixes() {
-        let base = BitAssignment::new(vec![bs("1"), bs("0")]);
-        let ord = order(2);
-        for ext in base.extensions(2, &ord) {
-            assert!(ext.extends(&base));
-            assert!(ext.is_uniform_length(3));
-        }
-        assert_eq!(base.extensions(2, &ord).count(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "not enumerable")]
-    fn extensions_reject_huge_spaces() {
-        let base = BitAssignment::empty(8);
-        let _ = base.extensions(8, &order(8));
     }
 }

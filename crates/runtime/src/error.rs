@@ -38,6 +38,17 @@ pub enum RuntimeError {
         /// Nodes in the graph.
         graph_nodes: usize,
     },
+    /// A canonical node order was not a permutation of the graph's nodes.
+    InvalidOrder {
+        /// Human-readable description.
+        reason: String,
+    },
+    /// A canonical search was asked to enumerate a code space of 64 or
+    /// more bits.
+    SearchSpaceTooLarge {
+        /// Bits the code space would need.
+        bits: usize,
+    },
 }
 
 impl fmt::Display for RuntimeError {
@@ -57,6 +68,10 @@ impl fmt::Display for RuntimeError {
                     f,
                     "bit assignment covers {assignment_nodes} nodes but the graph has {graph_nodes}"
                 )
+            }
+            RuntimeError::InvalidOrder { reason } => write!(f, "invalid node order: {reason}"),
+            RuntimeError::SearchSpaceTooLarge { bits } => {
+                write!(f, "a search space of 2^{bits} assignments is not enumerable")
             }
         }
     }
