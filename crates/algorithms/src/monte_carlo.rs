@@ -83,7 +83,7 @@ impl ObliviousAlgorithm for MonteCarloLeader {
         } else {
             // Flooding phase.
             for m in received {
-                if m.as_slice() > st.max_seen.as_slice() {
+                if m.cmp_lex(&st.max_seen).is_gt() {
                     st.max_seen = (*m).clone();
                 }
             }

@@ -30,6 +30,8 @@
 //! limit. The output is **always** a valid 2-hop coloring (the decision
 //! rule is sound, not probabilistic).
 
+use std::sync::Arc;
+
 use anonet_graph::BitString;
 use anonet_runtime::{Actions, ObliviousAlgorithm};
 
@@ -89,8 +91,9 @@ pub struct TwoHopState {
     /// The node's own broadcast state from one round ago (becomes
     /// `stale_self` next round).
     prev_self: PeerState,
-    /// Neighbor states received last round (to be relayed this round).
-    table: Vec<PeerState>,
+    /// Neighbor states received last round (to be relayed this round),
+    /// shared by every message that relays them.
+    table: Arc<[PeerState]>,
 }
 
 impl TwoHopState {
@@ -106,8 +109,9 @@ impl TwoHopState {
 }
 
 /// Message: own `(color, decided)` plus the relayed table of last-seen
-/// neighbor states (the 2-hop information channel).
-type Message = (PeerState, Vec<PeerState>);
+/// neighbor states (the 2-hop information channel). The table is shared,
+/// so a broadcast copies no peer state.
+type Message = (PeerState, Arc<[PeerState]>);
 
 /// Does a peer in state `peer` clash with an undecided node whose current
 /// color is `a`? See the module docs for the case analysis.
@@ -133,12 +137,12 @@ impl ObliviousAlgorithm for TwoHopColoring {
             decided: false,
             stale_self: empty.clone(),
             prev_self: empty,
-            table: Vec::new(),
+            table: Arc::default(),
         }
     }
 
     fn broadcast(&self, state: &TwoHopState) -> Option<Message> {
-        Some(((state.color.clone(), state.decided), state.table.clone()))
+        Some(((state.color.clone(), state.decided), Arc::clone(&state.table)))
     }
 
     fn step(
@@ -180,7 +184,7 @@ impl ObliviousAlgorithm for TwoHopColoring {
                         break;
                     }
                     let mut self_budget = 1usize; // skip own entry once
-                    for entry in table {
+                    for entry in table.iter() {
                         if *entry == state.stale_self && self_budget > 0 {
                             self_budget -= 1;
                             continue;

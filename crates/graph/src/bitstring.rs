@@ -25,24 +25,44 @@ use crate::labels::Label;
 /// assert!(b < a);
 /// assert_eq!(a.to_string(), "010");
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+///
+/// # Layout
+///
+/// Bits are packed most significant bit first into 64-bit words: bit `i`
+/// sits at position `63 - i % 64` of word `i / 64`. Word 0 is stored
+/// inline, so a bitstring of at most 64 bits — every color and most tapes —
+/// clones without allocating; later words live in a boxed tail that may
+/// hold zeroed spare words. Every bit at or beyond `len` is zero, so equal
+/// strings have equal used words, whatever operations built them, and an
+/// integer compare of two words is a lexicographic compare of their bits.
+#[derive(Clone, Default)]
 pub struct BitString {
-    bits: Vec<bool>,
+    len: usize,
+    head: u64,
+    tail: Box<[u64]>,
+}
+
+/// The word mask of the first `bits` bits, `1 <= bits <= 64`.
+fn high_mask(bits: usize) -> u64 {
+    u64::MAX << (64 - bits)
 }
 
 impl BitString {
     /// Creates an empty bitstring.
     pub fn new() -> Self {
-        BitString { bits: Vec::new() }
+        BitString::default()
     }
 
     /// Creates a bitstring from an iterator of bits.
     pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        BitString { bits: bits.into_iter().collect() }
+        let mut s = BitString::new();
+        s.extend(bits);
+        s
     }
 
     /// Creates a bitstring holding the `len` low-order bits of `value`,
-    /// most significant bit first.
+    /// most significant bit first; beyond 64 bits, the leading bits are
+    /// zero.
     ///
     /// # Example
     ///
@@ -51,48 +71,86 @@ impl BitString {
     /// assert_eq!(BitString::from_value(5, 4).to_string(), "0101");
     /// ```
     pub fn from_value(value: u64, len: usize) -> Self {
-        let bits = (0..len).rev().map(|i| (value >> i) & 1 == 1).collect();
-        BitString { bits }
+        match len {
+            0 => BitString::new(),
+            1..=64 => BitString { len, head: value << (64 - len), tail: Box::default() },
+            _ => (0..len).rev().map(|i| i < 64 && (value >> i) & 1 == 1).collect(),
+        }
     }
 
     /// Number of bits.
     pub fn len(&self) -> usize {
-        self.bits.len()
+        self.len
     }
 
     /// `true` if the bitstring has no bits.
     pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
+        self.len == 0
+    }
+
+    /// Word `w`, which holds bits `64w..64w+64`; zero past the tail.
+    fn word(&self, w: usize) -> u64 {
+        match w {
+            0 => self.head,
+            _ => self.tail.get(w - 1).copied().unwrap_or(0),
+        }
+    }
+
+    fn word_mut(&mut self, w: usize) -> &mut u64 {
+        match w {
+            0 => &mut self.head,
+            _ => &mut self.tail[w - 1],
+        }
+    }
+
+    /// The tail words that hold bits below `len`.
+    fn used_tail(&self) -> &[u64] {
+        &self.tail[..self.len.saturating_sub(64).div_ceil(64)]
     }
 
     /// Returns bit `i`, or `None` if out of range.
     pub fn get(&self, i: usize) -> Option<bool> {
-        self.bits.get(i).copied()
+        (i < self.len).then(|| (self.word(i / 64) >> (63 - i % 64)) & 1 == 1)
     }
 
     /// Appends a bit.
     pub fn push(&mut self, bit: bool) {
-        self.bits.push(bit);
+        let w = self.len / 64;
+        if w > self.tail.len() {
+            // Grow the tail geometrically; spare words stay zero.
+            let mut tail = vec![0; (2 * self.tail.len()).max(1)];
+            tail[..self.tail.len()].copy_from_slice(&self.tail);
+            self.tail = tail.into_boxed_slice();
+        }
+        *self.word_mut(w) |= u64::from(bit) << (63 - self.len % 64);
+        self.len += 1;
     }
 
     /// Removes and returns the last bit.
     pub fn pop(&mut self) -> Option<bool> {
-        self.bits.pop()
+        let bit = self.get(self.len.checked_sub(1)?)?;
+        self.truncate(self.len - 1);
+        Some(bit)
     }
 
     /// Truncates to the first `len` bits (no-op if already shorter).
     pub fn truncate(&mut self, len: usize) {
-        self.bits.truncate(len);
-    }
-
-    /// View of the underlying bits.
-    pub fn as_slice(&self) -> &[bool] {
-        &self.bits
+        if len >= self.len {
+            return;
+        }
+        let keep = len.div_ceil(64);
+        for w in keep..self.len.div_ceil(64) {
+            *self.word_mut(w) = 0;
+        }
+        if !len.is_multiple_of(64) {
+            *self.word_mut(len / 64) &= high_mask(len % 64);
+        }
+        self.len = len;
     }
 
     /// Iterates over the bits.
     pub fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        self.bits.iter().copied()
+        (0..self.len).map(|i| (self.word(i / 64) >> (63 - i % 64)) & 1 == 1)
     }
 
     /// `true` if `self` is a prefix of `other` (including equality).
@@ -100,14 +158,37 @@ impl BitString {
     /// `Update-Bits` only ever *extends* a node's bitstring, so prefix
     /// queries are how the analysis (Lemma 9) relates phases.
     pub fn is_prefix_of(&self, other: &BitString) -> bool {
-        other.bits.len() >= self.bits.len() && other.bits[..self.bits.len()] == self.bits[..]
+        // Bits of `self` past its length are zero, so masking `other`'s
+        // last word down to them completes the test.
+        let full = self.len / 64;
+        other.len >= self.len
+            && (0..full).all(|w| self.word(w) == other.word(w))
+            && match self.len % 64 {
+                0 => true,
+                bits => self.word(full) == other.word(full) & high_mask(bits),
+            }
+    }
+
+    /// Lexicographic comparison (`false < true`, a proper prefix first),
+    /// the order of `[bool]` slices. Unlike [`Ord`], length does not come
+    /// first.
+    pub fn cmp_lex(&self, other: &BitString) -> std::cmp::Ordering {
+        let common = self.len.min(other.len);
+        for w in 0..common.div_ceil(64) {
+            let mask = high_mask((common - 64 * w).min(64));
+            let (a, b) = (self.word(w) & mask, other.word(w) & mask);
+            if a != b {
+                return a.cmp(&b);
+            }
+        }
+        self.len.cmp(&other.len)
     }
 
     /// Returns a copy extended by the bits of `suffix`.
     pub fn concat(&self, suffix: &BitString) -> BitString {
-        let mut bits = self.bits.clone();
-        bits.extend_from_slice(&suffix.bits);
-        BitString { bits }
+        let mut s = self.clone();
+        s.extend(suffix.iter());
+        s
     }
 
     /// Interprets the bitstring as a big-endian integer.
@@ -116,8 +197,31 @@ impl BitString {
     ///
     /// Panics if the bitstring is longer than 64 bits.
     pub fn to_value(&self) -> u64 {
-        assert!(self.bits.len() <= 64, "bitstring too long for u64");
-        self.bits.iter().fold(0u64, |acc, &b| (acc << 1) | u64::from(b))
+        assert!(self.len <= 64, "bitstring too long for u64");
+        match self.len {
+            0 => 0,
+            len => self.head >> (64 - len),
+        }
+    }
+}
+
+impl PartialEq for BitString {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.head == other.head
+            && (self.len <= 64 || self.used_tail() == other.used_tail())
+    }
+}
+
+impl Eq for BitString {}
+
+impl std::hash::Hash for BitString {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        self.head.hash(state);
+        if self.len > 64 {
+            self.used_tail().hash(state);
+        }
     }
 }
 
@@ -130,7 +234,10 @@ impl PartialOrd for BitString {
 impl Ord for BitString {
     /// Shortlex: length first, then lexicographic (`false < true`).
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.bits.len().cmp(&other.bits.len()).then_with(|| self.bits.cmp(&other.bits))
+        self.len
+            .cmp(&other.len)
+            .then_with(|| self.head.cmp(&other.head))
+            .then_with(|| self.used_tail().cmp(other.used_tail()))
     }
 }
 
@@ -142,10 +249,10 @@ impl fmt::Debug for BitString {
 
 impl fmt::Display for BitString {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.bits.is_empty() {
+        if self.is_empty() {
             return write!(f, "ε");
         }
-        for &b in &self.bits {
+        for b in self.iter() {
             write!(f, "{}", if b { '1' } else { '0' })?;
         }
         Ok(())
@@ -175,7 +282,7 @@ impl FromStr for BitString {
         if s == "ε" {
             return Ok(BitString::new());
         }
-        let mut bits = Vec::with_capacity(s.len());
+        let mut bits = BitString::new();
         for (i, c) in s.chars().enumerate() {
             match c {
                 '0' => bits.push(false),
@@ -183,7 +290,7 @@ impl FromStr for BitString {
                 _ => return Err(ParseBitStringError { offset: i }),
             }
         }
-        Ok(BitString { bits })
+        Ok(bits)
     }
 }
 
@@ -195,25 +302,22 @@ impl FromIterator<bool> for BitString {
 
 impl Extend<bool> for BitString {
     fn extend<I: IntoIterator<Item = bool>>(&mut self, iter: I) {
-        self.bits.extend(iter);
+        for bit in iter {
+            self.push(bit);
+        }
     }
 }
 
 impl Label for BitString {
     fn encode(&self, out: &mut Vec<u8>) {
-        (self.bits.len() as u64).encode(out);
-        // Pack bits into bytes, MSB first.
-        let mut byte = 0u8;
-        for (i, &b) in self.bits.iter().enumerate() {
-            byte = (byte << 1) | u8::from(b);
-            if i % 8 == 7 {
-                out.push(byte);
-                byte = 0;
-            }
-        }
-        if !self.bits.len().is_multiple_of(8) {
-            byte <<= 8 - self.bits.len() % 8;
-            out.push(byte);
+        (self.len as u64).encode(out);
+        // The packed words, MSB first, cut to the bytes that hold bits;
+        // the pad bits of the last byte are zero.
+        let mut bytes = self.len.div_ceil(8);
+        for w in std::iter::once(&self.head).chain(self.used_tail()) {
+            let take = bytes.min(8);
+            out.extend_from_slice(&w.to_be_bytes()[..take]);
+            bytes -= take;
         }
     }
 }

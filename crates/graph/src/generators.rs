@@ -370,21 +370,11 @@ pub fn random_regular<R: Rng + ?Sized>(
         // Half-edges: d copies of each node, shuffled and paired.
         let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat_n(v, d)).collect();
         stubs.shuffle(rng);
-        let mut builder = GraphBuilder::new(n);
-        let mut ok = true;
-        for pair in stubs.chunks(2) {
-            match builder.clone().edge(pair[0], pair[1]) {
-                Ok(b) => builder = b,
-                Err(_) => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if !ok {
-            continue;
-        }
-        if let Ok(g) = builder.build() {
+        let graph = stubs
+            .chunks(2)
+            .try_fold(GraphBuilder::new(n), |b, pair| b.edge(pair[0], pair[1]))
+            .and_then(GraphBuilder::build);
+        if let Ok(g) = graph {
             return Ok(g);
         }
     }

@@ -180,25 +180,42 @@ pub fn lift(base: &Graph, m: usize, voltages: &[Perm]) -> Result<Lift> {
     }
     let base_n = base.node_count();
     let idx = |v: NodeId, i: usize| NodeId::new(v.index() * m + i);
-    let voltage_of: std::collections::HashMap<crate::graph::Edge, &Perm> =
-        edges.iter().copied().zip(voltages.iter()).collect();
+    let edge_index: std::collections::HashMap<crate::graph::Edge, usize> =
+        edges.iter().enumerate().map(|(k, &e)| (e, k)).collect();
+    let inverses: Vec<Perm> = voltages.iter().map(Perm::inverse).collect();
+    // The permutation each port of each base node applies. The voltage
+    // acts along the canonical direction e.u → e.v; traversing against it
+    // applies the inverse.
+    let port_perms: Vec<Vec<&Perm>> = base
+        .nodes()
+        .map(|v| {
+            let port_perm = |&u: &NodeId| {
+                let e = crate::graph::Edge::new(v, u);
+                let k = edge_index[&e];
+                if v == e.u {
+                    &voltages[k]
+                } else {
+                    &inverses[k]
+                }
+            };
+            base.neighbors(v).iter().map(port_perm).collect()
+        })
+        .collect();
     // Build adjacency directly so that port p of lift node (v, i) leads to
     // a lift of the base neighbor at port p of v. This makes the projection
     // a *port-preserving* local isomorphism, which is what lifting whole
     // executions of port-aware algorithms requires.
     let mut adj: Vec<Vec<NodeId>> = Vec::with_capacity(base_n * m);
     for v in base.nodes() {
+        let perms = &port_perms[v.index()];
         for i in 0..m {
-            let mut nbrs = Vec::with_capacity(base.degree(v));
-            for &u in base.neighbors(v) {
-                let e = crate::graph::Edge::new(v, u);
-                let perm = voltage_of[&e];
-                // The voltage acts along the canonical direction e.u → e.v;
-                // traversing against it applies the inverse.
-                let j = if v == e.u { perm.apply(i) } else { perm.inverse().apply(i) };
-                nbrs.push(idx(u, j));
-            }
-            adj.push(nbrs);
+            adj.push(
+                base.neighbors(v)
+                    .iter()
+                    .zip(perms)
+                    .map(|(&u, perm)| idx(u, perm.apply(i)))
+                    .collect(),
+            );
         }
     }
     let graph = Graph::from_adjacency(adj)?;

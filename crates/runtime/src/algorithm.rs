@@ -110,6 +110,11 @@ impl<'a, M> Inbox<'a, M> {
         Inbox { slots }
     }
 
+    /// The slots, handed back for reuse once the inbox is done.
+    pub(crate) fn into_slots(self) -> Vec<Option<&'a M>> {
+        self.slots
+    }
+
     /// The message received on `port`, if any.
     ///
     /// # Panics

@@ -99,7 +99,7 @@ impl BitAssignment {
                 let a = self.tape(v).expect("node order in range");
                 // anonet-lint: allow(panic-hygiene, reason = "documented precondition: node_order is a permutation of both assignments")
                 let b = other.tape(v).expect("node order in range");
-                match a.as_slice().cmp(b.as_slice()) {
+                match a.cmp_lex(b) {
                     std::cmp::Ordering::Equal => continue,
                     other => return other,
                 }

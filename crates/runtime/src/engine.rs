@@ -247,6 +247,7 @@ where
     // One reusable outgoing buffer per node, filled by `compose_round`:
     // a single entry for a uniform sender, one per port otherwise.
     let mut outgoing: Vec<Vec<Option<A::Message>>> = vec![Vec::new(); n];
+    let mut bits: Vec<bool> = vec![false; n];
 
     let status = loop {
         if halted.iter().all(|&h| h) {
@@ -259,7 +260,7 @@ where
 
         // Draw this round's bits for active nodes first: if any tape is
         // exhausted, the prescribed simulation ends *before* this round.
-        let mut bits: Vec<bool> = vec![false; n];
+        bits.fill(false);
         let mut exhausted = false;
         for v in g.nodes() {
             if halted[v.index()] {
@@ -315,7 +316,9 @@ where
         // Deliver and step, in the adversary's wakeup order. A node's
         // inbox borrows its neighbors' buffers, which nobody writes until
         // the next round, and each node writes only its own slots, so
-        // this order is equally inert.
+        // this order is equally inert. One slot buffer serves every inbox
+        // of the round.
+        let mut slots: Vec<Option<&A::Message>> = Vec::new();
         for v in checked_order(adversary.step_order(n, round), n, round, "step")? {
             if halted[v.index()] {
                 continue;
@@ -327,18 +330,17 @@ where
             if let Some(ev) = events.as_mut() {
                 ev.push(crate::Event::BitsDrawn { round, node: v, count: 1 });
             }
-            let inbox = Inbox::from_slots(
-                (0..g.degree(v))
-                    .map(|p| {
-                        let port = Port::new(p);
-                        let u = g.endpoint(v, port);
-                        sent_on(&outgoing[u.index()], || g.reverse_port(v, port))
-                    })
-                    .collect(),
-            );
+            slots.clear();
+            slots.extend((0..g.degree(v)).map(|p| {
+                let port = Port::new(p);
+                let u = g.endpoint(v, port);
+                sent_on(&outgoing[u.index()], || g.reverse_port(v, port))
+            }));
+            let inbox = Inbox::from_slots(slots);
             let had_output = outputs[v.index()].is_some();
             let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].take());
             states[v.index()] = Some(alg.step(state, round, &inbox, bits[v.index()], &mut actions));
+            slots = inbox.into_slots();
             if actions.output_written {
                 return Err(RuntimeError::OutputConflict { node: v, round });
             }

@@ -98,6 +98,9 @@ pub trait ObliviousAlgorithm {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Oblivious<A>(pub A);
 
+/// Inboxes up to this size are sorted in a stack buffer.
+const STACK_DEGREE: usize = 16;
+
 impl<A> Oblivious<A> {
     /// The wrapped oblivious algorithm.
     pub fn inner(&self) -> &A {
@@ -141,9 +144,23 @@ impl<A: ObliviousAlgorithm> Algorithm for Oblivious<A> {
         bit: bool,
         actions: &mut Actions<Self::Output>,
     ) -> Self::State {
-        let mut received: Vec<&Self::Message> = inbox.iter().map(|(_, m)| m).collect();
+        // Sort the references on the stack up to `STACK_DEGREE` messages,
+        // every slot starting as the first; larger inboxes use a `Vec`.
+        let mut messages = inbox.iter().map(|(_, m)| m);
+        let Some(first) = messages.next() else {
+            return self.0.step(state, round, &[], bit, actions);
+        };
+        if inbox.len() > STACK_DEGREE {
+            let mut received: Vec<&Self::Message> =
+                std::iter::once(first).chain(messages).collect();
+            received.sort();
+            return self.0.step(state, round, &received, bit, actions);
+        }
+        let mut stack = [first; STACK_DEGREE];
+        let count = 1 + stack[1..].iter_mut().zip(messages).map(|(slot, m)| *slot = m).count();
+        let received = &mut stack[..count];
         received.sort();
-        self.0.step(state, round, &received, bit, actions)
+        self.0.step(state, round, received, bit, actions)
     }
 }
 
@@ -206,6 +223,20 @@ mod tests {
         let e =
             run(&Oblivious(NeighborLabels), &net, &mut ZeroSource, &ExecConfig::default()).unwrap();
         assert_eq!(e.output(anonet_graph::NodeId::new(0)), Some(&vec![5, 5, 5]));
+    }
+
+    #[test]
+    fn multiset_is_sorted_on_both_sides_of_the_stack_degree() {
+        for leaves in [STACK_DEGREE, STACK_DEGREE + 1, 2 * STACK_DEGREE] {
+            let labels: Vec<u32> =
+                std::iter::once(0).chain((1..=leaves as u32).map(|i| i * 7 % 11)).collect();
+            let net = generators::star(leaves + 1).unwrap().with_labels(labels.clone()).unwrap();
+            let e = run(&Oblivious(NeighborLabels), &net, &mut ZeroSource, &ExecConfig::default())
+                .unwrap();
+            let mut want = labels[1..].to_vec();
+            want.sort();
+            assert_eq!(e.output(anonet_graph::NodeId::new(0)), Some(&want), "{leaves} leaves");
+        }
     }
 
     #[test]
