@@ -464,7 +464,7 @@ where
     A::Input: Label,
     C: Label,
 {
-    let order = canonical_order(q.graph(), ViewMode::Portless)?;
+    let order = q.canonical_order();
     let j = q.graph().map_labels(|((i, _c), _b)| i.clone());
     let tapes: Vec<BitString> = q.graph().labels().iter().map(|(_ic, b)| b.clone()).collect();
     let assignment = BitAssignment::new(tapes);

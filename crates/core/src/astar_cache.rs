@@ -68,13 +68,13 @@
 
 use std::collections::HashMap;
 
+use anonet_graph::canonical::encode_with_order;
 use anonet_graph::distance::BallScratch;
 use anonet_graph::{BitString, Graph, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
 use anonet_views::{
-    canonical_encoding, canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient,
-    SIZE_BUDGET,
+    canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient, SIZE_BUDGET,
 };
 
 use crate::candidates::two_hop_colored_pool;
@@ -218,7 +218,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
                 }
                 let pool = two_hop_colored_pool(p_capped, universe, |((_i, c), _b)| c)?;
                 slot.insert(PoolEntry {
-                    candidates: filter_pool(problem, pool, views)?,
+                    candidates: filter_pool(problem, pool, views),
                     indexes: HashMap::new(),
                 })
             }
@@ -330,7 +330,7 @@ fn filter_pool<I, C, P>(
     problem: &P,
     pool: Vec<LabeledGraph<CandidateLabel<I, C>>>,
     views: &mut ViewIds,
-) -> Result<Vec<PoolCandidate<I, C>>>
+) -> Vec<PoolCandidate<I, C>>
 where
     I: Label,
     C: Label,
@@ -345,7 +345,7 @@ where
         }
         // Finite view graph of the candidate.
         let Ok(q) = quotient(&cand, ViewMode::Portless) else { continue };
-        let encoding = canonical_encoding(q.graph(), ViewMode::Portless)?;
+        let encoding = encode_with_order(q.graph(), &q.canonical_order());
         let marks = marks_of(cand.labels(), |enc| Some(views.marks.intern(enc)));
         out.push(PoolCandidate {
             node_count: q.graph().node_count(),
@@ -355,7 +355,7 @@ where
             graph: cand,
         });
     }
-    Ok(out)
+    out
 }
 
 /// Builds the depth-`depth` C2 index over `candidates`, reproducing the
@@ -536,7 +536,7 @@ mod tests {
     use anonet_graph::lift::random_connected_lift;
     use anonet_graph::{coloring, distance, generators};
     use anonet_obs::NoopRecorder;
-    use anonet_views::{canonical_order, update_graph_cmp, ViewTree};
+    use anonet_views::{canonical_encoding, canonical_order, update_graph_cmp, ViewTree};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -655,13 +655,13 @@ mod tests {
         let depth = 3usize;
         let mut views = ViewIds::default();
         let deduped = two_hop_colored_pool(3, &universe, |((_i, c), _b)| c).unwrap();
-        let deduped = filter_pool(&MisProblem, deduped, &mut views).unwrap();
+        let deduped = filter_pool(&MisProblem, deduped, &mut views);
         let full = candidate_pool_all_presentations(3, &universe)
             .unwrap()
             .into_iter()
             .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
             .collect();
-        let full = filter_pool(&MisProblem, full, &mut views).unwrap();
+        let full = filter_pool(&MisProblem, full, &mut views);
         assert!(full.len() > deduped.len(), "dedup should shrink the pool");
 
         let index_d = build_index(&deduped, depth, &mut views).unwrap();
@@ -917,7 +917,7 @@ mod tests {
             .with_labels((1..=6u32).map(|c| (((), c), BitString::new())).collect())
             .unwrap();
         let mut views = ViewIds::default();
-        let cands = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views).unwrap();
+        let cands = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views);
         assert_eq!(cands.len(), 2);
         assert!(build_index(&cands, 9, &mut views).is_ok());
         let want: CoreError = canonical_view_encoding(&k6, NodeId::new(0), 10).unwrap_err().into();
@@ -935,13 +935,13 @@ mod tests {
         universe.sort();
         let mut views = ViewIds::default();
         let pruned = two_hop_colored_pool(4, &universe, |((_i, c), _b)| c).unwrap();
-        let pruned = filter_pool(&MisProblem, pruned, &mut views).unwrap();
+        let pruned = filter_pool(&MisProblem, pruned, &mut views);
         let full = candidate_pool(4, &universe)
             .unwrap()
             .into_iter()
             .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
             .collect();
-        let full = filter_pool(&MisProblem, full, &mut views).unwrap();
+        let full = filter_pool(&MisProblem, full, &mut views);
         let summary = |cands: &[PoolCandidate<(), u32>]| -> Vec<_> {
             cands
                 .iter()

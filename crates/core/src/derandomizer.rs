@@ -24,7 +24,7 @@ use anonet_batch::{CachedAssignment, DerandCache};
 use anonet_graph::{BitString, Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
-use anonet_views::{canonical_order, quotient, thread_arena_stats, ViewMode};
+use anonet_views::{quotient, thread_arena_stats, ViewMode};
 
 use crate::search::{canonical_successful_simulation, SearchStrategy};
 use crate::Result;
@@ -169,13 +169,14 @@ where
         let q = quotient(instance, ViewMode::Portless)?;
         drop(views_span);
         let factor_span = Span::new(rec, names::SPAN_FACTOR);
-        let order = canonical_order(q.graph(), ViewMode::Portless)?;
+        let order = q.canonical_order();
         drop(factor_span);
         let j = q.graph().map_labels(|(i, _c)| i.clone());
+        let multiplicity = q.multiplicity().unwrap_or(0);
         let quotient_time = t0.elapsed();
         if observing {
             rec.histogram(names::DERAND_QUOTIENT_NODES, q.graph().node_count() as u64);
-            rec.histogram(names::DERAND_MULTIPLICITY, q.multiplicity().unwrap_or(0) as u64);
+            rec.histogram(names::DERAND_MULTIPLICITY, multiplicity as u64);
             rec.histogram(names::DERAND_VIEW_DEPTH, q.stabilization_depth() as u64);
         }
 
@@ -188,7 +189,7 @@ where
         let mut claim = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
-            cache.record_quotient(&key, q.graph().node_count(), q.multiplicity().unwrap_or(0));
+            cache.record_quotient(&key, q.graph().node_count(), multiplicity);
             let problem = self.problem_id();
             let hit = cache.lookup_or_claim(&problem, &key).map_err(|miss| claim = Some(miss));
             if let Ok(hit) = hit {
@@ -221,7 +222,7 @@ where
                         return Ok(DerandomizedRun {
                             outputs,
                             quotient_nodes: q.graph().node_count(),
-                            multiplicity: q.multiplicity().unwrap_or(0),
+                            multiplicity,
                             assignment,
                             simulation_rounds: hit.simulation_rounds,
                             attempts: hit.attempts,
@@ -285,7 +286,7 @@ where
         Ok(DerandomizedRun {
             outputs,
             quotient_nodes: q.graph().node_count(),
-            multiplicity: q.multiplicity().unwrap_or(0),
+            multiplicity,
             assignment: sim.assignment,
             simulation_rounds: sim.execution.rounds(),
             attempts: sim.attempts,

@@ -21,16 +21,20 @@ use crate::node::NodeId;
 /// bytes. Two labeled graphs receive equal encodings under orders `σ`, `τ`
 /// iff relabeling by `τ∘σ⁻¹` is a label-preserving isomorphism.
 ///
+/// The triangle is zero-filled and then one bit is set per edge, so the
+/// cost is `O(n + m + n²/8)`: pair `(i, j)`, `i < j`, of positions in
+/// `order` is bit `i·n − i(i+1)/2 + (j − i − 1)`, MSB-first.
+///
 /// # Panics
 ///
 /// Panics if `order` is not a permutation of the graph's nodes.
 pub fn encode_with_order<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> Vec<u8> {
     let n = g.node_count();
     assert_eq!(order.len(), n, "order must list every node exactly once");
-    let mut seen = vec![false; n];
-    for &v in order {
-        assert!(!seen[v.index()], "order must list every node exactly once");
-        seen[v.index()] = true;
+    let mut pos = vec![usize::MAX; n];
+    for (i, &v) in order.iter().enumerate() {
+        assert!(pos[v.index()] == usize::MAX, "order must list every node exactly once");
+        pos[v.index()] = i;
     }
 
     let mut out = Vec::new();
@@ -38,23 +42,18 @@ pub fn encode_with_order<L: Label>(g: &LabeledGraph<L>, order: &[NodeId]) -> Vec
     for &v in order {
         g.label(v).encode(&mut out);
     }
-    // Upper-triangle adjacency bits, packed MSB-first.
-    let mut byte = 0u8;
-    let mut nbits = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let bit = g.graph().has_edge(order[i], order[j]);
-            byte = (byte << 1) | u8::from(bit);
-            nbits += 1;
-            if nbits.is_multiple_of(8) {
-                out.push(byte);
-                byte = 0;
+    let triangle = out.len();
+    out.resize(triangle + (n * n.saturating_sub(1) / 2).div_ceil(8), 0);
+    let bits = &mut out[triangle..];
+    for (i, &v) in order.iter().enumerate() {
+        let row = i * n - i * (i + 1) / 2;
+        for &u in g.graph().neighbors(v) {
+            let j = pos[u.index()];
+            if j > i {
+                let bit = row + j - i - 1;
+                bits[bit / 8] |= 0x80 >> (bit % 8);
             }
         }
-    }
-    if !nbits.is_multiple_of(8) {
-        byte <<= 8 - nbits % 8;
-        out.push(byte);
     }
     out
 }

@@ -29,6 +29,10 @@ use crate::Result;
 /// history order is therefore the stable-id order, and on a discrete
 /// partition the order is the inverse of the stable ids.
 ///
+/// On a quotient's graph that order is the identity, which
+/// [`ViewQuotient::canonical_order`](crate::ViewQuotient::canonical_order)
+/// returns without refining again.
+///
 /// # Errors
 ///
 /// Returns [`ViewError::NotDiscrete`] if two nodes share a view — only

@@ -67,6 +67,21 @@ impl<L: Label> ViewQuotient<L> {
         self.class_of.iter().filter(|&&x| x == c).count()
     }
 
+    /// The canonical order of `G_*`: the identity, so that position `c`
+    /// holds quotient node `c`. Equal to
+    /// `canonical_order(self.graph(), self.mode())`, without refining
+    /// `G_*` again.
+    ///
+    /// Quotient node `c` is stable class `c`, and class ids are canonical
+    /// refinement ids. `G → G_*` is a covering (Casteigts–Métivier–Robson),
+    /// so by induction on rounds each quotient node's round key is its
+    /// fiber's key in `G`. Every round of `G_*` therefore has the same
+    /// distinct keys, hence the same ids, as that round of `G`, and
+    /// `G_*`'s stable ids are `0..k`.
+    pub fn canonical_order(&self) -> Vec<NodeId> {
+        self.graph.graph().nodes().collect()
+    }
+
     /// `Some(m)` if every fiber has the same size `m` (always the case for
     /// quotients of connected graphs: `|V| = m·|V_*|`, paper Section
     /// 2.3.1), `None` otherwise.
@@ -125,14 +140,17 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
     let graph = g.graph();
     let k = refinement.class_count();
 
-    simplicity_check(graph, classes, k)?;
-
-    // Representatives: the minimum-index node of each class.
+    // Representatives: the minimum-index node of each class. The stable
+    // partition is equitable, so a class's members all violate simplicity
+    // or none does; the lowest violating node is a representative, and
+    // only representatives are checked.
     let mut representatives: Vec<Option<NodeId>> = vec![None; k];
+    let mut seen_by = vec![usize::MAX; k];
     for v in graph.nodes() {
         let c = classes[v.index()] as usize;
         if representatives[c].is_none() {
             representatives[c] = Some(v);
+            simplicity_check(graph, classes, v, &mut seen_by)?;
         }
     }
     let representatives: Vec<NodeId> =
@@ -175,26 +193,28 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
     })
 }
 
-/// The quotient's simplicity check, with witnesses: the lowest node that
-/// shares its class with a neighbor (a self-loop) or with two neighbors
-/// (a parallel edge). A self-loop wins over a parallel edge at the same
-/// node. One stamp per class, reused across nodes, records which node
-/// last saw that class among its neighbors.
-fn simplicity_check(graph: &Graph, classes: &[u32], class_count: usize) -> Result<()> {
-    let mut seen_by = vec![usize::MAX; class_count];
-    for v in graph.nodes() {
-        let own = classes[v.index()];
-        let mut parallel = false;
-        for &u in graph.neighbors(v) {
-            let c = classes[u.index()];
-            if c == own {
-                return Err(ViewError::QuotientSelfLoop { node: v.index() });
-            }
-            parallel |= std::mem::replace(&mut seen_by[c as usize], v.index()) == v.index();
+/// The quotient's simplicity check at node `v`: no neighbor of `v` may
+/// be in its class (a self-loop), and no two in one class (a parallel
+/// edge). A self-loop wins over a parallel edge at the same node. `seen_by` holds
+/// one stamp per class, reused across nodes, recording which node last saw
+/// that class among its neighbors.
+fn simplicity_check(
+    graph: &Graph,
+    classes: &[u32],
+    v: NodeId,
+    seen_by: &mut [usize],
+) -> Result<()> {
+    let own = classes[v.index()];
+    let mut parallel = false;
+    for &u in graph.neighbors(v) {
+        let c = classes[u.index()];
+        if c == own {
+            return Err(ViewError::QuotientSelfLoop { node: v.index() });
         }
-        if parallel {
-            return Err(ViewError::QuotientParallelEdge { node: v.index() });
-        }
+        parallel |= std::mem::replace(&mut seen_by[c as usize], v.index()) == v.index();
+    }
+    if parallel {
+        return Err(ViewError::QuotientParallelEdge { node: v.index() });
     }
     Ok(())
 }

@@ -260,9 +260,9 @@ fn partition_of(classes: &[u32], count: usize) -> Vec<Vec<NodeId>> {
 /// `keys[offsets[v]..offsets[v + 1]]`, so `offsets` has `n + 1` entries.
 ///
 /// Slices compare lexicographically, element by element and shorter
-/// prefix first — exactly as the label encodings and [`RoundKey`] tuples
-/// they flatten — so the ids equal [`assign_dense_classes`] on the
-/// unflattened keys. `order` is scratch; `ids` is overwritten.
+/// prefix first — exactly as the label encodings they flatten — so the
+/// ids equal [`assign_dense_classes`] on the unflattened keys. `order` is
+/// scratch; `ids` is overwritten.
 fn dense_ids_flat<T: Ord>(
     keys: &[T],
     offsets: &[usize],
@@ -291,18 +291,23 @@ fn dense_ids_flat<T: Ord>(
 
 /// The reused buffers of [`BoundedRefinement`]'s round kernel: one flat
 /// `u32` key buffer whose per-node slice layout is fixed by the degrees,
-/// and the node order the dense-id sort permutes.
+/// the node order the buckets permute, and the bucket bounds.
 ///
-/// Node `v`'s slice is `[prev class, neighbor classes…]`: sorted classes
-/// under [`ViewMode::Portless`] (the reverse ports of [`round_keys`] are
-/// all 0 there, so dropping them preserves the order), and
-/// `(class, reverse port)` pairs interleaved in port order under
-/// [`ViewMode::PortAware`], whose reverse ports are written once.
+/// A [`RoundKey`] starts with the node's previous class, so the global
+/// sorted key order is the previous classes in id order, each sorted by
+/// the rest of its key. A round therefore counting-sorts the nodes into
+/// one bucket per previous class and keys only the rest: node `v`'s slice
+/// holds its neighbor classes, sorted under [`ViewMode::Portless`] (the
+/// reverse ports of [`round_keys`] are all 0 there, so dropping them
+/// preserves the order), and `(class, reverse port)` pairs interleaved in
+/// port order under [`ViewMode::PortAware`], whose reverse ports are
+/// written once.
 struct RoundKernel {
     mode: ViewMode,
     offsets: Vec<usize>,
     keys: Vec<u32>,
     order: Vec<u32>,
+    bucket_ends: Vec<usize>,
 }
 
 impl RoundKernel {
@@ -315,44 +320,113 @@ impl RoundKernel {
         offsets.push(0);
         let mut end = 0usize;
         for v in graph.nodes() {
-            end += 1 + stride * graph.degree(v);
+            end += stride * graph.degree(v);
             offsets.push(end);
         }
         let mut keys = vec![0u32; end];
         if mode == ViewMode::PortAware {
             for v in graph.nodes() {
-                let base = offsets[v.index()] + 1;
+                let base = offsets[v.index()];
                 for p in 0..graph.degree(v) {
                     let rev = graph.reverse_port(v, anonet_graph::Port::new(p));
                     keys[base + 2 * p + 1] = rev.index() as u32;
                 }
             }
         }
-        RoundKernel { mode, offsets, keys, order }
+        RoundKernel { mode, offsets, keys, order, bucket_ends: Vec::new() }
     }
 
-    /// One refinement round from `prev` into `next`; returns the class
-    /// count of `next`.
-    fn round(&mut self, graph: &Graph, prev: &[u32], next: &mut Vec<u32>) -> usize {
-        for v in graph.nodes() {
-            let key = &mut self.keys[self.offsets[v.index()]..self.offsets[v.index() + 1]];
-            key[0] = prev[v.index()];
-            let nbrs = graph.neighbors(v);
-            match self.mode {
-                ViewMode::Portless => {
-                    for (slot, &u) in key[1..].iter_mut().zip(nbrs) {
-                        *slot = prev[u.index()];
-                    }
-                    key[1..].sort_unstable();
+    /// Writes node `v`'s key (less its previous class) from `prev`.
+    fn write_key(&mut self, graph: &Graph, prev: &[u32], v: usize) {
+        let key = &mut self.keys[self.offsets[v]..self.offsets[v + 1]];
+        let nbrs = graph.neighbors(NodeId::new(v));
+        match self.mode {
+            ViewMode::Portless => {
+                for (slot, &u) in key.iter_mut().zip(nbrs) {
+                    *slot = prev[u.index()];
                 }
-                ViewMode::PortAware => {
-                    for (pair, &u) in key[1..].chunks_exact_mut(2).zip(nbrs) {
-                        pair[0] = prev[u.index()];
-                    }
+                key.sort_unstable();
+            }
+            ViewMode::PortAware => {
+                for (pair, &u) in key.chunks_exact_mut(2).zip(nbrs) {
+                    pair[0] = prev[u.index()];
                 }
             }
         }
-        dense_ids_flat(&self.keys, &self.offsets, &mut self.order, next)
+    }
+
+    /// One refinement round from `prev`, which has `prev_count` classes,
+    /// into `next`; returns the class count of `next`.
+    ///
+    /// A singleton bucket keeps one id and builds no key. A bucket whose
+    /// keys all equal its first member's stays one class unsorted. Only
+    /// mixed buckets sort.
+    fn round(
+        &mut self,
+        graph: &Graph,
+        prev: &[u32],
+        prev_count: usize,
+        next: &mut Vec<u32>,
+    ) -> usize {
+        let n = prev.len();
+        // Counting sort by previous class. After the fill, bucket `c` is
+        // `order[bucket_ends[c - 1]..bucket_ends[c]]` (from 0 for `c = 0`).
+        self.bucket_ends.clear();
+        self.bucket_ends.resize(prev_count, 0);
+        for &c in prev {
+            self.bucket_ends[c as usize] += 1;
+        }
+        let mut start = 0;
+        for end in self.bucket_ends.iter_mut() {
+            (start, *end) = (start + *end, start);
+        }
+        self.order.clear();
+        self.order.resize(n, 0);
+        for (v, &c) in prev.iter().enumerate() {
+            let end = &mut self.bucket_ends[c as usize];
+            self.order[*end] = v as u32;
+            *end += 1;
+        }
+
+        next.clear();
+        next.resize(n, 0);
+        let mut count = 0u32;
+        let mut lo = 0;
+        for c in 0..prev_count {
+            let hi = self.bucket_ends[c];
+            if hi - lo > 1 {
+                for i in lo..hi {
+                    let v = self.order[i] as usize;
+                    self.write_key(graph, prev, v);
+                }
+            }
+            let (keys, offsets) = (&self.keys, &self.offsets);
+            let key = |v: u32| &keys[offsets[v as usize]..offsets[v as usize + 1]];
+            let bucket = &mut self.order[lo..hi];
+            lo = hi;
+            let uniform = bucket.len() == 1 || {
+                let first = key(bucket[0]);
+                bucket[1..].iter().all(|&v| key(v) == first)
+            };
+            if uniform {
+                for &v in bucket.iter() {
+                    next[v as usize] = count;
+                }
+            } else {
+                bucket.sort_unstable_by(|&a, &b| key(a).cmp(key(b)));
+                let mut last = key(bucket[0]);
+                for &v in bucket.iter() {
+                    let k = key(v);
+                    if k != last {
+                        count += 1;
+                        last = k;
+                    }
+                    next[v as usize] = count;
+                }
+            }
+            count += 1;
+        }
+        count as usize
     }
 }
 
@@ -411,7 +485,7 @@ impl BoundedRefinement {
         // A discrete partition cannot split, so the certifying round that
         // `Refinement` runs on it would change nothing.
         while class_count < n {
-            let next_count = kernel.round(graph, &stable, &mut next);
+            let next_count = kernel.round(graph, &stable, class_count, &mut next);
             // Refinement only splits classes, so equal counts ⇒ equal
             // partitions ⇒ stable.
             if next_count == class_count {

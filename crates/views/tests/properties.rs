@@ -282,3 +282,64 @@ proptest! {
         }
     }
 }
+
+// ---- the quotient's canonical order against a second refinement --------
+
+/// `ViewQuotient::canonical_order` ≡ `canonical_order` run on the quotient
+/// graph, in both modes, wherever the quotient exists.
+fn assert_quotient_order<L: Label>(g: &LabeledGraph<L>) -> Result<(), String> {
+    for mode in MODES {
+        if let Ok(q) = quotient(g, mode) {
+            let order = canonical_order(q.graph(), mode).expect("quotients are prime");
+            prop_assert_eq!(q.canonical_order(), order);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// G(n,p) with at most three label values: mostly discrete, sometimes
+    /// a proper quotient, often no quotient at all.
+    #[test]
+    fn quotient_order_matches_canonical_order_on_gnp(
+        seed in 0u64..1_000_000, n in 3usize..24, colors in 1u32..4,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let palette: Vec<u32> = (0..colors).collect();
+        assert_quotient_order(&kernel_instance(&mut rng, n, 0, &palette))?;
+    }
+
+    /// Random connected lifts of a greedily 2-hop colored base: the
+    /// quotient is the colored base, `m` times smaller.
+    #[test]
+    fn quotient_order_matches_canonical_order_on_colored_lifts(
+        seed in 0u64..1_000_000, n in 3usize..8, m in 2usize..6,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let base = generators::gnp_connected(n, 0.5, &mut rng).expect("valid");
+        let colored = coloring::greedy_two_hop_coloring(&base);
+        let Ok(l) = lift::random_connected_lift(&base, m, 100, &mut rng) else {
+            return Ok(()); // unlucky voltages; skip
+        };
+        let g = l.lift_labels(colored.labels()).expect("labels fit");
+        prop_assert!(quotient(&g, ViewMode::Portless).is_ok());
+        assert_quotient_order(&g)?;
+    }
+
+    /// `BitString` labels of varying length, on all three kernel families.
+    #[test]
+    fn quotient_order_matches_canonical_order_on_bitstring_labels(
+        seed in 0u64..1_000_000, n in 3usize..24, family in 0u8..3, colors in 1usize..6,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let palette: Vec<BitString> = (0..colors)
+            .map(|_| {
+                let len = rng.gen_range(0..12);
+                BitString::from_bits((0..len).map(|_| rng.gen_bool(0.5)))
+            })
+            .collect();
+        assert_quotient_order(&kernel_instance(&mut rng, n, family, &palette))?;
+    }
+}
