@@ -207,6 +207,9 @@ pub mod names {
     pub const ASTAR_POOL_HIT: &str = "astar.pool.hit";
     /// Candidate pools built from scratch by the `A_*` pool cache.
     pub const ASTAR_POOL_MISS: &str = "astar.pool.miss";
+    /// Candidates in each pool the `A_*` pool cache builds, after every
+    /// node-independent gate.
+    pub const ASTAR_POOL_CANDIDATES: &str = "astar.pool.candidates";
     /// Per-node C2 lookups against a pool's view-encoding index.
     pub const ASTAR_C2_LOOKUPS: &str = "astar.c2.lookups";
     /// C2 lookups that found a matching candidate.
