@@ -29,7 +29,8 @@
 //! * [`run_astar`] / [`run_astar_observed`] — the **fast path** (default):
 //!   `Update-Graph` runs against the [`crate::astar_cache`] memo —
 //!   candidate pools built once per `(p_capped, universe)` over 2-hop
-//!   colored labelings only, the C2 scan replaced by one hash lookup of
+//!   colored labelings only, one per labeled-isomorphism class, the C2
+//!   scan replaced by one hash lookup of
 //!   the node's layered view id in a per-depth selection index, and
 //!   balls-by-radius hoisted out of the node loop; `Update-Output` and
 //!   `Update-Bits` run once per distinct candidate selected in a phase,
@@ -152,8 +153,9 @@ where
 /// selected the same candidate reads its output and tape from that one
 /// step — all nested under an `astar` parent, so aggregating backends
 /// expose the wall-time breakdown of the paper's three Update-* rules.
-/// The memo additionally reports `astar.pool.hit` / `astar.pool.miss` and
-/// the per-node C2 lookup counters. With the no-op recorder this is
+/// The memo additionally reports `astar.pool.hit` / `astar.pool.miss`,
+/// the size of each pool it builds (`astar.pool.candidates`) and the
+/// per-node C2 lookup counters. With the no-op recorder this is
 /// exactly [`run_astar`].
 ///
 /// # Errors
