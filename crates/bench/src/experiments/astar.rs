@@ -19,7 +19,8 @@
 //! [`report`] writes `BENCH_astar.json` (shared [`Json`] serializer; the
 //! `astar-perf` CI job asserts `byte_identical == true`, a nonzero pool
 //! hit count, `candidate_steps < c2_hits` on C12, and per-instance
-//! `phases_used`, pool and C2 counts equal to the committed file).
+//! `phases_used`, pool, candidate, quotient and C2 counts equal to the
+//! committed file).
 
 use std::time::{Duration, Instant};
 
@@ -62,6 +63,10 @@ pub struct AstarRow {
     pub pool_hits: u64,
     /// Pool-memo misses (pools actually built).
     pub pool_misses: u64,
+    /// Candidates in the pools built, after C3.
+    pub pool_candidates: u64,
+    /// Candidate quotients the selection indexes built.
+    pub pool_quotients: u64,
     /// C2 index lookups / lookups that found a candidate.
     pub c2_lookups: u64,
     /// C2 lookups that selected a candidate.
@@ -184,6 +189,8 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
                 + fast_snap.span_total(names::SPAN_UPDATE_GRAPH).total,
             pool_hits: fast_snap.counter(names::ASTAR_POOL_HIT),
             pool_misses: fast_snap.counter(names::ASTAR_POOL_MISS),
+            pool_candidates: fast_snap.counter(names::ASTAR_POOL_CANDIDATES),
+            pool_quotients: fast_snap.counter(names::ASTAR_POOL_QUOTIENTS),
             c2_lookups: fast_snap.counter(names::ASTAR_C2_LOOKUPS),
             c2_hits: fast_snap.counter(names::ASTAR_C2_HITS),
             candidate_steps: fast_snap.span_total(names::SPAN_UPDATE_BITS).count,
@@ -213,6 +220,8 @@ pub fn to_json(m: &AstarMeasurement) -> String {
             ("update_graph_fast_secs", secs(r.fast_update_graph)),
             ("pool_hits", Json::from(r.pool_hits)),
             ("pool_misses", Json::from(r.pool_misses)),
+            ("pool_candidates", Json::from(r.pool_candidates)),
+            ("pool_quotients", Json::from(r.pool_quotients)),
             ("c2_lookups", Json::from(r.c2_lookups)),
             ("c2_hits", Json::from(r.c2_hits)),
             ("candidate_steps", Json::from(r.candidate_steps)),
@@ -254,6 +263,7 @@ pub fn report() -> ExpResult<String> {
             "UG ref",
             "UG fast",
             "pool h/m",
+            "cands/quots",
             "steps/hits",
             "identical",
         ],
@@ -270,6 +280,7 @@ pub fn report() -> ExpResult<String> {
             format!("{:.2?}", r.reference_update_graph),
             format!("{:.2?}", r.fast_update_graph),
             format!("{}/{}", r.pool_hits, r.pool_misses),
+            format!("{}/{}", r.pool_candidates, r.pool_quotients),
             format!("{}/{}", r.candidate_steps, r.c2_hits),
             tick(r.byte_identical),
         ]);
@@ -310,6 +321,7 @@ mod tests {
             // 3 color classes, so at least 3/4 of requests hit on C12.
             assert!(r.c2_lookups >= r.c2_hits);
             assert!(r.candidate_steps <= r.c2_hits);
+            assert!(r.pool_quotients <= r.pool_candidates);
             assert!(r.phases_used >= 1);
         }
         // The multiplicity-4 tower: a fibre's nodes share one candidate

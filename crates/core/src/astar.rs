@@ -65,11 +65,9 @@ use anonet_obs::{names, NoopRecorder, Recorder, SharedRecorder, Span};
 use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
-use anonet_views::{
-    canonical_order, quotient, update_graph_cmp, Sym, ViewMode, ViewQuotient, ViewTree,
-};
+use anonet_views::{canonical_order, quotient, update_graph_cmp, ViewMode, ViewQuotient, ViewTree};
 
-use crate::astar_cache::{AstarCache, CandidateLabel, CandidateQuotient, PoolKey};
+use crate::astar_cache::{AstarCache, CandidateLabel, CandidateQuotient, PhaseViews, PoolKey};
 use crate::candidates::candidate_pool;
 use crate::error::CoreError;
 use crate::search::first_extension;
@@ -154,9 +152,10 @@ where
 /// step — all nested under an `astar` parent, so aggregating backends
 /// expose the wall-time breakdown of the paper's three Update-* rules.
 /// The memo additionally reports `astar.pool.hit` / `astar.pool.miss`,
-/// the size of each pool it builds (`astar.pool.candidates`) and the
-/// per-node C2 lookup counters. With the no-op recorder this is
-/// exactly [`run_astar`].
+/// the size of each pool it builds (`astar.pool.candidates`), the
+/// candidate quotients its selection indexes build
+/// (`astar.pool.quotients`) and the per-node C2 lookup counters. With the
+/// no-op recorder this is exactly [`run_astar`].
 ///
 /// # Errors
 ///
@@ -324,17 +323,17 @@ fn augment<I: Label, C: Label>(
 
 /// Phase `p`'s Update-Graph inputs, per node: the key of its candidate
 /// pool and its depth-`p` view id (see [`AstarCache::view_ids`]).
-struct PhasePlan {
-    keys: Vec<PoolKey>,
-    views: Vec<Result<Option<Sym>>>,
+pub(crate) struct PhasePlan {
+    pub(crate) keys: Vec<PoolKey>,
+    pub(crate) views: PhaseViews,
 }
 
 /// Phase-`p` setup against the memo: per-node universes (cached balls at
-/// radius `p - 1`), then one [`AstarCache::ensure_pool`] per node — a hash
-/// lookup for every node after the first in its universe class — and
-/// finally the instance's depth-`p` view ids, looked up against the ids
-/// those pools' indexes interned.
-fn prepare_phase<I, C, P>(
+/// radius `p - 1`), the instance's depth-`p` view ids, interned, and then
+/// one [`AstarCache::ensure_pool`] per node — a hash lookup for every
+/// node after the first in its universe class — whose index builds look
+/// the candidates' views up against those ids.
+pub(crate) fn prepare_phase<I, C, P>(
     cache: &mut AstarCache<I, C>,
     problem: &P,
     ip: &LabeledGraph<CandidateLabel<I, C>>,
@@ -348,12 +347,13 @@ where
     P: Problem<Input = I>,
 {
     let universes = cache.phase_universes(ip, p - 1);
+    let views = cache.view_ids(ip, p);
     let p_capped = p.min(cfg.max_candidate_nodes);
     let keys = universes
         .iter()
-        .map(|u| cache.ensure_pool(problem, p_capped, p, u, rec))
+        .map(|u| cache.ensure_pool(problem, p_capped, &views, u, rec))
         .collect::<Result<_>>()?;
-    Ok(PhasePlan { keys, views: cache.view_ids(ip, p) })
+    Ok(PhasePlan { keys, views })
 }
 
 /// One phase's results, before the commit: per node, its Update-Graph
@@ -440,12 +440,12 @@ fn update_graph<'c, I: Label, C: Label>(
     rec: &dyn Recorder,
 ) -> Result<Option<Selection<'c, I, C>>> {
     let _update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
-    let view = plan.views[v.index()].clone()?;
+    let view = plan.views.id(v)?;
     if rec.is_enabled() {
         rec.counter(names::ASTAR_C2_LOOKUPS, 1);
     }
     let key = plan.keys[v.index()];
-    let selected = view.and_then(|view| cache.select(key, p, view));
+    let selected = cache.select(key, p, view);
     if selected.is_some() && rec.is_enabled() {
         rec.counter(names::ASTAR_C2_HITS, 1);
     }
@@ -963,8 +963,8 @@ mod tests {
             let mut phase_pairs = std::collections::HashSet::new();
             for &v in &nodes {
                 let key = plan.keys[v.index()];
-                let view = plan.views[v.index()].clone().unwrap();
-                if let Some((idx, _, _)) = view.and_then(|view| cache.select(key, p, view)) {
+                let view = plan.views.id(v).unwrap();
+                if let Some((idx, _, _)) = cache.select(key, p, view) {
                     phase_pairs.insert((key, idx));
                 }
             }

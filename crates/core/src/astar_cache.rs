@@ -15,18 +15,20 @@
 //!   per-phase universe computation is one label map over a cached ball;
 //! * **Pools** — keyed by `(p_capped, Sym(universe encoding))`, a pool
 //!   entry stores every candidate that passes the node-independent gates
-//!   (2-hop coloring, C3 instance check, quotient construction) together
-//!   with its precomputed `(|V̂_*|, s(Ĝ_*))` ordering data. The pool is
-//!   enumerated by [`two_hop_colored_pool`], which never builds the
-//!   labelings that fail the 2-hop gate and keeps one candidate per
+//!   (2-hop coloring, C3 instance check) with its interned marks. The
+//!   pool is enumerated by [`two_hop_colored_pool`], which never builds
+//!   the labelings that fail the 2-hop gate and keeps one candidate per
 //!   labeled-isomorphism class, the first in pool order: isomorphic
 //!   candidates have the same views and tie on every gate and on the
 //!   order, so the first of the class is the only one a C2 index could
 //!   select (the argument is in [`two_hop_colored_pool`]'s docs);
 //! * **Selection indexes** — per *view depth* `p`, a hash map from a
-//!   depth-`p` view id to the minimal matching candidate and its matched
-//!   node `v̂`, turning the reference's `O(|pool| · |candidate|)` C2 scan
-//!   into one hash lookup per node.
+//!   depth-`p` view id to the minimal matching candidate's quotient and
+//!   its matched node `v̂`, turning the reference's
+//!   `O(|pool| · |candidate|)` C2 scan into one hash lookup per node.
+//!   Quotients and the `(|V̂_*|, s(Ĝ_*))` ordering data are built only
+//!   when an index needs them: the order on a candidate's first index
+//!   collision, the quotient for each candidate an index entry names.
 //!
 //! **Layered view ids.** C2 asks only whether two depth-`p` views are
 //! equal, never for their bytes, so views are compared through hash-consed
@@ -40,12 +42,14 @@
 //! bytes, and every label encoding is self-delimiting, so by induction on
 //! `d` two ids are equal iff the
 //! [`canonical_view_encoding`] bytes are. A sweep costs `O(d·|E|)`
-//! instead of one `Δ^d`-vertex tree per node. Candidates intern their ids
-//! when an index is built; the instance's ids are computed once per phase
-//! **lookup-only** ([`Interner::sym`]). A key that misses cannot match any
-//! candidate: a candidate's view contains all of its sub-views, and each
-//! was interned when the index was built. Tree sizes are counted alongside
-//! (saturating); a view larger than [`SIZE_BUDGET`] is handed to
+//! instead of one `Δ^d`-vertex tree per node. The **instance interns**:
+//! [`AstarCache::view_ids`] sweeps it once per phase, interning every key
+//! of every layer, and returns the [`PhaseViews`] that
+//! [`AstarCache::ensure_pool`] requires, so no index of a phase is built
+//! before that phase's instance ids exist. Candidates only **look up**
+//! ([`Interner::sym`]): a candidate node whose key misses has a view no
+//! instance node has, and registers nothing. Tree sizes are counted
+//! alongside (saturating); a view larger than [`SIZE_BUDGET`] is handed to
 //! [`canonical_view_encoding`], so the same `ViewTooLarge` error surfaces
 //! at the same node as with explicit trees.
 //!
@@ -59,10 +63,19 @@
 //!
 //! **Why the lookup is complete and faithful.** The node-dependent part of
 //! `Update-Graph` is exactly C2 (a candidate node whose depth-`p` view
-//! equals the node's); the 2-hop gate, C3 and quotient construction are
-//! properties of the candidate alone, so filtering them at pool-build time
-//! is the same per-node filter the reference applies. The reference
-//! selects, scanning in pool order, the first candidate minimal under
+//! equals the node's); the 2-hop gate and C3 are properties of the
+//! candidate alone, so filtering them at pool-build time is the same
+//! per-node filter the reference applies. The reference's quotient gate
+//! never drops a pool candidate: a 2-hop colored graph's quotient is
+//! simple (the paper's Lemma 2, see [`quotient`]), so a failing quotient
+//! here is an internal error. A candidate view equal to an instance
+//! node's depth-`p` view has, layer by layer, only sub-views that some
+//! instance node has at the same depth, and the instance sweep interned
+//! each of them; so every key of that view resolves, and to the instance
+//! node's id. The index of `(pool, p)` is built in phase `p`, after the
+//! sweep, so every instance view finds exactly the candidates an
+//! interning build would have registered for it. The reference selects,
+//! scanning in pool order, the first candidate minimal under
 //! `(|V̂_*|, s(Ĝ_*))` with `v̂` the *first* matching node; the index
 //! reproduces both tie-breaks by iterating candidates in pool order,
 //! registering only the first node per view id within a candidate, and
@@ -94,30 +107,59 @@ pub type CandidateQuotient<I, C> = ViewQuotient<CandidateLabel<I, C>>;
 /// Key of a memoized pool: `(p_capped, interned universe encoding)`.
 pub type PoolKey = (usize, Sym);
 
-/// A candidate that survived the node-independent gates, with its
-/// quotient and ordering data precomputed.
+/// A candidate that survived the node-independent gates, with its marks
+/// and, once an index needs them, its quotient and ordering data.
 struct PoolCandidate<I: Label, C: Label> {
     /// The candidate presentation itself (C2 views are taken in it).
     graph: LabeledGraph<CandidateLabel<I, C>>,
     /// Its nodes' interned label encodings, the first layer of its views.
     marks: Vec<Option<Sym>>,
-    /// Its finite view graph `Ĝ_*`.
-    quotient: ViewQuotient<CandidateLabel<I, C>>,
-    /// `|V̂_*|` — the primary `Update-Graph` sort key.
-    node_count: usize,
-    /// `s(Ĝ_*)` — the canonical-encoding tie-break, as bytes.
-    encoding: Vec<u8>,
+    /// The slot of its finite view graph `Ĝ_*` in the pool's quotients,
+    /// once built.
+    quotient: Option<usize>,
+    /// `(|V̂_*|, s(Ĝ_*))` — the `Update-Graph` sort key, with the
+    /// canonical encoding as bytes — once an index collision needed it.
+    order: Option<(usize, Vec<u8>)>,
 }
 
-/// Depth-`p` C2 index: view id → `(candidate index, v̂)`.
+/// Depth-`p` C2 index: view id → position in `entries`, each entry a
+/// `(quotient slot, v̂)` selection. Entries are listed in order of first
+/// registration, so quotient slots never depend on hash order.
 struct SelectionIndex {
-    map: HashMap<Sym, (usize, NodeId)>,
+    map: HashMap<Sym, usize>,
+    entries: Vec<(usize, NodeId)>,
 }
 
-/// A memoized pool with its per-depth selection indexes.
+impl SelectionIndex {
+    /// The selection for view id `view`, if a candidate has that view.
+    fn get(&self, view: Sym) -> Option<(usize, NodeId)> {
+        self.map.get(&view).map(|&pos| self.entries[pos])
+    }
+}
+
+/// A memoized pool with its per-depth selection indexes and the
+/// quotients of the candidates those indexes name.
 struct PoolEntry<I: Label, C: Label> {
     candidates: Vec<PoolCandidate<I, C>>,
+    quotients: Vec<CandidateQuotient<I, C>>,
     indexes: HashMap<usize, SelectionIndex>,
+}
+
+/// The instance's depth-`depth` view id per node, interned by
+/// [`AstarCache::view_ids`]: the proof that the ids a depth-`depth` index
+/// build looks candidates up against exist. A view larger than
+/// [`SIZE_BUDGET`] carries the `ViewTooLarge` error of
+/// [`canonical_view_encoding`] at that node.
+pub struct PhaseViews {
+    depth: usize,
+    ids: Vec<Result<Sym>>,
+}
+
+impl PhaseViews {
+    /// Node `v`'s view id, or the error its explicit view build reports.
+    pub fn id(&self, v: NodeId) -> Result<Sym> {
+        self.ids[v.index()].clone()
+    }
 }
 
 /// The `A_*` memo: balls by radius, candidate pools by
@@ -191,11 +233,41 @@ impl<I: Label, C: Label> AstarCache<I, C> {
             .collect()
     }
 
+    /// Every node's depth-`depth` view id in `ip`, interning every mark
+    /// and every layer key of the sweep. Call once per phase, before the
+    /// [`ensure_pool`](AstarCache::ensure_pool) calls that take the
+    /// result.
+    pub fn view_ids(
+        &mut self,
+        ip: &LabeledGraph<CandidateLabel<I, C>>,
+        depth: usize,
+    ) -> PhaseViews {
+        let ViewIds { marks, layers: table } = &mut self.views;
+        let marks = marks_of(ip.labels(), |enc| Some(marks.intern(enc)));
+        let mut layers = Layers::default();
+        layers.sweep(ip.graph(), &marks, depth, &mut Table::Intern(table));
+        let ids = ip
+            .graph()
+            .nodes()
+            .map(|v| {
+                if layers.too_large(v, depth) {
+                    Err(view_too_large(ip, v, depth))
+                } else {
+                    layers.ids[v.index()]
+                        .ok_or_else(|| CoreError::internal("interning sweeps resolve every key"))
+                }
+            })
+            .collect();
+        PhaseViews { depth, ids }
+    }
+
     /// Returns the key of the pool for `(p_capped, universe)`, building
-    /// the pool on first sight and the depth-`depth` selection index on
-    /// the first sight of that depth. Records
-    /// [`names::ASTAR_POOL_HIT`] / [`names::ASTAR_POOL_MISS`], and on a
-    /// miss the built pool's length as [`names::ASTAR_POOL_CANDIDATES`].
+    /// the pool on first sight and the selection index at `views`' depth
+    /// on the first sight of that depth. Records
+    /// [`names::ASTAR_POOL_HIT`] / [`names::ASTAR_POOL_MISS`], on a miss
+    /// the built pool's length as [`names::ASTAR_POOL_CANDIDATES`], and
+    /// the quotients an index build adds as
+    /// [`names::ASTAR_POOL_QUOTIENTS`].
     ///
     /// # Errors
     ///
@@ -205,15 +277,15 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         &mut self,
         problem: &P,
         p_capped: usize,
-        depth: usize,
+        views: &PhaseViews,
         universe: &[CandidateLabel<I, C>],
         rec: &dyn Recorder,
     ) -> Result<PoolKey>
     where
         P: Problem<Input = I>,
     {
-        // Split borrows: pool and index builds intern into `views`.
-        let AstarCache { interner, views, pools, hits, misses, .. } = self;
+        // Split borrows: pool builds intern marks into `ids`.
+        let AstarCache { interner, views: ids, pools, hits, misses, .. } = self;
         let key = (p_capped, interner.intern(&universe_encoding(universe)));
         let entry = match pools.entry(key) {
             std::collections::hash_map::Entry::Vacant(slot) => {
@@ -222,11 +294,11 @@ impl<I: Label, C: Label> AstarCache<I, C> {
                     rec.counter(names::ASTAR_POOL_MISS, 1);
                 }
                 let pool = two_hop_colored_pool(p_capped, universe, |((_i, c), _b)| c)?;
-                let candidates = filter_pool(problem, pool, views);
+                let entry = filter_pool(problem, pool, &mut ids.marks);
                 if rec.is_enabled() {
-                    rec.counter(names::ASTAR_POOL_CANDIDATES, candidates.len() as u64);
+                    rec.counter(names::ASTAR_POOL_CANDIDATES, entry.candidates.len() as u64);
                 }
-                slot.insert(PoolEntry { candidates, indexes: HashMap::new() })
+                slot.insert(entry)
             }
             std::collections::hash_map::Entry::Occupied(slot) => {
                 *hits += 1;
@@ -236,46 +308,23 @@ impl<I: Label, C: Label> AstarCache<I, C> {
                 slot.into_mut()
             }
         };
-        if let std::collections::hash_map::Entry::Vacant(slot) = entry.indexes.entry(depth) {
-            slot.insert(build_index(&entry.candidates, depth, views)?);
+        if !entry.indexes.contains_key(&views.depth) {
+            let built = entry.quotients.len();
+            let index = entry.build_index(views.depth, &ids.layers)?;
+            entry.indexes.insert(views.depth, index);
+            if rec.is_enabled() {
+                rec.counter(names::ASTAR_POOL_QUOTIENTS, (entry.quotients.len() - built) as u64);
+            }
         }
         Ok(key)
     }
 
-    /// Every node's depth-`depth` view id in `ip`, looked up (never
-    /// interned) against the ids the candidates' indexes interned: `None`
-    /// for a view no candidate has, so no C2 lookup can match it. A view
-    /// larger than [`SIZE_BUDGET`] carries the `ViewTooLarge` error of
-    /// [`canonical_view_encoding`] at that node.
-    ///
-    /// Call after [`ensure_pool`](AstarCache::ensure_pool) has prepared
-    /// every pool and depth the lookups will use.
-    pub fn view_ids(
-        &self,
-        ip: &LabeledGraph<CandidateLabel<I, C>>,
-        depth: usize,
-    ) -> Vec<Result<Option<Sym>>> {
-        let marks = marks_of(ip.labels(), |enc| self.views.marks.sym(enc));
-        let mut layers = Layers::default();
-        layers.sweep(ip.graph(), &marks, depth, &mut Table::Lookup(&self.views.layers));
-        ip.graph()
-            .nodes()
-            .map(|v| {
-                if layers.too_large(v, depth) {
-                    Err(view_too_large(ip, v, depth))
-                } else {
-                    Ok(layers.ids[v.index()])
-                }
-            })
-            .collect()
-    }
-
     /// The `Update-Graph` selection for a node whose depth-`depth` view id
-    /// is `view`: the minimal candidate's index in pool `key`, its finite
-    /// view graph, and the projection `v̊` of the matched node. Within one
-    /// phase, `(key, index)` identifies the candidate, so nodes that share
-    /// it share Update-Output and Update-Bits. `None` when no candidate
-    /// matches (the node skips this phase).
+    /// is `view`: the minimal candidate's quotient slot in pool `key`, its
+    /// finite view graph, and the projection `v̊` of the matched node.
+    /// Within one phase, `(key, slot)` identifies the candidate, so nodes
+    /// that share it share Update-Output and Update-Bits. `None` when no
+    /// candidate matches (the node skips this phase).
     pub fn select(
         &self,
         key: PoolKey,
@@ -283,9 +332,9 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         view: Sym,
     ) -> Option<(usize, &CandidateQuotient<I, C>, NodeId)> {
         let entry = self.pools.get(&key)?;
-        let &(idx, v_hat) = entry.indexes.get(&depth)?.map.get(&view)?;
-        let cand = &entry.candidates[idx];
-        Some((idx, &cand.quotient, cand.quotient.project(v_hat)))
+        let (slot, v_hat) = entry.indexes.get(&depth)?.get(view)?;
+        let q = &entry.quotients[slot];
+        Some((slot, q, q.project(v_hat)))
     }
 }
 
@@ -328,85 +377,119 @@ pub fn pool_keys<L: Label>(
         .collect()
 }
 
-/// Applies the node-independent `Update-Graph` gates that remain after
-/// the 2-hop gate (C3 instance check, quotient construction) to a pool of
-/// 2-hop colored candidates, in pool order, precomputing each survivor's
-/// ordering data and interning its marks.
+/// Applies the node-independent `Update-Graph` gate that remains after
+/// the 2-hop gate (the C3 instance check) to a pool of 2-hop colored
+/// candidates, in pool order, interning each survivor's marks into
+/// `marks`.
 fn filter_pool<I, C, P>(
     problem: &P,
     pool: Vec<LabeledGraph<CandidateLabel<I, C>>>,
-    views: &mut ViewIds,
-) -> Vec<PoolCandidate<I, C>>
+    marks: &mut Interner,
+) -> PoolEntry<I, C>
 where
     I: Label,
     C: Label,
     P: Problem<Input = I>,
 {
-    let mut out = Vec::new();
-    for cand in pool {
-        // C3: the (î, ĉ) part is an instance of Π^c.
-        let inputs_only = cand.map_labels(|((i, _c), _b)| i.clone());
-        if !problem.is_instance(&inputs_only) {
-            continue;
-        }
-        // Finite view graph of the candidate.
-        let Ok(q) = quotient(&cand, ViewMode::Portless) else { continue };
-        let encoding = encode_with_order(q.graph(), &q.canonical_order());
-        let marks = marks_of(cand.labels(), |enc| Some(views.marks.intern(enc)));
-        out.push(PoolCandidate {
-            node_count: q.graph().node_count(),
-            encoding,
-            quotient: q,
-            marks,
-            graph: cand,
-        });
-    }
-    out
+    let candidates = pool
+        .into_iter()
+        .filter(|cand| {
+            // C3: the (î, ĉ) part is an instance of Π^c.
+            problem.is_instance(&cand.map_labels(|((i, _c), _b)| i.clone()))
+        })
+        .map(|graph| PoolCandidate {
+            marks: marks_of(graph.labels(), |enc| Some(marks.intern(enc))),
+            graph,
+            quotient: None,
+            order: None,
+        })
+        .collect();
+    PoolEntry { candidates, quotients: Vec::new(), indexes: HashMap::new() }
 }
 
-/// Builds the depth-`depth` C2 index over `candidates`, reproducing the
-/// reference scan's tie-breaks: candidates visited in pool order, only the
-/// first node per view id registered within a candidate, entries replaced
-/// only on strictly smaller `(node count, encoding bytes)`. Every key of
-/// every candidate's sweep is interned into `views`.
-fn build_index<I: Label, C: Label>(
-    candidates: &[PoolCandidate<I, C>],
-    depth: usize,
-    views: &mut ViewIds,
-) -> Result<SelectionIndex> {
-    let mut map: HashMap<Sym, (usize, NodeId)> = HashMap::new();
-    let mut layers = Layers::default();
-    let mut seen: Vec<Sym> = Vec::new();
-    for (idx, cand) in candidates.iter().enumerate() {
-        let g = cand.graph.graph();
-        layers.sweep(g, &cand.marks, depth, &mut Table::Intern(&mut views.layers));
-        if let Some(u) = g.nodes().find(|&u| layers.too_large(u, depth)) {
-            return Err(view_too_large(&cand.graph, u, depth));
-        }
-        seen.clear();
-        for u in g.nodes() {
-            let sym = layers.ids[u.index()]
-                .ok_or_else(|| CoreError::internal("interning sweeps resolve every key"))?;
-            if seen.contains(&sym) {
-                continue; // v̂ is the *first* matching node of the candidate
+impl<I: Label, C: Label> PoolEntry<I, C> {
+    /// Builds the depth-`depth` C2 index, reproducing the reference
+    /// scan's tie-breaks: candidates visited in pool order, only the
+    /// first node per view id registered within a candidate, entries
+    /// replaced only on strictly smaller `(node count, encoding bytes)`.
+    /// Candidate keys are looked up in `layers_table`, never interned; a
+    /// node whose key misses registers nothing. Ends by building the
+    /// quotient of every candidate an entry names.
+    fn build_index(&mut self, depth: usize, layers_table: &Interner) -> Result<SelectionIndex> {
+        let mut map: HashMap<Sym, usize> = HashMap::new();
+        // `(candidate index, v̂)` until the end, then `(quotient slot, v̂)`.
+        let mut entries: Vec<(usize, NodeId)> = Vec::new();
+        let mut layers = Layers::default();
+        // Per candidate: each view id it has, with its first node (v̂).
+        let mut firsts: Vec<(Sym, NodeId)> = Vec::new();
+        for idx in 0..self.candidates.len() {
+            let cand = &self.candidates[idx];
+            let g = cand.graph.graph();
+            layers.sweep(g, &cand.marks, depth, &mut Table::Lookup(layers_table));
+            if let Some(u) = g.nodes().find(|&u| layers.too_large(u, depth)) {
+                return Err(view_too_large(&cand.graph, u, depth));
             }
-            seen.push(sym);
-            match map.entry(sym) {
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert((idx, u));
+            firsts.clear();
+            for u in g.nodes() {
+                if let Some(sym) = layers.ids[u.index()] {
+                    if firsts.iter().all(|&(seen, _)| seen != sym) {
+                        firsts.push((sym, u));
+                    }
                 }
-                std::collections::hash_map::Entry::Occupied(mut slot) => {
-                    let best = &candidates[slot.get().0];
-                    // Strictly-less replacement keeps the earliest minimal
-                    // candidate, matching the reference's pool-order scan.
-                    if (cand.node_count, &cand.encoding) < (best.node_count, &best.encoding) {
-                        slot.insert((idx, u));
+            }
+            for &(sym, u) in &firsts {
+                match map.entry(sym) {
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        slot.insert(entries.len());
+                        entries.push((idx, u));
+                    }
+                    std::collections::hash_map::Entry::Occupied(slot) => {
+                        // Strictly-less replacement keeps the earliest
+                        // minimal candidate, matching the reference's
+                        // pool-order scan.
+                        let entry = &mut entries[*slot.get()];
+                        self.ensure_order(idx)?;
+                        self.ensure_order(entry.0)?;
+                        if self.candidates[idx].order < self.candidates[entry.0].order {
+                            *entry = (idx, u);
+                        }
                     }
                 }
             }
         }
+        for entry in &mut entries {
+            entry.0 = self.quotient_slot(entry.0)?;
+        }
+        Ok(SelectionIndex { map, entries })
     }
-    Ok(SelectionIndex { map })
+
+    /// Candidate `idx`'s slot in `quotients`, building its quotient on
+    /// first use.
+    fn quotient_slot(&mut self, idx: usize) -> Result<usize> {
+        let cand = &mut self.candidates[idx];
+        if let Some(slot) = cand.quotient {
+            return Ok(slot);
+        }
+        // Lemma 2: the quotient of a 2-hop colored graph is simple, and
+        // every pool candidate is 2-hop colored.
+        let q = quotient(&cand.graph, ViewMode::Portless).map_err(|e| {
+            CoreError::internal(format!("a 2-hop colored candidate has no quotient: {e}"))
+        })?;
+        self.quotients.push(q);
+        cand.quotient = Some(self.quotients.len() - 1);
+        Ok(self.quotients.len() - 1)
+    }
+
+    /// Computes candidate `idx`'s `(|V̂_*|, s(Ĝ_*))` unless it is known.
+    fn ensure_order(&mut self, idx: usize) -> Result<()> {
+        if self.candidates[idx].order.is_none() {
+            let slot = self.quotient_slot(idx)?;
+            let q = self.quotients[slot].graph();
+            let encoding = encode_with_order(q, &self.quotients[slot].canonical_order());
+            self.candidates[idx].order = Some((q.node_count(), encoding));
+        }
+        Ok(())
+    }
 }
 
 /// The error [`canonical_view_encoding`] reports for a view the size count
@@ -546,6 +629,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
+    use crate::astar::{prepare_phase, AStarConfig};
     use crate::candidates::tests::first_of_each_class;
     use crate::candidates::{
         candidate_pool, candidate_pool_all_presentations, connected_graphs_up_to_iso,
@@ -623,14 +707,13 @@ mod tests {
         let universe = triangle_universe();
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         for p in 1..=3usize {
-            let key =
-                cache.ensure_pool(&MisProblem, p.min(3), p, &universe, &NoopRecorder).unwrap();
-            let pool = candidate_pool(p.min(3), &universe).unwrap();
             let views = cache.view_ids(&ip, p);
+            let key =
+                cache.ensure_pool(&MisProblem, p.min(3), &views, &universe, &NoopRecorder).unwrap();
+            let pool = candidate_pool(p.min(3), &universe).unwrap();
             for v in ip.graph().nodes() {
                 let view_v = ViewTree::build(&ip, v, p).unwrap().canonical_encoding();
-                let view_id = views[v.index()].clone().unwrap();
-                let fast = view_id.and_then(|id| cache.select(key, p, id));
+                let fast = cache.select(key, p, views.id(v).unwrap());
                 let reference = reference_select(&pool, &view_v, p);
                 match (fast, reference) {
                     (None, None) => {}
@@ -651,6 +734,22 @@ mod tests {
         }
     }
 
+    /// Every view id `index` knows, with the fingerprint of its selection.
+    fn selections(
+        index: &SelectionIndex,
+        entry: &PoolEntry<(), u32>,
+    ) -> HashMap<Sym, (usize, Vec<u8>, usize)> {
+        index
+            .map
+            .keys()
+            .map(|&sym| {
+                let (slot, v_hat) = index.get(sym).unwrap();
+                let q = &entry.quotients[slot];
+                (sym, selection_fingerprint(q, q.project(v_hat)))
+            })
+            .collect()
+    }
+
     /// A universe of one to five distinct labels over three colors, with
     /// bitstrings of at most one bit, so that colors repeat across labels.
     fn small_universe(seed: u64) -> Vec<MisLabel> {
@@ -669,8 +768,9 @@ mod tests {
         /// labeling per automorphism orbit — must not move the
         /// Update-Graph selection: index the orbit pool and the literal
         /// all-presentations pool, and compare the selected candidate for
-        /// every view either index knows. Both index into one id table, so
-        /// equal ids are equal views.
+        /// every view either index knows. Every view of the full pool is
+        /// interned first, as by an instance that has them all; both
+        /// indexes look up in that one table, so equal ids are equal views.
         #[test]
         fn pool_selection_is_invariant_under_presentation_dedup(
             seed in 0u64..1_000_000,
@@ -679,29 +779,22 @@ mod tests {
         ) {
             let universe = small_universe(seed);
             let mut views = ViewIds::default();
-            let deduped = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
-            let deduped = filter_pool(&MisProblem, deduped, &mut views);
-            let full = candidate_pool_all_presentations(max_nodes, &universe)
+            let full: Vec<_> = candidate_pool_all_presentations(max_nodes, &universe)
                 .unwrap()
                 .into_iter()
                 .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
                 .collect();
-            let full = filter_pool(&MisProblem, full, &mut views);
-            proptest::prop_assert!(full.len() >= deduped.len());
+            for cand in &full {
+                interned_ids(&mut views, cand, depth);
+            }
+            let deduped = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
+            let mut deduped = filter_pool(&MisProblem, deduped, &mut views.marks);
+            let mut full = filter_pool(&MisProblem, full, &mut views.marks);
+            proptest::prop_assert!(full.candidates.len() >= deduped.candidates.len());
 
-            let index_d = build_index(&deduped, depth, &mut views).unwrap();
-            let index_f = build_index(&full, depth, &mut views).unwrap();
+            let index_d = deduped.build_index(depth, &views.layers).unwrap();
+            let index_f = full.build_index(depth, &views.layers).unwrap();
 
-            let selections = |index: &SelectionIndex, cands: &[PoolCandidate<(), u32>]| {
-                index
-                    .map
-                    .iter()
-                    .map(|(&sym, &(idx, v_hat))| {
-                        let q = &cands[idx].quotient;
-                        (sym, selection_fingerprint(q, q.project(v_hat)))
-                    })
-                    .collect::<HashMap<_, _>>()
-            };
             let selections_d = selections(&index_d, &deduped);
             let selections_f = selections(&index_f, &full);
             proptest::prop_assert!(!selections_d.is_empty());
@@ -713,17 +806,19 @@ mod tests {
     fn cached_pools_are_hits_after_first_build() {
         let universe = triangle_universe();
         let mut cache: AstarCache<(), u32> = AstarCache::new();
-        let k1 = cache.ensure_pool(&MisProblem, 3, 3, &universe, &NoopRecorder).unwrap();
+        let depth3 = cache.view_ids(&triangle_ip(), 3);
+        let k1 = cache.ensure_pool(&MisProblem, 3, &depth3, &universe, &NoopRecorder).unwrap();
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (0, 1));
-        let k2 = cache.ensure_pool(&MisProblem, 3, 3, &universe, &NoopRecorder).unwrap();
+        let k2 = cache.ensure_pool(&MisProblem, 3, &depth3, &universe, &NoopRecorder).unwrap();
         assert_eq!(k1, k2);
         // Same pool at a deeper view depth: a hit plus a fresh index.
-        let k3 = cache.ensure_pool(&MisProblem, 3, 4, &universe, &NoopRecorder).unwrap();
+        let depth4 = cache.view_ids(&triangle_ip(), 4);
+        let k3 = cache.ensure_pool(&MisProblem, 3, &depth4, &universe, &NoopRecorder).unwrap();
         assert_eq!(k1, k3);
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (2, 1));
         // A different universe is a different pool.
         let other = vec![(((), 7u32), BitString::new())];
-        let k4 = cache.ensure_pool(&MisProblem, 3, 3, &other, &NoopRecorder).unwrap();
+        let k4 = cache.ensure_pool(&MisProblem, 3, &depth3, &other, &NoopRecorder).unwrap();
         assert_ne!(k1, k4);
         assert_eq!(cache.pool_misses(), 2);
     }
@@ -738,10 +833,10 @@ mod tests {
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         let v = ip.graph().nodes().next().unwrap();
         for depth in 3..=5usize {
-            let key = cache.ensure_pool(&MisProblem, 3, depth, &universe, &NoopRecorder).unwrap();
-            let view_v = cache.view_ids(&ip, depth)[v.index()].clone().unwrap();
+            let views = cache.view_ids(&ip, depth);
+            let key = cache.ensure_pool(&MisProblem, 3, &views, &universe, &NoopRecorder).unwrap();
             assert!(
-                view_v.and_then(|id| cache.select(key, depth, id)).is_some(),
+                cache.select(key, depth, views.id(v).unwrap()).is_some(),
                 "depth-{depth} lookup missed although the triangle has a candidate"
             );
         }
@@ -797,7 +892,8 @@ mod tests {
         assert_eq!(keys, pool_keys(&shuffled, 2, 4), "memo keys saw port numbering");
     }
 
-    /// Interns `g`'s depth-`depth` view ids, as an index build does.
+    /// Interns `g`'s depth-`depth` view ids, as the instance's sweep in
+    /// [`AstarCache::view_ids`] does.
     fn interned_ids(
         views: &mut ViewIds,
         g: &LabeledGraph<MisLabel>,
@@ -807,6 +903,62 @@ mod tests {
         let mut layers = Layers::default();
         layers.sweep(g.graph(), &marks, depth, &mut Table::Intern(&mut views.layers));
         layers.ids
+    }
+
+    /// Looks `g`'s depth-`depth` view ids up, as an index build does for a
+    /// candidate: marks interned, layer keys only looked up.
+    fn looked_up_ids(
+        views: &mut ViewIds,
+        g: &LabeledGraph<MisLabel>,
+        depth: usize,
+    ) -> Vec<Option<Sym>> {
+        let marks = marks_of(g.labels(), |enc| Some(views.marks.intern(enc)));
+        let mut layers = Layers::default();
+        layers.sweep(g.graph(), &marks, depth, &mut Table::Lookup(&views.layers));
+        layers.ids
+    }
+
+    /// The C2 index as built when candidates interned their own views:
+    /// every C3 candidate of `pool` quotiented and ordered up front, every
+    /// key of every candidate interned into `views`, the same pool-order
+    /// tie-breaks. Maps each view id to its selection's fingerprint.
+    fn interning_selections(
+        pool: Vec<LabeledGraph<MisLabel>>,
+        depth: usize,
+        views: &mut ViewIds,
+    ) -> HashMap<Sym, (usize, Vec<u8>, usize)> {
+        let cands: Vec<_> = pool
+            .into_iter()
+            .filter(|cand| MisProblem.is_instance(&cand.map_labels(|((i, _c), _b)| *i)))
+            .map(|cand| {
+                let q = quotient(&cand, ViewMode::Portless).unwrap();
+                let order =
+                    (q.graph().node_count(), encode_with_order(q.graph(), &q.canonical_order()));
+                (cand, q, order)
+            })
+            .collect();
+        let mut map: HashMap<Sym, (usize, NodeId)> = HashMap::new();
+        for (idx, (cand, _, order)) in cands.iter().enumerate() {
+            let ids = interned_ids(views, cand, depth);
+            let mut seen = Vec::new();
+            for u in cand.graph().nodes() {
+                let sym = ids[u.index()].unwrap();
+                if seen.contains(&sym) {
+                    continue;
+                }
+                seen.push(sym);
+                let best = map.entry(sym).or_insert((idx, u));
+                if *order < cands[best.0].2 {
+                    *best = (idx, u);
+                }
+            }
+        }
+        map.into_iter()
+            .map(|(sym, (idx, v_hat))| {
+                let q = &cands[idx].1;
+                (sym, selection_fingerprint(q, q.project(v_hat)))
+            })
+            .collect()
     }
 
     /// A label from three colors and bitstrings of at most one bit, so
@@ -859,7 +1011,8 @@ mod tests {
 
         /// Layered ids are equal exactly when the canonical view bytes
         /// are, both between interned ids and for the lookup-only ids of a
-        /// second graph against a table only the first one filled.
+        /// second graph, swept as an index build sweeps a candidate,
+        /// against a table only the first graph's instance sweep filled.
         #[test]
         fn layered_ids_agree_with_view_bytes(
             kind_a in 0..3usize,
@@ -875,9 +1028,10 @@ mod tests {
                 let (bytes_a, bytes_b) = (bytes(&a), bytes(&b));
 
                 let mut cache: AstarCache<(), u32> = AstarCache::new();
-                let ids_a = interned_ids(&mut cache.views, &a, depth);
-                let looked_up: Vec<Option<Sym>> =
-                    cache.view_ids(&b, depth).into_iter().map(Result::unwrap).collect();
+                let phase = cache.view_ids(&a, depth);
+                let ids_a: Vec<Option<Sym>> =
+                    a.graph().nodes().map(|v| Some(phase.id(v).unwrap())).collect();
+                let looked_up = looked_up_ids(&mut cache.views, &b, depth);
                 let ids_b = interned_ids(&mut cache.views, &b, depth);
                 for (u, bytes_u) in bytes_a.iter().enumerate() {
                     for (w, bytes_w) in bytes_b.iter().enumerate() {
@@ -893,6 +1047,49 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The lookup index selects what the interning index selected:
+        /// one phase prepared on a random lift (instance ids interned,
+        /// then pools and their lookup indexes), and for every node the
+        /// selection from the pool's index equals the one an interning
+        /// build of the same pool gives for the node's view id.
+        #[test]
+        fn lookup_index_selects_like_the_interning_index(
+            seed in 0u64..1_000_000,
+            depth in 1..=6usize,
+        ) {
+            let ip = sample_graph(1, seed);
+            let cfg = AStarConfig::default();
+            let mut cache: AstarCache<(), u32> = AstarCache::new();
+            let plan = prepare_phase(&mut cache, &MisProblem, &ip, depth, &cfg, &NoopRecorder).unwrap();
+            let universes = cache.phase_universes(&ip, depth - 1);
+            let mut oracle: HashMap<PoolKey, HashMap<Sym, _>> = HashMap::new();
+            let mut hits = 0usize;
+            for v in ip.graph().nodes() {
+                let key = plan.keys[v.index()];
+                let by_interning = oracle.entry(key).or_insert_with(|| {
+                    let pool = two_hop_colored_pool(key.0, &universes[v.index()], |((_i, c), _b)| c);
+                    interning_selections(pool.unwrap(), depth, &mut cache.views)
+                });
+                let id = plan.views.id(v).unwrap();
+                let want = by_interning.get(&id).cloned();
+                let got = cache.select(key, depth, id).map(|(_, q, v_star)| selection_fingerprint(q, v_star));
+                hits += usize::from(got.is_some());
+                proptest::prop_assert_eq!(got, want, "node {:?} at depth {}", v, depth);
+            }
+            // Depth 1 selects every node's one-node candidate. From depth
+            // 4 on, a 2-hop colored lift selects at every node: its base
+            // (at most four nodes, diameter at most 2) is a candidate in
+            // every node's pool, with every node's view.
+            let colored = coloring::is_two_hop_coloring(&ip.map_labels(|((_i, c), _b)| *c));
+            if depth == 1 || (colored && depth >= 4) {
+                proptest::prop_assert_eq!(hits, ip.node_count(), "depth {}", depth);
+            }
+        }
+    }
+
     #[test]
     fn oversized_instance_views_fail_like_the_explicit_build() {
         // The star K_{1,1415} at depth 4: the hub's view has 2,005,056
@@ -904,16 +1101,17 @@ mod tests {
         let labels = (0..=LEAVES).map(|i| (((), i as u32), BitString::new())).collect();
         let ip = star.with_labels(labels).unwrap();
         let depth = 4;
-        let cache: AstarCache<(), u32> = AstarCache::new();
+        let mut cache: AstarCache<(), u32> = AstarCache::new();
         let ids = cache.view_ids(&ip, depth);
-        let failing: Vec<usize> = (0..=LEAVES).filter(|&v| ids[v].is_err()).collect();
+        let failing: Vec<usize> =
+            (0..=LEAVES).filter(|&v| ids.id(NodeId::new(v)).is_err()).collect();
         assert_eq!(failing, vec![2], "only the hub is over the budget");
         // The literal per-node build fixes the error value and which node
         // fails first; the run surfaces the first failure in node order.
         for v in (0..=2).map(NodeId::new) {
             let explicit = canonical_view_encoding(&ip, v, depth).map_err(CoreError::from);
-            match (&ids[v.index()], explicit) {
-                (Err(e), Err(want)) => assert_eq!(e, &want, "node {v:?}"),
+            match (ids.id(v), explicit) {
+                (Err(e), Err(want)) => assert_eq!(e, want, "node {v:?}"),
                 (Ok(_), Ok(_)) => {}
                 (got, want) => panic!("node {v:?}: layered {got:?}, explicit {want:?}"),
             }
@@ -935,13 +1133,15 @@ mod tests {
             .unwrap()
             .with_labels((1..=6u32).map(|c| (((), c), BitString::new())).collect())
             .unwrap();
+        // The budget check sees every candidate node, whether or not its
+        // view resolves: here none does, as the instance table is empty.
         let mut views = ViewIds::default();
-        let cands = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views);
-        assert_eq!(cands.len(), 2);
-        assert!(build_index(&cands, 9, &mut views).is_ok());
+        let mut entry = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views.marks);
+        assert_eq!(entry.candidates.len(), 2);
+        assert!(entry.build_index(9, &views.layers).is_ok());
         let want: CoreError = canonical_view_encoding(&k6, NodeId::new(0), 10).unwrap_err().into();
         assert!(canonical_view_encoding(&p2, NodeId::new(0), 10).is_ok());
-        assert_eq!(build_index(&cands, 10, &mut views).err(), Some(want));
+        assert_eq!(entry.build_index(10, &views.layers).err(), Some(want));
     }
 
     #[test]
@@ -950,27 +1150,31 @@ mod tests {
         // keeps one labeling per labeled-isomorphism class; what
         // filter_pool keeps of it must be what it keeps of the full pool
         // filtered by that gate, each candidate isomorphic to an earlier
-        // one dropped: same candidates, same order, same data.
+        // one dropped: same candidates, same order, same data, with the
+        // lazy (node count, encoding) forced on every candidate.
         let mut universe = triangle_universe();
         universe.push((((), 1u32), BitString::from_bits([true])));
         universe.sort();
-        let mut views = ViewIds::default();
+        let mut marks = Interner::new();
         let pruned = two_hop_colored_pool(4, &universe, |((_i, c), _b)| c).unwrap();
-        let pruned = filter_pool(&MisProblem, pruned, &mut views);
+        let mut pruned = filter_pool(&MisProblem, pruned, &mut marks);
         let full = candidate_pool(4, &universe)
             .unwrap()
             .into_iter()
             .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
             .collect();
-        let full = filter_pool(&MisProblem, first_of_each_class(full), &mut views);
-        let summary = |cands: &[PoolCandidate<(), u32>]| -> Vec<_> {
-            cands
-                .iter()
-                .map(|c| (c.graph.clone(), c.marks.clone(), c.node_count, c.encoding.clone()))
+        let mut full = filter_pool(&MisProblem, first_of_each_class(full), &mut marks);
+        let summary = |entry: &mut PoolEntry<(), u32>| -> Vec<_> {
+            (0..entry.candidates.len())
+                .map(|idx| {
+                    entry.ensure_order(idx).unwrap();
+                    let c = &entry.candidates[idx];
+                    (c.graph.clone(), c.marks.clone(), c.order.clone())
+                })
                 .collect()
         };
-        assert!(!pruned.is_empty());
-        assert_eq!(summary(&pruned), summary(&full));
+        assert!(!pruned.candidates.is_empty());
+        assert_eq!(summary(&mut pruned), summary(&mut full));
     }
 
     #[test]
@@ -978,12 +1182,24 @@ mod tests {
         let universe = triangle_universe();
         let rec = MemoryRecorder::new();
         let mut cache: AstarCache<(), u32> = AstarCache::new();
-        let key = cache.ensure_pool(&MisProblem, 3, 3, &universe, &rec).unwrap();
-        let built = cache.pools[&key].candidates.len();
-        assert!(built > 0);
+        let views = cache.view_ids(&triangle_ip(), 3);
+        let key = cache.ensure_pool(&MisProblem, 3, &views, &universe, &rec).unwrap();
+        let entry = &cache.pools[&key];
+        let built = entry.candidates.len();
+        assert_eq!(built, 10);
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_CANDIDATES), built as u64);
-        // A hit builds nothing, so the counter stays.
-        cache.ensure_pool(&MisProblem, 3, 4, &universe, &rec).unwrap();
+        // Only the candidates the depth-3 index names are quotiented: the
+        // triangle, whose views are the instance's, and the three one-node
+        // candidates, whose view at any depth is a depth-1 view the
+        // instance's sweep interned.
+        assert_eq!(entry.quotients.len(), 4);
+        assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_QUOTIENTS), 4);
+        assert!(entry.quotients.len() <= built);
+        // A hit builds no pool, so the candidate counter stays; the fresh
+        // depth-4 index names only candidates depth 3 already quotiented.
+        let views = cache.view_ids(&triangle_ip(), 4);
+        cache.ensure_pool(&MisProblem, 3, &views, &universe, &rec).unwrap();
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_CANDIDATES), built as u64);
+        assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_QUOTIENTS), 4);
     }
 }

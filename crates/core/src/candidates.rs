@@ -68,13 +68,15 @@ fn enumerate_connected(n: usize) -> Vec<Graph> {
 
 /// One connected graph of the deduplicated enumeration, with its radius-2
 /// conflict lists: `conflicts[k]` holds the nodes `j < k` within distance
-/// 2 of `k`, which a 2-hop coloring must color differently from `k`; and
-/// its non-identity automorphisms, each as the node permutation `σ` that
-/// sends node `k` to `σ[k]`.
+/// 2 of `k`, which a 2-hop coloring must color differently from `k`; its
+/// non-identity automorphisms, each as the node permutation `σ` that
+/// sends node `k` to `σ[k]`; and `stabilizers[k]`, the automorphisms
+/// (as indexes) that map the positions `0..k` into themselves.
 struct Shape {
     graph: Graph,
     conflicts: Vec<Vec<usize>>,
     automorphisms: Vec<Vec<usize>>,
+    stabilizers: Vec<Vec<usize>>,
 }
 
 impl Shape {
@@ -92,16 +94,30 @@ impl Shape {
             })
             .collect();
         let automorphisms = automorphisms(&graph);
-        Shape { graph, conflicts, automorphisms }
+        let stabilizers = (0..=graph.node_count())
+            .map(|k| {
+                (0..automorphisms.len())
+                    .filter(|&a| automorphisms[a][..k].iter().all(|&j| j < k))
+                    .collect()
+            })
+            .collect();
+        Shape { graph, conflicts, automorphisms, stabilizers }
     }
 
-    /// `true` iff the labeling `x` (an index vector) is lexicographically
-    /// no greater than `x∘σ`, with `(x∘σ)[k] = x[σ[k]]`, for every
-    /// automorphism `σ` — i.e. `x` is the
-    /// least labeling of its `Aut(shape)` orbit, which is the orbit's first
+    /// `true` iff some automorphism `σ` that maps the positions of
+    /// `prefix` into themselves makes `prefix∘σ`, with
+    /// `(prefix∘σ)[k] = prefix[σ[k]]`, lexicographically less than
+    /// `prefix`. Then `x∘σ <_lex x` for every labeling `x` extending the
+    /// prefix, since `σ` reads only prefix positions there, so none of
+    /// them is the least labeling of its `Aut(shape)` orbit. On a
+    /// complete labeling every automorphism qualifies, and `false` means
+    /// exactly that the labeling is orbit-least: the orbit's first
     /// labeling in [`labelings`]' order.
-    fn is_orbit_least(&self, x: &[usize]) -> bool {
-        self.automorphisms.iter().all(|sigma| sigma.iter().map(|&k| x[k]).ge(x.iter().copied()))
+    fn is_beaten_in_orbit(&self, prefix: &[usize]) -> bool {
+        self.stabilizers[prefix.len()].iter().any(|&a| {
+            let sigma = &self.automorphisms[a][..prefix.len()];
+            sigma.iter().map(|&k| prefix[k]).lt(prefix.iter().copied())
+        })
     }
 }
 
@@ -255,7 +271,9 @@ pub fn candidate_pool<L: Label>(max_nodes: usize, universe: &[L]) -> Result<Vec<
 /// vectors, and a prefix is abandoned as soon as its last node repeats a
 /// color within distance 2: every labeling that extends it fails the same
 /// check. A complete labeling `x` is kept only if no automorphism `σ` of
-/// its shape gives `x∘σ <_lex x`. Two labelings of one shape are
+/// its shape gives `x∘σ <_lex x`; a prefix is abandoned as soon as an
+/// automorphism mapping its positions into themselves gives that on the
+/// prefix, because then it does so on every extension. Two labelings of one shape are
 /// isomorphic exactly when an automorphism maps one to the other, and
 /// distinct shapes are not isomorphic at all, so the kept labeling — the
 /// lex-least of its orbit — is the first member of its class in pool
@@ -314,7 +332,8 @@ pub fn two_hop_colored_pool<L: Label, K: PartialEq>(
 
 /// Appends to `out`, in lexicographic order, every index vector that
 /// extends `prefix`, gives nodes of `shape` within distance 2 distinct
-/// classes, and is the least of its `Aut(shape)` orbit.
+/// classes, and is the least of its `Aut(shape)` orbit. A prefix that
+/// fails either test is abandoned: no extension of it passes.
 fn two_hop_labelings(
     shape: &Shape,
     classes: &[usize],
@@ -322,15 +341,15 @@ fn two_hop_labelings(
     out: &mut Vec<usize>,
 ) {
     let Some(near) = shape.conflicts.get(prefix.len()) else {
-        if shape.is_orbit_least(prefix) {
-            out.extend_from_slice(prefix);
-        }
+        out.extend_from_slice(prefix);
         return;
     };
     for (i, &class) in classes.iter().enumerate() {
         if near.iter().all(|&j| classes[prefix[j]] != class) {
             prefix.push(i);
-            two_hop_labelings(shape, classes, prefix, out);
+            if !shape.is_beaten_in_orbit(prefix) {
+                two_hop_labelings(shape, classes, prefix, out);
+            }
             prefix.pop();
         }
     }
@@ -551,6 +570,81 @@ pub(crate) mod tests {
             ([3, 3, 3, 3], 24),
         ] {
             assert_eq!(four_node_shape(degrees).automorphisms.len() + 1, order, "{degrees:?}");
+        }
+    }
+
+    /// One to five distinct `(input, color)` labels, inputs in `0..2` and
+    /// colors in `1..=4`, sorted: colors may repeat across labels.
+    fn small_universe(seed: u64) -> Vec<(u8, u32)> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let len = rng.gen_range(1..=5usize);
+        let mut universe: Vec<(u8, u32)> =
+            (0..len).map(|_| (rng.gen_range(0..2u8), rng.gen_range(1..=4u32))).collect();
+        universe.sort();
+        universe.dedup();
+        universe
+    }
+
+    /// `true` iff `x` is the lex-least labeling of its `Aut(shape)`
+    /// orbit, checked at the leaf against every automorphism.
+    fn is_orbit_least(shape: &Shape, x: &[usize]) -> bool {
+        shape.automorphisms.iter().all(|sigma| sigma.iter().map(|&k| x[k]).ge(x.iter().copied()))
+    }
+
+    /// [`two_hop_colored_pool`] without prefix pruning by automorphisms:
+    /// every index vector in lexicographic order, kept if its colors form
+    /// a 2-hop coloring and it is orbit-least as a whole.
+    fn leaf_filtered_pool(
+        max_nodes: usize,
+        universe: &[(u8, u32)],
+    ) -> Vec<LabeledGraph<(u8, u32)>> {
+        let indices: Vec<usize> = (0..universe.len()).collect();
+        let mut pool = Vec::new();
+        for n in 1..=max_nodes {
+            for shape in shapes(n).unwrap() {
+                for x in labelings(&indices, n).unwrap() {
+                    let cand = shape.graph.with_labels(x.iter().map(|&i| universe[i]).collect());
+                    let cand = cand.unwrap();
+                    if coloring::is_two_hop_coloring(&cand.map_labels(|(_i, c)| *c))
+                        && is_orbit_least(shape, &x)
+                    {
+                        pool.push(cand);
+                    }
+                }
+            }
+        }
+        pool
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Abandoning a prefix that an automorphism fixing its positions
+        /// makes lex-smaller keeps exactly the leaf-filtered pool: the
+        /// same candidates in the same order.
+        #[test]
+        fn orbit_pruning_keeps_the_leaf_filtered_pool(
+            seed in 0u64..1_000_000,
+            max_nodes in 1..=4usize,
+        ) {
+            let universe = small_universe(seed);
+            let pool = two_hop_colored_pool(max_nodes, &universe, |(_i, c)| c).unwrap();
+            proptest::prop_assert_eq!(pool, leaf_filtered_pool(max_nodes, &universe));
+        }
+
+        /// Lemma 2: the quotient of a 2-hop colored graph is simple, so
+        /// `quotient` never fails on a pool candidate.
+        #[test]
+        fn two_hop_colored_candidates_always_have_a_quotient(
+            seed in 0u64..1_000_000,
+            max_nodes in 1..=4usize,
+        ) {
+            let universe = small_universe(seed);
+            for cand in two_hop_colored_pool(max_nodes, &universe, |(_i, c)| c).unwrap() {
+                let q = anonet_views::quotient(&cand, anonet_views::ViewMode::Portless);
+                proptest::prop_assert!(q.is_ok(), "{:?}", cand);
+            }
         }
     }
 

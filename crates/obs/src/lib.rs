@@ -210,6 +210,9 @@ pub mod names {
     /// Candidates in each pool the `A_*` pool cache builds, after every
     /// node-independent gate.
     pub const ASTAR_POOL_CANDIDATES: &str = "astar.pool.candidates";
+    /// Candidate quotients the `A_*` pool cache builds: one per candidate
+    /// a C2 selection index names or an index tie-break compares.
+    pub const ASTAR_POOL_QUOTIENTS: &str = "astar.pool.quotients";
     /// Per-node C2 lookups against a pool's view-encoding index.
     pub const ASTAR_C2_LOOKUPS: &str = "astar.c2.lookups";
     /// C2 lookups that found a matching candidate.
