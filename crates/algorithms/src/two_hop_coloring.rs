@@ -79,7 +79,10 @@ impl TwoHopColoring {
 }
 
 /// Local state of [`TwoHopColoring`].
-#[derive(Clone, PartialEq, Eq, Debug)]
+///
+/// Equality and `Debug` read the model state only: the spare relay buffer
+/// is an allocation kept for reuse, not something the node knows.
+#[derive(Clone)]
 pub struct TwoHopState {
     /// Current color (frozen once decided).
     color: BitString,
@@ -94,6 +97,34 @@ pub struct TwoHopState {
     /// Neighbor states received last round (to be relayed this round),
     /// shared by every message that relays them.
     table: Arc<[PeerState]>,
+    /// The table relayed the round before, kept to be refilled. By this
+    /// node's next step the engine has dropped every message that shared
+    /// it, so it is unique again unless a state snapshot holds it.
+    spare: Arc<[PeerState]>,
+}
+
+impl PartialEq for TwoHopState {
+    fn eq(&self, other: &Self) -> bool {
+        self.color == other.color
+            && self.decided == other.decided
+            && self.stale_self == other.stale_self
+            && self.prev_self == other.prev_self
+            && self.table == other.table
+    }
+}
+
+impl Eq for TwoHopState {}
+
+impl std::fmt::Debug for TwoHopState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TwoHopState")
+            .field("color", &self.color)
+            .field("decided", &self.decided)
+            .field("stale_self", &self.stale_self)
+            .field("prev_self", &self.prev_self)
+            .field("table", &self.table)
+            .finish()
+    }
 }
 
 impl TwoHopState {
@@ -138,6 +169,7 @@ impl ObliviousAlgorithm for TwoHopColoring {
             stale_self: empty.clone(),
             prev_self: empty,
             table: Arc::default(),
+            spare: Arc::default(),
         }
     }
 
@@ -206,8 +238,17 @@ impl ObliviousAlgorithm for TwoHopColoring {
 
         // Refresh the relay table with this round's fresh neighbor states.
         // `received` is sorted by `(peer, table)`, so the peers already
-        // come in order.
-        state.table = received.iter().map(|(peer, _)| peer.clone()).collect();
+        // come in order. The spare is refilled in place when it is unique
+        // and the number of broadcasting neighbors has not changed.
+        match Arc::get_mut(&mut state.spare).filter(|t| t.len() == received.len()) {
+            Some(slots) => {
+                for (slot, (peer, _)) in slots.iter_mut().zip(received) {
+                    slot.clone_from(peer);
+                }
+            }
+            None => state.spare = received.iter().map(|(peer, _)| peer.clone()).collect(),
+        }
+        std::mem::swap(&mut state.table, &mut state.spare);
         debug_assert!(state.table.is_sorted());
 
         // Halting: decided, and every still-active neighbor reports a
@@ -302,6 +343,17 @@ mod tests {
         let a = color_graph(&g, 1);
         let b = color_graph(&g, 2);
         assert_ne!(a.outputs(), b.outputs());
+    }
+
+    #[test]
+    fn the_spare_relay_buffer_is_not_model_state() {
+        let a = TwoHopColoring.init(&(), 2);
+        let mut b = a.clone();
+        b.spare = vec![("0110".parse().unwrap(), true); 3].into();
+        assert_eq!(a, b);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        b.table = Arc::clone(&b.spare);
+        assert_ne!(a, b);
     }
 
     #[test]

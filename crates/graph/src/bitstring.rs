@@ -206,6 +206,7 @@ impl BitString {
 }
 
 impl PartialEq for BitString {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.len == other.len
             && self.head == other.head
@@ -226,6 +227,7 @@ impl std::hash::Hash for BitString {
 }
 
 impl PartialOrd for BitString {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
@@ -233,11 +235,16 @@ impl PartialOrd for BitString {
 
 impl Ord for BitString {
     /// Shortlex: length first, then lexicographic (`false < true`).
+    ///
+    /// `(len, head)` decides every pair unless both strings are longer
+    /// than 64 bits and agree on their first word; only then is the tail
+    /// read.
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.len
-            .cmp(&other.len)
-            .then_with(|| self.head.cmp(&other.head))
-            .then_with(|| self.used_tail().cmp(other.used_tail()))
+        match (self.len, self.head).cmp(&(other.len, other.head)) {
+            std::cmp::Ordering::Equal if self.len > 64 => self.used_tail().cmp(other.used_tail()),
+            order => order,
+        }
     }
 }
 

@@ -160,3 +160,43 @@ fn equal_strings_from_different_histories_are_equal() {
     grown.push(false);
     assert_eq!(grown.to_string(), "1110");
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Equal-length strings past one word that share their first 64 bits:
+    /// only the tail can order them. Random operation sequences rarely
+    /// build such pairs.
+    #[test]
+    fn long_strings_with_a_shared_head_order_by_their_tail(
+        head in 0u64..u64::MAX,
+        len in 65usize..=200,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let hasher = RandomState::new();
+        let prefix = model_from_value(head, 64);
+        let mut models = Vec::new();
+        for _ in 0..2 {
+            let mut m = prefix.clone();
+            m.extend((64..len).map(|_| rng.gen::<bool>()));
+            models.push(m);
+        }
+        // A copy of the first that differs in one tail bit, and one that
+        // is equal but built bit by bit.
+        let mut flipped = models[0].clone();
+        let k = rng.gen_range(64..len);
+        flipped[k] = !flipped[k];
+        models.push(flipped);
+        let pairs: Vec<(BitString, Vec<bool>)> =
+            models.into_iter().map(|m| (BitString::from_bits(m.iter().copied()), m)).collect();
+        let mut pushed = BitString::new();
+        pushed.extend(pairs[0].1.iter().copied());
+        let pushed = (pushed, pairs[0].1.clone());
+        for a in pairs.iter().chain([&pushed]) {
+            for b in pairs.iter().chain([&pushed]) {
+                check_pair(&hasher, a, b)?;
+            }
+        }
+    }
+}

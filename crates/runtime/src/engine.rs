@@ -233,6 +233,7 @@ where
     let mut output_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halt_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halted = vec![false; n];
+    let mut active = n;
     let mut history: Option<Vec<Vec<A::State>>> =
         config.record_states.then(|| vec![snapshot(&states)]);
 
@@ -247,10 +248,12 @@ where
     // One reusable outgoing buffer per node, filled by `compose_round`:
     // a single entry for a uniform sender, one per port otherwise.
     let mut outgoing: Vec<Vec<Option<A::Message>>> = vec![Vec::new(); n];
+    // Only active nodes' bits are read, and each round writes all of them.
     let mut bits: Vec<bool> = vec![false; n];
+    let mut seen = OrderStamps::new(n);
 
     let status = loop {
-        if halted.iter().all(|&h| h) {
+        if active == 0 {
             break Status::Completed;
         }
         let round = rounds + 1;
@@ -260,7 +263,6 @@ where
 
         // Draw this round's bits for active nodes first: if any tape is
         // exhausted, the prescribed simulation ends *before* this round.
-        bits.fill(false);
         let mut exhausted = false;
         for v in g.nodes() {
             if halted[v.index()] {
@@ -278,7 +280,7 @@ where
             break Status::OutOfBits;
         }
 
-        active_per_round.push(halted.iter().filter(|&&h| !h).count());
+        active_per_round.push(active);
         let round_message_base = messages_sent;
 
         // Compose, in the adversary's delivery order. Every node composes
@@ -286,28 +288,46 @@ where
         // so the order cannot change the delivered messages — the
         // adversary only gets to prove that. A halted node's buffer stays
         // empty: its neighbors hear silence.
-        for v in checked_order(adversary.compose_order(n, round), n, round, "compose")? {
-            let out = &mut outgoing[v.index()];
+        let order = adversary.compose_order(n, round);
+        seen.check(&order, round, "compose")?;
+        for &i in &order {
+            let out = &mut outgoing[i];
             out.clear();
-            if halted[v.index()] {
+            if halted[i] {
                 continue;
             }
-            let Some(state) = states[v.index()].as_ref() else {
+            let Some(state) = states[i].as_ref() else {
                 continue;
             };
-            alg.compose_round(state, g.degree(v), out);
-            for p in 0..g.degree(v) {
-                let port = Port::new(p);
-                if sent_on(out, || port).is_some() {
-                    messages_sent += 1;
-                    message_bytes += message_size;
+            let v = NodeId::new(i);
+            let degree = g.degree(v);
+            alg.compose_round(state, degree, out);
+            let sent = |p| crate::Event::MessageSent {
+                round,
+                from: v,
+                port: Port::new(p),
+                bytes: message_size,
+            };
+            match out.as_slice() {
+                // A broadcast: `degree` sends, counted in one addition.
+                [Some(_)] => {
+                    messages_sent += degree;
+                    message_bytes += degree * message_size;
                     if let Some(ev) = events.as_mut() {
-                        ev.push(crate::Event::MessageSent {
-                            round,
-                            from: v,
-                            port,
-                            bytes: message_size,
-                        });
+                        ev.extend((0..degree).map(sent));
+                    }
+                }
+                // Per port, or a silent uniform sender.
+                per_port => {
+                    for (p, m) in per_port.iter().take(degree).enumerate() {
+                        if m.is_none() {
+                            continue;
+                        }
+                        messages_sent += 1;
+                        message_bytes += message_size;
+                        if let Some(ev) = events.as_mut() {
+                            ev.push(sent(p));
+                        }
                     }
                 }
             }
@@ -318,42 +338,44 @@ where
         // the next round, and each node writes only its own slots, so
         // this order is equally inert. One slot buffer serves every inbox
         // of the round.
+        let order = adversary.step_order(n, round);
+        seen.check(&order, round, "step")?;
         let mut slots: Vec<Option<&A::Message>> = Vec::new();
-        for v in checked_order(adversary.step_order(n, round), n, round, "step")? {
-            if halted[v.index()] {
+        for &i in &order {
+            if halted[i] {
                 continue;
             }
-            let Some(state) = states[v.index()].take() else {
+            let Some(state) = states[i].take() else {
                 continue;
             };
+            let v = NodeId::new(i);
             bits_consumed += 1;
             if let Some(ev) = events.as_mut() {
                 ev.push(crate::Event::BitsDrawn { round, node: v, count: 1 });
             }
             slots.clear();
-            slots.extend((0..g.degree(v)).map(|p| {
-                let port = Port::new(p);
-                let u = g.endpoint(v, port);
-                sent_on(&outgoing[u.index()], || g.reverse_port(v, port))
-            }));
+            for (p, u) in g.neighbors(v).iter().enumerate() {
+                slots.push(sent_on(&outgoing[u.index()], || g.reverse_port(v, Port::new(p))));
+            }
             let inbox = Inbox::from_slots(slots);
-            let had_output = outputs[v.index()].is_some();
-            let mut actions: Actions<A::Output> = Actions::new(outputs[v.index()].take());
-            states[v.index()] = Some(alg.step(state, round, &inbox, bits[v.index()], &mut actions));
+            let had_output = outputs[i].is_some();
+            let mut actions: Actions<A::Output> = Actions::new(outputs[i].take());
+            states[i] = Some(alg.step(state, round, &inbox, bits[i], &mut actions));
             slots = inbox.into_slots();
             if actions.output_written {
                 return Err(RuntimeError::OutputConflict { node: v, round });
             }
             if !had_output && actions.output.is_some() {
-                output_rounds[v.index()] = Some(round);
+                output_rounds[i] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::OutputSet { round, node: v });
                 }
             }
-            outputs[v.index()] = actions.output;
+            outputs[i] = actions.output;
             if actions.halt {
-                halted[v.index()] = true;
-                halt_rounds[v.index()] = Some(round);
+                halted[i] = true;
+                active -= 1;
+                halt_rounds[i] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::Halted { round, node: v });
                 }
@@ -367,9 +389,6 @@ where
         }
     };
 
-    // The bit/compose loops may have started a round that ended early
-    // (OutOfBits); trim the per-round profiles to completed rounds.
-    active_per_round.truncate(rounds);
     Ok(Execution {
         outputs,
         output_rounds,
@@ -388,10 +407,12 @@ where
 }
 
 /// The message a sender's `compose_round` buffer carries on one of its
-/// ports: the single entry of a uniform sender (the port is never
-/// computed), else the entry of that port.
+/// ports: nothing from a silent (halted) sender, the single entry of a
+/// uniform sender, else the entry of that port. Only the last case
+/// computes the port.
 fn sent_on<M>(out: &[Option<M>], port: impl FnOnce() -> Port) -> Option<&M> {
     match out {
+        [] => None,
         [uniform] => uniform.as_ref(),
         per_port => per_port.get(port().index())?.as_ref(),
     }
@@ -402,16 +423,44 @@ fn snapshot<S: Clone>(states: &[Option<S>]) -> Vec<S> {
     states.iter().flatten().cloned().collect()
 }
 
-/// Validates an adversary-supplied order as a permutation of `0..n`.
-fn checked_order(order: Vec<usize>, n: usize, round: usize, phase: &str) -> Result<Vec<NodeId>> {
-    let mut seen = vec![false; n];
-    if order.len() != n || order.iter().any(|&v| v >= n || std::mem::replace(&mut seen[v], true)) {
-        return Err(RuntimeError::InvalidSchedule {
-            round,
-            reason: format!("{phase} order is not a permutation of 0..{n}: {order:?}"),
-        });
+/// Validates adversary-supplied orders as permutations of `0..n`, in
+/// place: `stamp[v] == epoch` marks node `v` as seen by the current check,
+/// and each check starts a fresh epoch, so the buffer is never cleared.
+struct OrderStamps {
+    stamp: Vec<u64>,
+    epoch: u64,
+}
+
+impl OrderStamps {
+    fn new(n: usize) -> Self {
+        OrderStamps { stamp: vec![0; n], epoch: 0 }
     }
-    Ok(order.into_iter().map(NodeId::new).collect())
+
+    /// Checks `order`; the error names the phase, the round and the first
+    /// offending entry, never the whole order.
+    fn check(&mut self, order: &[usize], round: usize, phase: &str) -> Result<()> {
+        let n = self.stamp.len();
+        let invalid = |what: String| {
+            Err(RuntimeError::InvalidSchedule {
+                round,
+                reason: format!("{phase} order is not a permutation of 0..{n}: {what}"),
+            })
+        };
+        if order.len() != n {
+            return invalid(format!("it has {} entries", order.len()));
+        }
+        self.epoch += 1;
+        for (k, &v) in order.iter().enumerate() {
+            match self.stamp.get_mut(v) {
+                None => return invalid(format!("entry {k} is {v}, out of range")),
+                Some(s) if *s == self.epoch => {
+                    return invalid(format!("entry {k} repeats node {v}"));
+                }
+                Some(s) => *s = self.epoch,
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -775,6 +824,85 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidSchedule { round: 1, .. }));
         assert!(err.to_string().contains("permutation"));
+    }
+
+    /// Fair in both phases, except that `bad_round`'s orders pass through
+    /// `spoil`.
+    struct Spoiled {
+        bad_round: usize,
+        phase: &'static str,
+        spoil: fn(&mut Vec<usize>),
+    }
+
+    impl Spoiled {
+        fn order(&self, phase: &str, n: usize, round: usize) -> Vec<usize> {
+            let mut order: Vec<usize> = (0..n).collect();
+            if round == self.bad_round && phase == self.phase {
+                (self.spoil)(&mut order);
+            }
+            order
+        }
+    }
+
+    impl crate::adversary::RoundAdversary for Spoiled {
+        fn compose_order(&mut self, n: usize, round: usize) -> Vec<usize> {
+            self.order("compose", n, round)
+        }
+        fn step_order(&mut self, n: usize, round: usize) -> Vec<usize> {
+            self.order("step", n, round)
+        }
+    }
+
+    /// Runs a 5-round flood on a 200-node cycle under `adversary` and
+    /// returns its schedule error.
+    fn schedule_error(adversary: &mut Spoiled) -> (usize, String) {
+        let net = generators::cycle(200).unwrap().with_uniform_label(0u32);
+        let err = run_with_adversary(
+            &FloodMax { k: 5 },
+            &net,
+            &mut ZeroSource,
+            &ExecConfig::default(),
+            adversary,
+        )
+        .unwrap_err();
+        let RuntimeError::InvalidSchedule { round, .. } = err else {
+            panic!("expected a schedule error, got {err}");
+        };
+        let text = err.to_string();
+        assert!(text.contains("permutation"), "{text}");
+        assert!(text.contains(adversary.phase), "{text}");
+        // The message names one entry; it never lists the order.
+        assert!(text.len() < 120, "{text}");
+        (round, text)
+    }
+
+    #[test]
+    fn a_repeat_after_valid_rounds_is_caught_in_its_round() {
+        // Rounds 1 and 2 stamp every node twice; round 3's step order
+        // repeats node 0 in its last entry.
+        let mut adv =
+            Spoiled { bad_round: 3, phase: "step", spoil: |o| *o.last_mut().unwrap() = 0 };
+        let (round, text) = schedule_error(&mut adv);
+        assert_eq!(round, 3);
+        assert!(text.contains("entry 199 repeats node 0"), "{text}");
+    }
+
+    #[test]
+    fn wrong_length_orders_are_rejected() {
+        let mut short = Spoiled { bad_round: 2, phase: "compose", spoil: |o| _ = o.pop() };
+        let (round, text) = schedule_error(&mut short);
+        assert_eq!(round, 2);
+        assert!(text.contains("199 entries"), "{text}");
+        let mut long = Spoiled { bad_round: 1, phase: "step", spoil: |o| o.push(0) };
+        assert_eq!(schedule_error(&mut long).0, 1);
+    }
+
+    #[test]
+    fn out_of_range_entries_are_rejected() {
+        let mut adv = Spoiled { bad_round: 4, phase: "compose", spoil: |o| o[7] = 200 };
+        let (round, text) = schedule_error(&mut adv);
+        assert_eq!(round, 4);
+        assert!(text.contains("entry 7 is 200, out of range"), "{text}");
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! change to how messages move through the engine that alters what an
 //! execution observes fails here.
 
+mod common;
+
 use anonet::algorithms::two_hop_coloring::TwoHopColoring;
-use anonet::graph::{generators, Graph};
+use anonet::graph::Graph;
 use anonet::runtime::{run, ExecConfig, Oblivious, RngSource, Status};
-use rand::SeedableRng;
 
 /// `(rounds, messages_sent, message_bytes, bits_consumed, output digest)`.
 type Counters = (usize, usize, usize, usize, u64);
@@ -41,22 +42,6 @@ fn stage1(g: &Graph, seed: u64) -> Counters {
     (exec.rounds(), exec.messages_sent(), exec.message_bytes(), exec.bits_consumed(), digest)
 }
 
-fn cases() -> Vec<(String, Graph, u64)> {
-    let mut cases: Vec<(String, Graph, u64)> =
-        (0..5).map(|seed| (format!("petersen/s{seed}"), generators::petersen(), seed)).collect();
-    cases.push(("grid(5,5)".into(), generators::grid(5, 5, false).unwrap(), 3));
-    cases.push(("cycle(17)".into(), generators::cycle(17).unwrap(), 4));
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(64);
-    cases.push(("gnp(64,0.1)".into(), generators::gnp_connected(64, 0.1, &mut rng).unwrap(), 5));
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(128);
-    cases.push((
-        "3-regular(128)".into(),
-        generators::random_regular(128, 3, 1000, &mut rng).unwrap(),
-        6,
-    ));
-    cases
-}
-
 /// Captured from the engine that composed per port and cloned every
 /// delivered message.
 const GOLDEN: &[(&str, Counters)] = &[
@@ -73,8 +58,10 @@ const GOLDEN: &[(&str, Counters)] = &[
 
 #[test]
 fn two_hop_coloring_counters_match_the_golden_values() {
-    let got: Vec<(String, Counters)> =
-        cases().into_iter().map(|(name, g, seed)| (name, stage1(&g, seed))).collect();
+    let got: Vec<(String, Counters)> = common::stage1_cases()
+        .into_iter()
+        .map(|(name, g, seed)| (name, stage1(&g, seed)))
+        .collect();
     assert_eq!(got.len(), GOLDEN.len());
     for ((name, c), (want_name, want)) in got.iter().zip(GOLDEN) {
         assert_eq!(name, want_name);
