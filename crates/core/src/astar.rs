@@ -32,7 +32,8 @@
 //!   colored labelings only, one per labeled-isomorphism class, the C2
 //!   scan replaced by one hash lookup of
 //!   the node's layered view id in a per-depth selection index, and
-//!   balls-by-radius hoisted out of the node loop; `Update-Output` and
+//!   each phase's label universes built once per distinct universe from
+//!   bitset sweeps; `Update-Output` and
 //!   `Update-Bits` run once per distinct candidate selected in a phase,
 //!   since they depend on the node only through its image `v̊` (DESIGN
 //!   §8.4);
@@ -65,7 +66,9 @@ use anonet_obs::{names, NoopRecorder, Recorder, SharedRecorder, Span};
 use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
-use anonet_views::{canonical_order, quotient, update_graph_cmp, ViewMode, ViewQuotient, ViewTree};
+use anonet_views::{
+    canonical_order, quotient, update_graph_cmp, FastHash, ViewMode, ViewQuotient, ViewTree,
+};
 
 use crate::astar_cache::{AstarCache, CandidateLabel, CandidateQuotient, PhaseViews, PoolKey};
 use crate::candidates::candidate_pool;
@@ -328,11 +331,11 @@ pub(crate) struct PhasePlan {
     pub(crate) views: PhaseViews,
 }
 
-/// Phase-`p` setup against the memo: per-node universes (cached balls at
-/// radius `p - 1`), the instance's depth-`p` view ids, interned, and then
-/// one [`AstarCache::ensure_pool`] per node — a hash lookup for every
-/// node after the first in its universe class — whose index builds look
-/// the candidates' views up against those ids.
+/// Phase-`p` setup against the memo: the radius-`(p − 1)` universes,
+/// built once per distinct universe, the instance's depth-`p` view ids,
+/// interned, and then one [`AstarCache::ensure_pool`] per node — a hash
+/// lookup for every node after the first in its universe class — whose
+/// index builds look the candidates' views up against those ids.
 pub(crate) fn prepare_phase<I, C, P>(
     cache: &mut AstarCache<I, C>,
     problem: &P,
@@ -349,9 +352,10 @@ where
     let universes = cache.phase_universes(ip, p - 1);
     let views = cache.view_ids(ip, p);
     let p_capped = p.min(cfg.max_candidate_nodes);
-    let keys = universes
-        .iter()
-        .map(|u| cache.ensure_pool(problem, p_capped, &views, u, rec))
+    let keys = ip
+        .graph()
+        .nodes()
+        .map(|v| cache.ensure_pool(problem, p_capped, &views, universes.of(v), rec))
         .collect::<Result<_>>()?;
     Ok(PhasePlan { keys, views })
 }
@@ -408,7 +412,7 @@ where
 {
     let selected = fan.fan(nodes, |&v| update_graph(v, p, plan, cache, rec))?;
 
-    let mut slot_of: HashMap<(PoolKey, usize), usize> = HashMap::new();
+    let mut slot_of: HashMap<(PoolKey, usize), usize, FastHash> = HashMap::default();
     let mut candidates: Vec<&CandidateQuotient<A::Input, C>> = Vec::new();
     let selections = selected
         .into_iter()

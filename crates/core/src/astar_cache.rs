@@ -8,20 +8,29 @@
 //! color class share their universe exactly, so on the bench workloads the
 //! same pool is rebuilt `Θ(n)` times per phase.
 //!
-//! [`AstarCache`] memoizes three layers:
+//! [`AstarCache`] works in three layers, the last two memoized:
 //!
-//! * **Balls** — `distance::ball(g, v, r)` per radius (node sets depend on
-//!   the graph only, not on the evolving bitstring labels), so the
-//!   per-phase universe computation is one label map over a cached ball;
+//! * **Universes** — each phase gives every distinct label of `I^p` a
+//!   dense id in sorted label order and builds each node's label set as a
+//!   `⌈L/64⌉`-word bitset in `radius` OR-sweeps over the graph,
+//!   `U_r(v) = {ℓ(v)} ∪ ⋃_{u∈N(v)} U_{r−1}(u)`, which is the label set of
+//!   `distance::ball(g, v, r)`. The bitsets are interned, and only each
+//!   distinct one becomes a sorted universe with its encoding and pool key
+//!   ([`AstarCache::phase_universes`]): the nodes of a fibre of a lift
+//!   share it;
 //! * **Pools** — keyed by `(p_capped, Sym(universe encoding))`, a pool
 //!   entry stores every candidate that passes the node-independent gates
-//!   (2-hop coloring, C3 instance check) with its interned marks. The
-//!   pool is enumerated by [`two_hop_colored_pool`], which never builds
-//!   the labelings that fail the 2-hop gate and keeps one candidate per
-//!   labeled-isomorphism class, the first in pool order: isomorphic
-//!   candidates have the same views and tie on every gate and on the
-//!   order, so the first of the class is the only one a C2 index could
-//!   select (the argument is in [`two_hop_colored_pool`]'s docs);
+//!   (2-hop coloring, C3 instance check). The pool is enumerated by
+//!   [`two_hop_colored_pool`], which never builds the labelings that fail
+//!   the 2-hop gate and keeps one candidate per labeled-isomorphism class,
+//!   the first in pool order: isomorphic candidates have the same views
+//!   and tie on every gate and on the order, so the first of the class is
+//!   the only one a C2 index could select (the argument is in
+//!   [`two_hop_colored_pool`]'s docs). A candidate borrows its shape and
+//!   keeps only its nodes' universe indexes; its marks are the universe
+//!   entries' interned encodings, C3 is decided once per shape and
+//!   input-label ids, and a [`LabeledGraph`] is built only for a
+//!   candidate an index quotients or an error names;
 //! * **Selection indexes** — per *view depth* `p`, a hash map from a
 //!   depth-`p` view id to the minimal matching candidate's quotient and
 //!   its matched node `v̂`, turning the reference's
@@ -82,7 +91,12 @@
 //! replacing an entry only on a strictly smaller `(node count, encoding)`
 //! pair. Ids are used for equality and hashing only — orderings always
 //! compare the canonical bytes `s(Ĝ_*)` (see [`anonet_views::Interner`]).
+//!
+//! Every map here lives for one run and is keyed by symbols, ids or
+//! bitsets the run derived from its own instance, so all of them hash
+//! with [`FastHash`], the deterministic hasher next to [`Interner`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use anonet_graph::canonical::encode_with_order;
@@ -91,10 +105,10 @@ use anonet_graph::{BitString, Graph, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
 use anonet_views::{
-    canonical_view_encoding, quotient, Interner, Sym, ViewMode, ViewQuotient, SIZE_BUDGET,
+    canonical_view_encoding, quotient, FastHash, Interner, Sym, ViewMode, ViewQuotient, SIZE_BUDGET,
 };
 
-use crate::candidates::two_hop_colored_pool;
+use crate::candidates::{label_shape, two_hop_colored_pool, ShapeLabelings};
 use crate::error::CoreError;
 use crate::Result;
 
@@ -107,13 +121,14 @@ pub type CandidateQuotient<I, C> = ViewQuotient<CandidateLabel<I, C>>;
 /// Key of a memoized pool: `(p_capped, interned universe encoding)`.
 pub type PoolKey = (usize, Sym);
 
-/// A candidate that survived the node-independent gates, with its marks
-/// and, once an index needs them, its quotient and ordering data.
-struct PoolCandidate<I: Label, C: Label> {
-    /// The candidate presentation itself (C2 views are taken in it).
-    graph: LabeledGraph<CandidateLabel<I, C>>,
-    /// Its nodes' interned label encodings, the first layer of its views.
-    marks: Vec<Option<Sym>>,
+/// A candidate that survived the node-independent gates: its borrowed
+/// shape, where its universe indexes start in the pool's `labels`, and,
+/// once an index needs them, its quotient and ordering data.
+struct PoolCandidate {
+    /// The candidate's graph (C2 views are taken in it).
+    shape: &'static Graph,
+    /// Node `k` carries universe entry `labels[start + k]` of its pool.
+    start: usize,
     /// The slot of its finite view graph `Ĝ_*` in the pool's quotients,
     /// once built.
     quotient: Option<usize>,
@@ -126,7 +141,7 @@ struct PoolCandidate<I: Label, C: Label> {
 /// `(quotient slot, v̂)` selection. Entries are listed in order of first
 /// registration, so quotient slots never depend on hash order.
 struct SelectionIndex {
-    map: HashMap<Sym, usize>,
+    map: HashMap<Sym, usize, FastHash>,
     entries: Vec<(usize, NodeId)>,
 }
 
@@ -138,14 +153,22 @@ impl SelectionIndex {
 }
 
 /// A memoized pool with its per-depth selection indexes and the
-/// quotients of the candidates those indexes name.
+/// quotients of the candidates those indexes name. Candidates borrow
+/// the process-wide shapes.
 struct PoolEntry<I: Label, C: Label> {
-    candidates: Vec<PoolCandidate<I, C>>,
+    /// The pool's universe, sorted.
+    universe: Vec<CandidateLabel<I, C>>,
+    /// Each universe entry's interned label encoding: the first layer of
+    /// the views of every candidate node that carries it.
+    marks: Vec<Option<Sym>>,
+    /// The candidates' universe indexes, node by node.
+    labels: Vec<usize>,
+    candidates: Vec<PoolCandidate>,
     quotients: Vec<CandidateQuotient<I, C>>,
-    indexes: HashMap<usize, SelectionIndex>,
+    indexes: HashMap<usize, SelectionIndex, FastHash>,
 }
 
-/// The instance's depth-`depth` view id per node, interned by
+/// The instance's depth-`p` view id per node, interned by
 /// [`AstarCache::view_ids`]: the proof that the ids a depth-`depth` index
 /// build looks candidates up against exist. A view larger than
 /// [`SIZE_BUDGET`] carries the `ViewTooLarge` error of
@@ -162,17 +185,50 @@ impl PhaseViews {
     }
 }
 
-/// The `A_*` memo: balls by radius, candidate pools by
-/// `(p_capped, universe)`, C2 selection indexes by view depth.
+/// One phase's label universes, computed once per distinct universe by
+/// [`AstarCache::phase_universes`].
+pub struct PhaseUniverses<L> {
+    /// Per node, the position of its universe in `distinct`.
+    of_node: Vec<usize>,
+    /// Per distinct universe: its sorted labels and the interned
+    /// [`universe_encoding`] that keys its pools.
+    distinct: Vec<(Vec<L>, Sym)>,
+}
+
+impl<L> PhaseUniverses<L> {
+    /// Node `v`'s universe.
+    pub fn of(&self, v: NodeId) -> Universe<'_, L> {
+        let (labels, sym) = &self.distinct[self.of_node[v.index()]];
+        Universe { labels, sym: *sym }
+    }
+}
+
+/// A node's label universe: the sorted, deduplicated labels of its ball,
+/// with the interned encoding that keys its pool in the [`AstarCache`]
+/// that computed it.
+#[derive(Debug)]
+pub struct Universe<'a, L> {
+    labels: &'a [L],
+    sym: Sym,
+}
+
+impl<'a, L> Universe<'a, L> {
+    /// The universe's labels, sorted and deduplicated.
+    pub fn labels(&self) -> &'a [L] {
+        self.labels
+    }
+}
+
+/// The `A_*` memo for one run: candidate pools by `(p_capped, universe)`,
+/// C2 selection indexes by view depth, and the interners behind universe
+/// keys and view ids.
 ///
-/// One cache serves one instance for the lifetime of a run (the ball memo
-/// assumes a fixed graph); pools and the interners are shared across all
-/// phases and nodes of that run.
+/// One cache serves one instance for the lifetime of a run; pools and the
+/// interners are shared across all phases and nodes of that run.
 pub struct AstarCache<I: Label, C: Label> {
     interner: Interner,
     views: ViewIds,
-    balls: HashMap<usize, Vec<Vec<NodeId>>>,
-    pools: HashMap<PoolKey, PoolEntry<I, C>>,
+    pools: HashMap<PoolKey, PoolEntry<I, C>, FastHash>,
     hits: u64,
     misses: u64,
 }
@@ -182,8 +238,7 @@ impl<I: Label, C: Label> Default for AstarCache<I, C> {
         AstarCache {
             interner: Interner::new(),
             views: ViewIds::default(),
-            balls: HashMap::new(),
-            pools: HashMap::new(),
+            pools: HashMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -206,31 +261,79 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         self.misses
     }
 
-    /// Per-node label universes for one phase: the labels of `I^p` within
-    /// the cached `distance::ball(g, v, radius)`, sorted and deduplicated
-    /// — exactly the reference's per-node computation, with the ball
-    /// (which depends on the graph only, never on the evolving bitstring
-    /// labels) hoisted out of the phase loop.
+    /// Every node's label universe for one phase: the labels of `I^p`
+    /// within `distance::ball(g, v, radius)`, sorted and deduplicated —
+    /// the reference's per-node computation — built once per distinct
+    /// universe. Labels get dense ids in sorted order; each node's label
+    /// set is a bitset over them, grown by `radius` OR-sweeps over its
+    /// neighbours' sets (stopping early at a fixpoint); the bitsets are
+    /// interned, and each distinct one is read out, in id order, into a
+    /// sorted universe whose encoding is interned as its pool key.
     pub fn phase_universes(
         &mut self,
         ip: &LabeledGraph<CandidateLabel<I, C>>,
         radius: usize,
-    ) -> Vec<Vec<CandidateLabel<I, C>>> {
+    ) -> PhaseUniverses<CandidateLabel<I, C>> {
         let g = ip.graph();
-        let balls = self.balls.entry(radius).or_insert_with(|| {
-            let mut scratch = BallScratch::new(g.node_count());
-            g.nodes().map(|v| scratch.ball(g, v, radius).to_vec()).collect()
-        });
-        balls
-            .iter()
-            .map(|ball| {
-                let mut universe: Vec<CandidateLabel<I, C>> =
-                    ball.iter().map(|&u| ip.label(u).clone()).collect();
-                universe.sort();
-                universe.dedup();
-                universe
+        let labels = ip.labels();
+        let n = labels.len();
+        // Dense ids in sorted label order.
+        let mut by_label: Vec<usize> = (0..n).collect();
+        by_label.sort_by(|&a, &b| labels[a].cmp(&labels[b]));
+        let mut ids = vec![0usize; n];
+        let mut sorted: Vec<&CandidateLabel<I, C>> = Vec::new();
+        for &v in &by_label {
+            if sorted.last() != Some(&&labels[v]) {
+                sorted.push(&labels[v]);
+            }
+            ids[v] = sorted.len() - 1;
+        }
+        let words = sorted.len().div_ceil(64);
+        let mut own = vec![0u64; n * words];
+        for (v, &id) in ids.iter().enumerate() {
+            own[v * words + id / 64] |= 1 << (id % 64);
+        }
+        let mut sets = own.clone();
+        let mut next = vec![0u64; n * words];
+        for _ in 0..radius {
+            // `max(1)`: chunks may not be empty, and an empty graph has no rows.
+            for (v, row) in g.nodes().zip(next.chunks_exact_mut(words.max(1))) {
+                let at = v.index() * words;
+                row.copy_from_slice(&own[at..at + words]);
+                for u in g.neighbors(v) {
+                    let at = u.index() * words;
+                    for (word, &theirs) in row.iter_mut().zip(&sets[at..at + words]) {
+                        *word |= theirs;
+                    }
+                }
+            }
+            std::mem::swap(&mut sets, &mut next);
+            if sets == next {
+                break;
+            }
+        }
+
+        let mut seen: HashMap<&[u64], usize, FastHash> = HashMap::default();
+        let mut distinct = Vec::new();
+        let of_node = (0..n)
+            .map(|v| {
+                let set = &sets[v * words..(v + 1) * words];
+                *seen.entry(set).or_insert_with(|| {
+                    let mut universe = Vec::new();
+                    for (w, &word) in set.iter().enumerate() {
+                        let mut rest = word;
+                        while rest != 0 {
+                            universe.push(sorted[w * 64 + rest.trailing_zeros() as usize].clone());
+                            rest &= rest - 1;
+                        }
+                    }
+                    let sym = self.interner.intern(&universe_encoding(&universe));
+                    distinct.push((universe, sym));
+                    distinct.len() - 1
+                })
             })
-            .collect()
+            .collect();
+        PhaseUniverses { of_node, distinct }
     }
 
     /// Every node's depth-`depth` view id in `ip`, interning every mark
@@ -278,29 +381,30 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         problem: &P,
         p_capped: usize,
         views: &PhaseViews,
-        universe: &[CandidateLabel<I, C>],
+        universe: Universe<'_, CandidateLabel<I, C>>,
         rec: &dyn Recorder,
     ) -> Result<PoolKey>
     where
         P: Problem<Input = I>,
     {
         // Split borrows: pool builds intern marks into `ids`.
-        let AstarCache { interner, views: ids, pools, hits, misses, .. } = self;
-        let key = (p_capped, interner.intern(&universe_encoding(universe)));
+        let AstarCache { views: ids, pools, hits, misses, .. } = self;
+        let key = (p_capped, universe.sym);
         let entry = match pools.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
+            Entry::Vacant(slot) => {
                 *misses += 1;
                 if rec.is_enabled() {
                     rec.counter(names::ASTAR_POOL_MISS, 1);
                 }
-                let pool = two_hop_colored_pool(p_capped, universe, |((_i, c), _b)| c)?;
-                let entry = filter_pool(problem, pool, &mut ids.marks);
+                let labels = universe.labels;
+                let pool = two_hop_colored_pool(p_capped, labels, |((_i, c), _b)| c)?;
+                let entry = filter_pool(problem, labels, pool, &mut ids.marks)?;
                 if rec.is_enabled() {
                     rec.counter(names::ASTAR_POOL_CANDIDATES, entry.candidates.len() as u64);
                 }
                 slot.insert(entry)
             }
-            std::collections::hash_map::Entry::Occupied(slot) => {
+            Entry::Occupied(slot) => {
                 *hits += 1;
                 if rec.is_enabled() {
                     rec.counter(names::ASTAR_POOL_HIT, 1);
@@ -353,9 +457,11 @@ pub fn universe_encoding<L: Label>(universe: &[L]) -> Vec<u8> {
 }
 
 /// The per-node pool-memo keys `(p_capped, universe encoding)` of one
-/// phase, computed directly (no cache) — the proptest surface for the
-/// memo-key invariance property: renumbering the instance permutes this
-/// vector by the same permutation, and port shuffles leave it untouched.
+/// phase, computed directly from each node's ball (no cache) — the
+/// literal per-node oracle for [`AstarCache::phase_universes`], and the
+/// proptest surface for the memo-key invariance property: renumbering the
+/// instance permutes this vector by the same permutation, and port
+/// shuffles leave it untouched.
 pub fn pool_keys<L: Label>(
     ip: &LabeledGraph<L>,
     p: usize,
@@ -379,35 +485,87 @@ pub fn pool_keys<L: Label>(
 
 /// Applies the node-independent `Update-Graph` gate that remains after
 /// the 2-hop gate (the C3 instance check) to a pool of 2-hop colored
-/// candidates, in pool order, interning each survivor's marks into
-/// `marks`.
+/// candidates over `universe`, in pool order, interning each universe
+/// entry's label encoding into `marks`.
+///
+/// C3 reads a candidate's shape and its nodes' inputs only, so it is
+/// decided once per shape and vector of input-label ids: entry `i`'s id
+/// is the first entry of the run of equal inputs that contains it (in a
+/// sorted universe, all entries with its input). Equal ids imply equal
+/// inputs, so a shared decision is the decision of every candidate that
+/// shares it.
+///
+/// # Errors
+///
+/// A graph error if a labeling does not fit its shape.
 fn filter_pool<I, C, P>(
     problem: &P,
-    pool: Vec<LabeledGraph<CandidateLabel<I, C>>>,
+    universe: &[CandidateLabel<I, C>],
+    pool: Vec<ShapeLabelings>,
     marks: &mut Interner,
-) -> PoolEntry<I, C>
+) -> Result<PoolEntry<I, C>>
 where
     I: Label,
     C: Label,
     P: Problem<Input = I>,
 {
-    let candidates = pool
-        .into_iter()
-        .filter(|cand| {
-            // C3: the (î, ĉ) part is an instance of Π^c.
-            problem.is_instance(&cand.map_labels(|((i, _c), _b)| i.clone()))
-        })
-        .map(|graph| PoolCandidate {
-            marks: marks_of(graph.labels(), |enc| Some(marks.intern(enc))),
-            graph,
-            quotient: None,
-            order: None,
-        })
-        .collect();
-    PoolEntry { candidates, quotients: Vec::new(), indexes: HashMap::new() }
+    let input = |i: usize| &universe[i].0 .0;
+    let mut input_ids: Vec<usize> = Vec::with_capacity(universe.len());
+    for i in 0..universe.len() {
+        let first = match input_ids.last() {
+            Some(&prev) if input(prev) == input(i) => prev,
+            _ => i,
+        };
+        input_ids.push(first);
+    }
+    let mut entry = PoolEntry {
+        universe: universe.to_vec(),
+        marks: marks_of(universe, |enc| Some(marks.intern(enc))),
+        labels: Vec::new(),
+        candidates: Vec::new(),
+        quotients: Vec::new(),
+        indexes: HashMap::default(),
+    };
+    let mut c3: HashMap<Box<[usize]>, bool, FastHash> = HashMap::default();
+    let mut key: Vec<usize> = Vec::new();
+    for group in pool {
+        c3.clear();
+        for labeling in group.labelings() {
+            key.clear();
+            key.extend(labeling.iter().map(|&i| input_ids[i]));
+            let is_instance = match c3.get(key.as_slice()) {
+                Some(&known) => known,
+                None => {
+                    // C3: the (î, ĉ) part is an instance of Π^c.
+                    let inputs = key.iter().map(|&i| input(i).clone()).collect();
+                    let known = problem.is_instance(&group.graph.with_labels(inputs)?);
+                    c3.insert(key.as_slice().into(), known);
+                    known
+                }
+            };
+            if is_instance {
+                entry.candidates.push(PoolCandidate {
+                    shape: group.graph,
+                    start: entry.labels.len(),
+                    quotient: None,
+                    order: None,
+                });
+                entry.labels.extend_from_slice(labeling);
+            }
+        }
+    }
+    Ok(entry)
 }
 
 impl<I: Label, C: Label> PoolEntry<I, C> {
+    /// Candidate `idx` as a labeled graph: built only for the quotients
+    /// and errors that need one.
+    fn graph(&self, idx: usize) -> Result<LabeledGraph<CandidateLabel<I, C>>> {
+        let cand = &self.candidates[idx];
+        let labeling = &self.labels[cand.start..cand.start + cand.shape.node_count()];
+        label_shape(cand.shape, labeling, &self.universe)
+    }
+
     /// Builds the depth-`depth` C2 index, reproducing the reference
     /// scan's tie-breaks: candidates visited in pool order, only the
     /// first node per view id registered within a candidate, entries
@@ -416,18 +574,20 @@ impl<I: Label, C: Label> PoolEntry<I, C> {
     /// node whose key misses registers nothing. Ends by building the
     /// quotient of every candidate an entry names.
     fn build_index(&mut self, depth: usize, layers_table: &Interner) -> Result<SelectionIndex> {
-        let mut map: HashMap<Sym, usize> = HashMap::new();
+        let mut map: HashMap<Sym, usize, FastHash> = HashMap::default();
         // `(candidate index, v̂)` until the end, then `(quotient slot, v̂)`.
         let mut entries: Vec<(usize, NodeId)> = Vec::new();
         let mut layers = Layers::default();
+        let mut marks: Vec<Option<Sym>> = Vec::new();
         // Per candidate: each view id it has, with its first node (v̂).
         let mut firsts: Vec<(Sym, NodeId)> = Vec::new();
         for idx in 0..self.candidates.len() {
-            let cand = &self.candidates[idx];
-            let g = cand.graph.graph();
-            layers.sweep(g, &cand.marks, depth, &mut Table::Lookup(layers_table));
+            let PoolCandidate { shape: g, start, .. } = self.candidates[idx];
+            marks.clear();
+            marks.extend(self.labels[start..start + g.node_count()].iter().map(|&i| self.marks[i]));
+            layers.sweep(g, &marks, depth, &mut Table::Lookup(layers_table));
             if let Some(u) = g.nodes().find(|&u| layers.too_large(u, depth)) {
-                return Err(view_too_large(&cand.graph, u, depth));
+                return Err(view_too_large(&self.graph(idx)?, u, depth));
             }
             firsts.clear();
             for u in g.nodes() {
@@ -439,11 +599,11 @@ impl<I: Label, C: Label> PoolEntry<I, C> {
             }
             for &(sym, u) in &firsts {
                 match map.entry(sym) {
-                    std::collections::hash_map::Entry::Vacant(slot) => {
+                    Entry::Vacant(slot) => {
                         slot.insert(entries.len());
                         entries.push((idx, u));
                     }
-                    std::collections::hash_map::Entry::Occupied(slot) => {
+                    Entry::Occupied(slot) => {
                         // Strictly-less replacement keeps the earliest
                         // minimal candidate, matching the reference's
                         // pool-order scan.
@@ -466,17 +626,16 @@ impl<I: Label, C: Label> PoolEntry<I, C> {
     /// Candidate `idx`'s slot in `quotients`, building its quotient on
     /// first use.
     fn quotient_slot(&mut self, idx: usize) -> Result<usize> {
-        let cand = &mut self.candidates[idx];
-        if let Some(slot) = cand.quotient {
+        if let Some(slot) = self.candidates[idx].quotient {
             return Ok(slot);
         }
         // Lemma 2: the quotient of a 2-hop colored graph is simple, and
         // every pool candidate is 2-hop colored.
-        let q = quotient(&cand.graph, ViewMode::Portless).map_err(|e| {
+        let q = quotient(&self.graph(idx)?, ViewMode::Portless).map_err(|e| {
             CoreError::internal(format!("a 2-hop colored candidate has no quotient: {e}"))
         })?;
         self.quotients.push(q);
-        cand.quotient = Some(self.quotients.len() - 1);
+        self.candidates[idx].quotient = Some(self.quotients.len() - 1);
         Ok(self.quotients.len() - 1)
     }
 
@@ -630,7 +789,7 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     use crate::astar::{prepare_phase, AStarConfig};
-    use crate::candidates::tests::first_of_each_class;
+    use crate::candidates::tests::{first_of_each_class, materialize};
     use crate::candidates::{
         candidate_pool, candidate_pool_all_presentations, connected_graphs_up_to_iso,
     };
@@ -647,6 +806,42 @@ mod tests {
 
     fn triangle_ip() -> LabeledGraph<MisLabel> {
         generators::cycle(3).unwrap().with_labels(triangle_universe()).unwrap()
+    }
+
+    /// `labels` as a universe of `cache`, its encoding interned as
+    /// [`AstarCache::phase_universes`] interns it.
+    fn universe_in<'u, I: Label, C: Label>(
+        cache: &mut AstarCache<I, C>,
+        labels: &'u [CandidateLabel<I, C>],
+    ) -> Universe<'u, CandidateLabel<I, C>> {
+        Universe { labels, sym: cache.interner.intern(&universe_encoding(labels)) }
+    }
+
+    /// `graphs` as a pool over the sorted `universe` that holds all their
+    /// labels: each graph its own shape group, its shape leaked to outlive
+    /// the test as the process-wide shapes do.
+    fn shaped<L: Label>(graphs: &[LabeledGraph<L>], universe: &[L]) -> Vec<ShapeLabelings> {
+        graphs
+            .iter()
+            .map(|g| ShapeLabelings {
+                graph: Box::leak(Box::new(g.graph().clone())),
+                indices: g.labels().iter().map(|l| universe.binary_search(l).unwrap()).collect(),
+            })
+            .collect()
+    }
+
+    /// Candidate `idx`'s graph and its nodes' marks.
+    fn candidate<I: Label, C: Label>(
+        entry: &PoolEntry<I, C>,
+        idx: usize,
+    ) -> (LabeledGraph<CandidateLabel<I, C>>, Vec<Option<Sym>>) {
+        let graph = entry.graph(idx).unwrap();
+        let start = entry.candidates[idx].start;
+        let marks = entry.labels[start..start + graph.node_count()]
+            .iter()
+            .map(|&i| entry.marks[i])
+            .collect();
+        (graph, marks)
     }
 
     /// `(node count, encoding, canonical position of v̊)` — everything the
@@ -708,8 +903,8 @@ mod tests {
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         for p in 1..=3usize {
             let views = cache.view_ids(&ip, p);
-            let key =
-                cache.ensure_pool(&MisProblem, p.min(3), &views, &universe, &NoopRecorder).unwrap();
+            let u = universe_in(&mut cache, &universe);
+            let key = cache.ensure_pool(&MisProblem, p.min(3), &views, u, &NoopRecorder).unwrap();
             let pool = candidate_pool(p.min(3), &universe).unwrap();
             for v in ip.graph().nodes() {
                 let view_v = ViewTree::build(&ip, v, p).unwrap().canonical_encoding();
@@ -788,8 +983,9 @@ mod tests {
                 interned_ids(&mut views, cand, depth);
             }
             let deduped = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
-            let mut deduped = filter_pool(&MisProblem, deduped, &mut views.marks);
-            let mut full = filter_pool(&MisProblem, full, &mut views.marks);
+            let mut deduped = filter_pool(&MisProblem, &universe, deduped, &mut views.marks).unwrap();
+            let full = shaped(&full, &universe);
+            let mut full = filter_pool(&MisProblem, &universe, full, &mut views.marks).unwrap();
             proptest::prop_assert!(full.candidates.len() >= deduped.candidates.len());
 
             let index_d = deduped.build_index(depth, &views.layers).unwrap();
@@ -806,19 +1002,23 @@ mod tests {
     fn cached_pools_are_hits_after_first_build() {
         let universe = triangle_universe();
         let mut cache: AstarCache<(), u32> = AstarCache::new();
+        let u = universe_in(&mut cache, &universe);
         let depth3 = cache.view_ids(&triangle_ip(), 3);
-        let k1 = cache.ensure_pool(&MisProblem, 3, &depth3, &universe, &NoopRecorder).unwrap();
+        let k1 = cache.ensure_pool(&MisProblem, 3, &depth3, u, &NoopRecorder).unwrap();
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (0, 1));
-        let k2 = cache.ensure_pool(&MisProblem, 3, &depth3, &universe, &NoopRecorder).unwrap();
+        let u = universe_in(&mut cache, &universe);
+        let k2 = cache.ensure_pool(&MisProblem, 3, &depth3, u, &NoopRecorder).unwrap();
         assert_eq!(k1, k2);
         // Same pool at a deeper view depth: a hit plus a fresh index.
         let depth4 = cache.view_ids(&triangle_ip(), 4);
-        let k3 = cache.ensure_pool(&MisProblem, 3, &depth4, &universe, &NoopRecorder).unwrap();
+        let u = universe_in(&mut cache, &universe);
+        let k3 = cache.ensure_pool(&MisProblem, 3, &depth4, u, &NoopRecorder).unwrap();
         assert_eq!(k1, k3);
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (2, 1));
         // A different universe is a different pool.
         let other = vec![(((), 7u32), BitString::new())];
-        let k4 = cache.ensure_pool(&MisProblem, 3, &depth3, &other, &NoopRecorder).unwrap();
+        let other = universe_in(&mut cache, &other);
+        let k4 = cache.ensure_pool(&MisProblem, 3, &depth3, other, &NoopRecorder).unwrap();
         assert_ne!(k1, k4);
         assert_eq!(cache.pool_misses(), 2);
     }
@@ -834,7 +1034,8 @@ mod tests {
         let v = ip.graph().nodes().next().unwrap();
         for depth in 3..=5usize {
             let views = cache.view_ids(&ip, depth);
-            let key = cache.ensure_pool(&MisProblem, 3, &views, &universe, &NoopRecorder).unwrap();
+            let u = universe_in(&mut cache, &universe);
+            let key = cache.ensure_pool(&MisProblem, 3, &views, u, &NoopRecorder).unwrap();
             assert!(
                 cache.select(key, depth, views.id(v).unwrap()).is_some(),
                 "depth-{depth} lookup missed although the triangle has a candidate"
@@ -845,8 +1046,8 @@ mod tests {
 
     #[test]
     fn hoisted_universes_match_per_node_computation() {
-        // Satellite: the per-phase universe hoist must agree with the
-        // reference's literal per-node computation.
+        // The per-distinct-universe computation must agree with the
+        // reference's literal per-node computation, labels and key bytes.
         let c6 = generators::cycle(6).unwrap();
         let labels: Vec<MisLabel> = (0..6)
             .map(|i| {
@@ -859,6 +1060,7 @@ mod tests {
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         for radius in 0..4usize {
             let hoisted = cache.phase_universes(&ip, radius);
+            let mut distinct: Vec<Vec<MisLabel>> = Vec::new();
             for v in ip.graph().nodes() {
                 let mut expected: Vec<MisLabel> = distance::ball(ip.graph(), v, radius)
                     .into_iter()
@@ -866,14 +1068,87 @@ mod tests {
                     .collect();
                 expected.sort();
                 expected.dedup();
-                assert_eq!(hoisted[v.index()], expected, "radius {radius}, node {v:?}");
+                let universe = hoisted.of(v);
+                assert_eq!(universe.labels(), &expected[..], "radius {radius}, node {v:?}");
+                assert_eq!(
+                    cache.interner.resolve(universe.sym),
+                    &universe_encoding(&expected)[..],
+                    "radius {radius}, node {v:?}"
+                );
+                if !distinct.contains(&expected) {
+                    distinct.push(expected);
+                }
+            }
+            // One universe is built per distinct label set.
+            assert_eq!(hoisted.distinct.len(), distinct.len(), "radius {radius}");
+        }
+        // Recomputing a phase gives the same universes and pool keys.
+        let (a, b) = (cache.phase_universes(&ip, 2), cache.phase_universes(&ip, 2));
+        for v in ip.graph().nodes() {
+            assert_eq!(a.of(v).labels(), b.of(v).labels());
+            assert_eq!(a.of(v).sym, b.of(v).sym);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The per-distinct-universe map equals the literal per-node
+        /// universes: for every node and radius, the sorted, deduplicated
+        /// labels of `distance::ball(g, v, r)`, with `pool_keys`'s
+        /// encoding as the interned key. Random lifts carry random labels;
+        /// a `wide` lift gives each of its more than 64 nodes its own
+        /// label, so bitsets span several words. Radii run from 0 to one
+        /// past the diameter.
+        #[test]
+        fn phase_universes_equal_the_literal_per_node_universes(
+            seed in 0u64..1_000_000,
+            wide in 0..2usize,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let bases = [
+                generators::complete(3).unwrap(),
+                generators::cycle(4).unwrap(),
+                Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap(),
+                generators::complete(4).unwrap(),
+            ];
+            let base = &bases[rng.gen_range(0..bases.len())];
+            let m = if wide == 1 { rng.gen_range(22..=40usize) } else { rng.gen_range(1..=6usize) };
+            let lift = random_connected_lift(base, m, 1000, &mut rng).unwrap();
+            let n = lift.graph().node_count();
+            let labels: Vec<MisLabel> = (0..n)
+                .map(|v| {
+                    if wide == 1 {
+                        let bits = BitString::from_bits((0..8).map(|k| (v >> k) & 1 == 1));
+                        (((), (v % 4 + 1) as u32), bits)
+                    } else {
+                        small_label(&mut rng)
+                    }
+                })
+                .collect();
+            let ip = lift.graph().with_labels(labels).unwrap();
+            let g = ip.graph();
+            let diameter = distance::diameter(g).unwrap();
+            let mut cache: AstarCache<(), u32> = AstarCache::new();
+            let mut widest = 0usize;
+            for radius in 0..=diameter + 1 {
+                let hoisted = cache.phase_universes(&ip, radius);
+                let keys = pool_keys(&ip, radius + 1, usize::MAX);
+                for v in g.nodes() {
+                    let mut expected: Vec<MisLabel> =
+                        distance::ball(g, v, radius).into_iter().map(|u| ip.label(u).clone()).collect();
+                    expected.sort();
+                    expected.dedup();
+                    widest = widest.max(expected.len());
+                    let universe = hoisted.of(v);
+                    proptest::prop_assert_eq!(universe.labels(), &expected[..], "radius {}, node {:?}", radius, v);
+                    proptest::prop_assert_eq!(cache.interner.resolve(universe.sym), &keys[v.index()].1[..]);
+                }
+            }
+            if wide == 1 {
+                proptest::prop_assert!(widest > 64, "a wide lift spans more than one word");
             }
         }
-        // Balls are memoized once per radius.
-        assert_eq!(cache.balls.len(), 4);
-        let before = cache.phase_universes(&ip, 2);
-        assert_eq!(cache.balls.len(), 4);
-        assert_eq!(before, cache.phase_universes(&ip, 2));
     }
 
     #[test]
@@ -1070,8 +1345,9 @@ mod tests {
             for v in ip.graph().nodes() {
                 let key = plan.keys[v.index()];
                 let by_interning = oracle.entry(key).or_insert_with(|| {
-                    let pool = two_hop_colored_pool(key.0, &universes[v.index()], |((_i, c), _b)| c);
-                    interning_selections(pool.unwrap(), depth, &mut cache.views)
+                    let labels = universes.of(v).labels();
+                    let pool = two_hop_colored_pool(key.0, labels, |((_i, c), _b)| c).unwrap();
+                    interning_selections(materialize(&pool, labels), depth, &mut cache.views)
                 });
                 let id = plan.views.id(v).unwrap();
                 let want = by_interning.get(&id).cloned();
@@ -1136,7 +1412,10 @@ mod tests {
         // The budget check sees every candidate node, whether or not its
         // view resolves: here none does, as the instance table is empty.
         let mut views = ViewIds::default();
-        let mut entry = filter_pool(&MisProblem, vec![p2.clone(), k6.clone()], &mut views.marks);
+        let graphs = [p2.clone(), k6.clone()];
+        let universe: Vec<MisLabel> = k6.labels().to_vec();
+        let pool = shaped(&graphs, &universe);
+        let mut entry = filter_pool(&MisProblem, &universe, pool, &mut views.marks).unwrap();
         assert_eq!(entry.candidates.len(), 2);
         assert!(entry.build_index(9, &views.layers).is_ok());
         let want: CoreError = canonical_view_encoding(&k6, NodeId::new(0), 10).unwrap_err().into();
@@ -1157,19 +1436,21 @@ mod tests {
         universe.sort();
         let mut marks = Interner::new();
         let pruned = two_hop_colored_pool(4, &universe, |((_i, c), _b)| c).unwrap();
-        let mut pruned = filter_pool(&MisProblem, pruned, &mut marks);
+        let mut pruned = filter_pool(&MisProblem, &universe, pruned, &mut marks).unwrap();
         let full = candidate_pool(4, &universe)
             .unwrap()
             .into_iter()
             .filter(|cand| coloring::is_two_hop_coloring(&cand.map_labels(|((_i, c), _b)| *c)))
             .collect();
-        let mut full = filter_pool(&MisProblem, first_of_each_class(full), &mut marks);
+        let full = first_of_each_class(full);
+        let mut full =
+            filter_pool(&MisProblem, &universe, shaped(&full, &universe), &mut marks).unwrap();
         let summary = |entry: &mut PoolEntry<(), u32>| -> Vec<_> {
             (0..entry.candidates.len())
                 .map(|idx| {
                     entry.ensure_order(idx).unwrap();
-                    let c = &entry.candidates[idx];
-                    (c.graph.clone(), c.marks.clone(), c.order.clone())
+                    let (graph, marks) = candidate(entry, idx);
+                    (graph, marks, entry.candidates[idx].order.clone())
                 })
                 .collect()
         };
@@ -1177,13 +1458,106 @@ mod tests {
         assert_eq!(summary(&mut pruned), summary(&mut full));
     }
 
+    /// `Π^c` instances whose nodes of input 1 are independent: C3 reads
+    /// both the inputs and the shape.
+    struct OnesIndependent;
+
+    impl Problem for OnesIndependent {
+        type Input = u8;
+        type Output = u8;
+
+        fn is_instance(&self, g: &LabeledGraph<u8>) -> bool {
+            g.graph().edges().all(|e| *g.label(e.u) != 1 || *g.label(e.v) != 1)
+        }
+
+        fn is_valid_output(&self, _instance: &LabeledGraph<u8>, _output: &[u8]) -> bool {
+            true
+        }
+    }
+
+    /// One to six distinct labels, inputs in `0..2`, colors in `1..=4`,
+    /// bitstrings of at most one bit, sorted: inputs repeat across colors.
+    fn input_universe(seed: u64) -> Vec<CandidateLabel<u8, u32>> {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let len = rng.gen_range(1..=6usize);
+        let mut universe: Vec<_> = (0..len)
+            .map(|_| {
+                let (_, b) = small_label(&mut rng);
+                ((rng.gen_range(0..2u8), rng.gen_range(1..=4u32)), b)
+            })
+            .collect();
+        universe.sort();
+        universe.dedup();
+        universe
+    }
+
+    #[test]
+    fn borrowed_candidates_materialize_to_the_literal_pool() {
+        // The borrowed (shape, indices) candidates of a pool entry, built
+        // as graphs, are exactly the pool of graphs the builder used to
+        // return (the 2-hop filtered candidate pool, one per class), in
+        // order, each node marked with its label's interned encoding.
+        let mut universe = triangle_universe();
+        universe.push((((), 1u32), BitString::from_bits([true])));
+        universe.push((((), 4u32), BitString::from_bits([false])));
+        universe.sort();
+        for max_nodes in 1..=4 {
+            let mut marks = Interner::new();
+            let pool = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
+            let entry = filter_pool(&MisProblem, &universe, pool, &mut marks).unwrap();
+            let literal = first_of_each_class(
+                candidate_pool(max_nodes, &universe)
+                    .unwrap()
+                    .into_iter()
+                    .filter(|g| coloring::is_two_hop_coloring(&g.map_labels(|((_i, c), _b)| *c)))
+                    .collect(),
+            );
+            let got: Vec<_> =
+                (0..entry.candidates.len()).map(|idx| candidate(&entry, idx)).collect();
+            let want: Vec<_> = literal
+                .into_iter()
+                .map(|g| {
+                    let m = marks_of(g.labels(), |enc| marks.sym(enc));
+                    (g, m)
+                })
+                .collect();
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "{max_nodes} nodes");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// C3 decided once per shape and input-label ids keeps exactly the
+        /// candidates that `is_instance` on each candidate's own inputs
+        /// keeps, on a problem whose answer depends on both.
+        #[test]
+        fn memoized_c3_agrees_with_per_candidate_is_instance(
+            seed in 0u64..1_000_000,
+            max_nodes in 1..=4usize,
+        ) {
+            let universe = input_universe(seed);
+            let pool = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
+            let literal = materialize(&pool, &universe);
+            let entry = filter_pool(&OnesIndependent, &universe, pool, &mut Interner::new()).unwrap();
+            let got: Vec<_> = (0..entry.candidates.len()).map(|idx| entry.graph(idx).unwrap()).collect();
+            let want: Vec<_> = literal
+                .into_iter()
+                .filter(|g| OnesIndependent.is_instance(&g.map_labels(|((i, _c), _b)| *i)))
+                .collect();
+            proptest::prop_assert_eq!(got, want);
+        }
+    }
+
     #[test]
     fn pool_builds_count_their_candidates() {
         let universe = triangle_universe();
         let rec = MemoryRecorder::new();
         let mut cache: AstarCache<(), u32> = AstarCache::new();
+        let u = universe_in(&mut cache, &universe);
         let views = cache.view_ids(&triangle_ip(), 3);
-        let key = cache.ensure_pool(&MisProblem, 3, &views, &universe, &rec).unwrap();
+        let key = cache.ensure_pool(&MisProblem, 3, &views, u, &rec).unwrap();
         let entry = &cache.pools[&key];
         let built = entry.candidates.len();
         assert_eq!(built, 10);
@@ -1198,7 +1572,8 @@ mod tests {
         // A hit builds no pool, so the candidate counter stays; the fresh
         // depth-4 index names only candidates depth 3 already quotiented.
         let views = cache.view_ids(&triangle_ip(), 4);
-        cache.ensure_pool(&MisProblem, 3, &views, &universe, &rec).unwrap();
+        let u = universe_in(&mut cache, &universe);
+        cache.ensure_pool(&MisProblem, 3, &views, u, &rec).unwrap();
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_CANDIDATES), built as u64);
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_QUOTIENTS), 4);
     }

@@ -259,13 +259,47 @@ pub fn candidate_pool<L: Label>(max_nodes: usize, universe: &[L]) -> Result<Vec<
     Ok(pool)
 }
 
+/// One shape's candidates in a pool, borrowing the process-wide shape:
+/// candidate `k` is `graph` with node `j` labeled by universe entry
+/// `indices[k·n + j]`, where `n = graph.node_count()`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShapeLabelings {
+    /// The shape every candidate of this group is a labeling of.
+    pub graph: &'static Graph,
+    /// The candidates' universe indexes, `n` per candidate, in pool order.
+    pub indices: Vec<usize>,
+}
+
+impl ShapeLabelings {
+    /// Each candidate's universe indexes, node by node, in pool order.
+    pub fn labelings(&self) -> std::slice::ChunksExact<'_, usize> {
+        self.indices.chunks_exact(self.graph.node_count())
+    }
+}
+
+/// `graph` with node `j` labeled `universe[indices[j]]`: a borrowed
+/// candidate as a [`LabeledGraph`].
+///
+/// # Errors
+///
+/// A graph error when `indices` has not one entry per node.
+pub fn label_shape<L: Label>(
+    graph: &Graph,
+    indices: &[usize],
+    universe: &[L],
+) -> Result<LabeledGraph<L>> {
+    Ok(graph.with_labels(indices.iter().map(|&i| universe[i].clone()).collect())?)
+}
+
 /// [`candidate_pool`] restricted to the candidates whose `color` parts
 /// form a 2-hop coloring, **one candidate per labeled-isomorphism class**:
 /// of the candidates that filtering [`candidate_pool`] by
 /// [`is_two_hop_coloring`](anonet_graph::coloring::is_two_hop_coloring)
 /// keeps, exactly those isomorphic to no earlier one, in the same order
 /// (for a `universe` that repeats no entry; a repeated entry only adds
-/// duplicates). Nothing else is built.
+/// duplicates). Candidates are returned as universe indexes over a
+/// borrowed shape, grouped by shape in pool order ([`label_shape`]
+/// builds one as a graph); nothing else is built.
 ///
 /// Labelings are walked in [`labelings`]' lexicographic order of index
 /// vectors, and a prefix is abandoned as soon as its last node repeats a
@@ -302,7 +336,7 @@ pub fn two_hop_colored_pool<L: Label, K: PartialEq>(
     max_nodes: usize,
     universe: &[L],
     color: impl Fn(&L) -> &K,
-) -> Result<Vec<LabeledGraph<L>>> {
+) -> Result<Vec<ShapeLabelings>> {
     // Each universe entry's color as the index of its first occurrence,
     // so the search below compares integers only.
     let classes: Vec<usize> = universe
@@ -311,7 +345,6 @@ pub fn two_hop_colored_pool<L: Label, K: PartialEq>(
         .map(|(i, l)| universe[..i].iter().position(|m| color(m) == color(l)).unwrap_or(i))
         .collect();
     let mut pool = Vec::new();
-    let mut indices = Vec::new();
     for n in 1..=max_nodes {
         let shapes = shapes(n)?;
         if universe.is_empty() {
@@ -319,11 +352,10 @@ pub fn two_hop_colored_pool<L: Label, K: PartialEq>(
         }
         check_labeling_count(universe.len(), n)?;
         for shape in shapes {
-            indices.clear();
+            let mut indices = Vec::new();
             two_hop_labelings(shape, &classes, &mut Vec::with_capacity(n), &mut indices);
-            for labeling in indices.chunks_exact(n) {
-                let labels = labeling.iter().map(|&i| universe[i].clone()).collect();
-                pool.push(shape.graph.with_labels(labels)?);
+            if !indices.is_empty() {
+                pool.push(ShapeLabelings { graph: &shape.graph, indices });
             }
         }
     }
@@ -381,6 +413,17 @@ pub fn candidate_pool_all_presentations<L: Label>(
 pub(crate) mod tests {
     use super::*;
     use anonet_graph::coloring;
+
+    /// Every candidate of `pool` labeled over `universe`, in pool order.
+    pub(crate) fn materialize<L: Label>(
+        pool: &[ShapeLabelings],
+        universe: &[L],
+    ) -> Vec<LabeledGraph<L>> {
+        pool.iter()
+            .flat_map(|group| group.labelings().map(|x| label_shape(group.graph, x, universe)))
+            .collect::<Result<_>>()
+            .unwrap()
+    }
 
     /// `pool` without every graph isomorphic to an earlier one, decided by
     /// [`iso::are_isomorphic`] on the full labels — the independent oracle
@@ -516,6 +559,7 @@ pub(crate) mod tests {
         for universe in &universes {
             for max_nodes in 1..=4 {
                 let pruned = two_hop_colored_pool(max_nodes, universe, |(_i, c)| c).unwrap();
+                let pruned = materialize(&pruned, universe);
                 let want = first_of_each_class(filtered_pool(max_nodes, universe).unwrap());
                 assert_eq!(pruned, want, "universe {universe:?}, {max_nodes} nodes");
             }
@@ -524,7 +568,8 @@ pub(crate) mod tests {
         // are what empties this pool beyond two nodes. `(a, b)` and
         // `(b, a)` on two nodes are one class.
         let two_colors = [(0u8, 1u32), (0, 2)];
-        let pool = two_hop_colored_pool(3, &two_colors, |(_i, c)| c).unwrap();
+        let pool =
+            materialize(&two_hop_colored_pool(3, &two_colors, |(_i, c)| c).unwrap(), &two_colors);
         assert!(pool.iter().all(|g| g.node_count() <= 2));
         assert_eq!(pool.len(), 2 + 1);
     }
@@ -630,6 +675,7 @@ pub(crate) mod tests {
         ) {
             let universe = small_universe(seed);
             let pool = two_hop_colored_pool(max_nodes, &universe, |(_i, c)| c).unwrap();
+            let pool = materialize(&pool, &universe);
             proptest::prop_assert_eq!(pool, leaf_filtered_pool(max_nodes, &universe));
         }
 
@@ -641,7 +687,8 @@ pub(crate) mod tests {
             max_nodes in 1..=4usize,
         ) {
             let universe = small_universe(seed);
-            for cand in two_hop_colored_pool(max_nodes, &universe, |(_i, c)| c).unwrap() {
+            let pool = two_hop_colored_pool(max_nodes, &universe, |(_i, c)| c).unwrap();
+            for cand in materialize(&pool, &universe) {
                 let q = anonet_views::quotient(&cand, anonet_views::ViewMode::Portless);
                 proptest::prop_assert!(q.is_ok(), "{:?}", cand);
             }

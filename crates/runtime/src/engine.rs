@@ -6,7 +6,7 @@ use crate::adversary::{FairScheduler, RoundAdversary};
 use crate::algorithm::{Actions, Algorithm, Inbox};
 use crate::error::RuntimeError;
 use crate::randomness::RandomSource;
-use crate::Result;
+use crate::{recycle, Result};
 
 /// Configuration for a single execution.
 #[derive(Clone, Copy, Debug)]
@@ -251,6 +251,9 @@ where
     // Only active nodes' bits are read, and each round writes all of them.
     let mut bits: Vec<bool> = vec![false; n];
     let mut seen = OrderStamps::new(n);
+    // The inbox slot buffer, kept empty between rounds: each round's
+    // slots borrow that round's outgoing buffers.
+    let mut spare_slots: Vec<Option<&'static ()>> = Vec::new();
 
     let status = loop {
         if active == 0 {
@@ -337,10 +340,10 @@ where
         // inbox borrows its neighbors' buffers, which nobody writes until
         // the next round, and each node writes only its own slots, so
         // this order is equally inert. One slot buffer serves every inbox
-        // of the round.
+        // of the run.
         let order = adversary.step_order(n, round);
         seen.check(&order, round, "step")?;
-        let mut slots: Vec<Option<&A::Message>> = Vec::new();
+        let mut slots: Vec<Option<&A::Message>> = recycle(std::mem::take(&mut spare_slots));
         for &i in &order {
             if halted[i] {
                 continue;
@@ -382,6 +385,7 @@ where
             }
         }
 
+        spare_slots = recycle(slots);
         rounds = round;
         messages_per_round.push(messages_sent - round_message_base);
         if let Some(h) = history.as_mut() {

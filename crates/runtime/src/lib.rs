@@ -86,3 +86,20 @@ pub use trace::Event;
 
 /// Convenient alias for results with [`RuntimeError`].
 pub type Result<T> = std::result::Result<T, RuntimeError>;
+
+/// Empties a vector of references and hands its allocation over under
+/// another lifetime (collecting into the same layout reuses the buffer):
+/// a buffer that borrows one round's data is kept between rounds as a
+/// vector of `&'static ()` or `Option<&'static ()>`. `T` and `U` must
+/// share size and alignment, checked at compile time, so the buffer is
+/// never silently reallocated.
+pub(crate) fn recycle<T, U>(v: Vec<T>) -> Vec<U> {
+    const {
+        assert!(
+            std::mem::size_of::<T>() == std::mem::size_of::<U>()
+                && std::mem::align_of::<T>() == std::mem::align_of::<U>(),
+            "recycle reuses a buffer only between element types of one layout"
+        );
+    }
+    v.into_iter().filter_map(|_| None).collect()
+}

@@ -26,7 +26,7 @@ use crate::assignment::BitAssignment;
 use crate::engine::ExecConfig;
 use crate::error::RuntimeError;
 use crate::oblivious::ObliviousAlgorithm;
-use crate::Result;
+use crate::{recycle, Result};
 
 /// A round's bit for a node: past the node's tape.
 const NO_BIT: u8 = u8::MAX;
@@ -350,10 +350,4 @@ impl<A: ObliviousAlgorithm> Checkpoints<A> {
         }
         Ok(Verdict { successful: self.outputs.iter().all(Option::is_some), rounds })
     }
-}
-
-/// Empties a vector of references and hands its allocation over under
-/// another lifetime (collecting into the same layout reuses the buffer).
-fn recycle<'a, T: ?Sized, U: ?Sized>(v: Vec<&T>) -> Vec<&'a U> {
-    v.into_iter().filter_map(|_| None).collect()
 }

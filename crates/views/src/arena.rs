@@ -15,7 +15,10 @@
 //! *new* distinct encoding is interned. Canonical encodings are computed
 //! bottom-up into retained scratch buffers and hash-consed through the
 //! same [`Interner`] the `A_*` engine uses, so identical subtrees across
-//! nodes and phases are stored once and compared as `u32`s.
+//! nodes and phases are stored once and compared as `u32`s. The arena's
+//! interner hashes with std's `RandomState`, not the `A_*` memo's
+//! [`FastHash`](crate::FastHash): the per-thread arena keeps it across
+//! calls, so it gathers subtree encodings of every caller's graphs.
 //!
 //! Byte-compatibility is load-bearing: [`ViewArena::canonical_encoding`]
 //! produces exactly the bytes of
@@ -25,6 +28,7 @@
 //! oracle and the unit tests below pin this byte-for-byte.
 
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::mem;
 
 use anonet_graph::{Label, LabeledGraph, NodeId};
@@ -82,7 +86,7 @@ pub struct ArenaStats {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct ViewArena {
-    interner: Interner,
+    interner: Interner<RandomState>,
     marks: Vec<Sym>,
     child_start: Vec<u32>,
     child_count: Vec<u32>,
@@ -302,7 +306,7 @@ impl ViewArena {
     }
 
     /// Read access to the arena's interner.
-    pub fn interner(&self) -> &Interner {
+    pub fn interner(&self) -> &Interner<RandomState> {
         &self.interner
     }
 }

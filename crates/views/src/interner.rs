@@ -15,8 +15,92 @@
 //! canonical byte orders (`s(G_*)`, the `Update-Graph` total order) — use
 //! [`Interner::resolve`] and compare bytes when an *ordering* is needed.
 //! Equality of symbols, however, is exactly equality of encodings.
+//!
+//! **Which tables hash with [`FastHash`].** A table that lives for one
+//! run over one instance — the `A_*` memo (`anonet-core`'s `AstarCache`)
+//! and the [`Interner`]s inside it — hashes with [`FastHash`], a
+//! deterministic Fx-style multiply-rotate hasher: its keys are symbols,
+//! ids and encodings the run derived from its own instance, so keys
+//! crafted to collide could slow only the run that was handed them.
+//! Tables that outlive one instance and gather keys from many callers'
+//! graphs keep std's DoS-resistant `RandomState`: the per-thread
+//! [`ViewArena`](crate::ViewArena)'s interner (whole subtree encodings,
+//! up to the view size budget, across every call on that thread), the
+//! derandomization cache and the store. [`Interner`] takes the hasher as
+//! a parameter for that reason; it defaults to [`FastHash`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+
+/// A deterministic Fx-style hasher: each word is folded in as
+/// `(h.rotate_left(5) ^ word) · K`, eight bytes per step. Cheap on the
+/// keys of the `A_*` memo (symbols, ids, universe bitsets, encodings of a
+/// few dozen bytes); not resistant to crafted collisions, so only for
+/// tables that live for one run over one instance (see the module docs).
+#[derive(Clone, Copy, Default, Debug)]
+pub struct FastHasher {
+    hash: u64,
+}
+
+impl FastHasher {
+    const K: u64 = 0xf135_7aea_2e62_a9c5;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for FastHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            let mut word = [0u8; 8];
+            word.copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            // The tail's length is folded in, so a tail is never confused
+            // with the same bytes followed by zeros.
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.add(u64::from_le_bytes(word) ^ ((tail.len() as u64) << 59));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    /// The high bits of the last product carry the most mixing; the
+    /// rotation moves them down to the bits a table picks its bucket by.
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash.rotate_left(26)
+    }
+}
+
+/// The [`BuildHasher`] of [`FastHasher`]: spell a map as
+/// `HashMap<K, V, FastHash>` and build it with `HashMap::default()`.
+pub type FastHash = BuildHasherDefault<FastHasher>;
 
 /// An interned encoding: a dense handle that is equal iff the underlying
 /// byte encodings are equal (within one [`Interner`]).
@@ -30,7 +114,9 @@ impl Sym {
     }
 }
 
-/// A hash-consing table for canonical byte encodings.
+/// A hash-consing table for canonical byte encodings, hashing with `S`
+/// ([`FastHash`] unless the table outlives one instance; see the module
+/// docs). Symbols, counters and stored bytes do not depend on `S`.
 ///
 /// # Example
 ///
@@ -45,8 +131,8 @@ impl Sym {
 /// assert_eq!(interner.sym(b"unseen"), None);
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct Interner {
-    lookup: HashMap<Box<[u8]>, Sym>,
+pub struct Interner<S = FastHash> {
+    lookup: HashMap<Box<[u8]>, Sym, S>,
     entries: Vec<Box<[u8]>>,
     hits: u64,
     misses: u64,
@@ -54,11 +140,13 @@ pub struct Interner {
 }
 
 impl Interner {
-    /// An empty table.
+    /// An empty table hashing with [`FastHash`].
     pub fn new() -> Self {
         Interner::default()
     }
+}
 
+impl<S: BuildHasher> Interner<S> {
     /// Interns `bytes`, returning its (new or existing) symbol.
     pub fn intern(&mut self, bytes: &[u8]) -> Sym {
         if let Some(&sym) = self.lookup.get(bytes) {
@@ -168,6 +256,62 @@ mod tests {
         // `sym` is read-only and must not move the counters.
         let _ = t.sym(b"alpha");
         assert_eq!((t.hits(), t.misses()), (1, 2));
+    }
+
+    #[test]
+    fn a_fixed_key_stream_interns_to_pinned_symbols_and_counters() {
+        fn check<S: BuildHasher>(mut t: Interner<S>) {
+            let stream: [&[u8]; 9] =
+                [b"", b"a", b"ab", b"a", b"abcdefghi", b"", b"abcdefgh", b"abcdefghi", b"b"];
+            let syms: Vec<usize> = stream.iter().map(|k| t.intern(k).index()).collect();
+            assert_eq!(syms, [0, 1, 2, 1, 3, 0, 4, 3, 5]);
+            assert_eq!((t.hits(), t.misses()), (3, 6));
+            assert_eq!(t.stored_bytes(), 1 + 2 + 9 + 8 + 1);
+            assert_eq!(t.len(), 6);
+        }
+        check(Interner::new());
+        // The arena's hasher: symbols and counters do not depend on it.
+        check(Interner::<std::collections::hash_map::RandomState>::default());
+    }
+
+    #[test]
+    fn keys_differing_by_length_or_trailing_zeros_intern_apart() {
+        let mut t = Interner::new();
+        // Every prefix of nine zero bytes, and a few words padded by zeros
+        // at each length up to two words: all distinct encodings.
+        let mut keys: Vec<Vec<u8>> = (0..=9).map(|n| vec![0u8; n]).collect();
+        for base in [&[1u8][..], &[1, 2, 3][..], &[9, 8, 7, 6, 5, 4, 3, 2][..]] {
+            for pad in 0..=(16 - base.len()) {
+                let mut key = base.to_vec();
+                key.resize(base.len() + pad, 0);
+                keys.push(key);
+            }
+        }
+        let syms: Vec<Sym> = keys.iter().map(|k| t.intern(k)).collect();
+        assert_eq!(t.len(), keys.len(), "two keys shared a symbol");
+        for (key, sym) in keys.iter().zip(&syms) {
+            assert_eq!(t.resolve(*sym), &key[..]);
+            assert_eq!(t.sym(key), Some(*sym));
+        }
+    }
+
+    #[test]
+    fn fast_hash_maps_iterate_deterministically() {
+        use std::hash::BuildHasher;
+        let fill = || {
+            let mut m: HashMap<u64, u64, FastHash> = HashMap::default();
+            for k in 0..1000u64 {
+                m.insert(k.wrapping_mul(0x9e37_79b9_7f4a_7c15), k);
+            }
+            m
+        };
+        let (a, b) = (fill(), fill());
+        let order = |m: &HashMap<u64, u64, FastHash>| m.iter().map(|(&k, &v)| (k, v)).collect();
+        let (order_a, order_b): (Vec<_>, Vec<_>) = (order(&a), order(&b));
+        assert_eq!(order_a, order_b);
+        // The hasher itself carries no per-instance state.
+        let hash = |bytes: &[u8]| FastHash::default().hash_one(bytes);
+        assert_ne!(hash(b"view"), hash(b"view\0"));
     }
 
     #[test]

@@ -67,7 +67,7 @@ mod view_tree;
 pub use arena::{canonical_view_encoding, thread_arena_stats, ArenaStats, ViewArena, ViewNode};
 pub use error::ViewError;
 pub use folded::FoldedView;
-pub use interner::{Interner, Sym};
+pub use interner::{FastHash, FastHasher, Interner, Sym};
 pub use order::{canonical_encoding, canonical_order, update_graph_cmp};
 pub use quotient::{quotient, ViewQuotient};
 pub use refinement::{
