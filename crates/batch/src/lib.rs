@@ -38,7 +38,6 @@
 pub mod cache;
 pub mod persist;
 pub mod scheduler;
-pub mod views_par;
 
 pub use cache::{
     instance_key, quotient_key, CacheStats, CachedAssignment, CounterRegression, DerandCache,
@@ -46,4 +45,3 @@ pub use cache::{
 };
 pub use persist::{CacheBackend, PersistentDerandCache, StoreBackend, WarmEntry};
 pub use scheduler::{BatchOutcome, BatchScheduler, BatchStats, JobResult};
-pub use views_par::{parallel_canonical_encodings, parallel_stable_partition};

@@ -12,9 +12,8 @@
 //! (the reference's `update_graph` spans against the fast engine's
 //! `astar/prepare` plus `update_graph` spans, since the fast engine builds
 //! pools, indexes and view ids once per phase under `astar/prepare`), the
-//! pool-memo hit rate, the parallel fan-out at 2 and 8
-//! threads, and — the part that matters — byte-identity of every run
-//! against the reference.
+//! pool-memo hit rate, and — the part that matters — byte-identity of
+//! every run against the reference.
 //!
 //! [`report`] writes `BENCH_astar.json` (shared [`Json`] serializer; the
 //! `astar-perf` CI job asserts `byte_identical == true`, a nonzero pool
@@ -26,18 +25,13 @@ use std::time::{Duration, Instant};
 
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
-use anonet_core::astar::{
-    run_astar_observed, run_astar_reference_observed, run_astar_threaded, AStarConfig, AStarRun,
-};
+use anonet_core::astar::{run_astar_observed, run_astar_reference_observed, AStarConfig, AStarRun};
 use anonet_obs::{names, MemoryRecorder};
 use anonet_runtime::Problem;
 
 use crate::experiments::{common::tick, ExpResult, Family};
 use crate::table::{secs, Json};
 use crate::Table;
-
-/// Thread counts the parallel fan-out is swept over.
-pub const THREAD_SWEEP: &[usize] = &[2, 8];
 
 /// One tower instance, both engines measured.
 #[derive(Clone, Debug)]
@@ -48,10 +42,8 @@ pub struct AstarRow {
     pub phases_used: usize,
     /// Reference engine wall time.
     pub reference_total: Duration,
-    /// Fast engine wall time (sequential).
+    /// Fast engine wall time.
     pub fast_total: Duration,
-    /// `(threads, wall time)` for the parallel fan-out.
-    pub threaded: Vec<(usize, Duration)>,
     /// `update_graph` span total of the reference run.
     pub reference_update_graph: Duration,
     /// The fast run's Update-Graph time: its `astar/prepare` span total
@@ -75,7 +67,7 @@ pub struct AstarRow {
     /// `update_bits` span count): one per distinct candidate selected in
     /// a phase, so below `c2_hits` wherever fibres share a candidate.
     pub candidate_steps: u64,
-    /// Every fast/threaded run equals the reference on every field.
+    /// The fast run equals the reference on every field.
     pub byte_identical: bool,
 }
 
@@ -102,7 +94,7 @@ impl AstarMeasurement {
         reference / fast.max(f64::EPSILON)
     }
 
-    /// `true` iff every engine agreed with the reference on every field
+    /// `true` iff the fast engine agreed with the reference on every field
     /// of every instance.
     pub fn byte_identical(&self) -> bool {
         self.rows.iter().all(|r| r.byte_identical)
@@ -135,7 +127,7 @@ fn runs_equal<O: PartialEq>(a: &AStarRun<O>, b: &AStarRun<O>) -> bool {
         && a.final_bits == b.final_bits
 }
 
-/// Runs both engines (and the thread sweep) over the Figure-2 tower.
+/// Runs both engines over the Figure-2 tower.
 ///
 /// # Errors
 ///
@@ -144,7 +136,6 @@ fn runs_equal<O: PartialEq>(a: &AStarRun<O>, b: &AStarRun<O>) -> bool {
 pub fn measure() -> ExpResult<AstarMeasurement> {
     let alg = RandomizedMis::new();
     let cfg = AStarConfig::default();
-    let noop_shared = anonet_obs::noop();
     let mut rows = Vec::new();
 
     for (n, colored) in Family::figure2_tower() {
@@ -161,15 +152,7 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
         let fast = run_astar_observed(&alg, &MisProblem, &instance, &cfg, &fast_rec)?;
         let fast_total = start.elapsed();
 
-        let mut byte_identical = runs_equal(&fast, &reference);
-        let mut threaded = Vec::new();
-        for &threads in THREAD_SWEEP {
-            let start = Instant::now();
-            let par =
-                run_astar_threaded(&alg, &MisProblem, &instance, &cfg, threads, &noop_shared)?;
-            threaded.push((threads, start.elapsed()));
-            byte_identical &= runs_equal(&par, &reference);
-        }
+        let byte_identical = runs_equal(&fast, &reference);
 
         let plain = instance.map_labels(|_| ());
         if !MisProblem.is_valid_output(&plain, &fast.outputs) {
@@ -183,7 +166,6 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
             phases_used: reference.phases_used,
             reference_total,
             fast_total,
-            threaded,
             reference_update_graph: reference_snap.span_total(names::SPAN_UPDATE_GRAPH).total,
             fast_update_graph: fast_snap.span_total(names::SPAN_ASTAR_PREPARE).total
                 + fast_snap.span_total(names::SPAN_UPDATE_GRAPH).total,
@@ -208,14 +190,11 @@ fn round3(x: f64) -> f64 {
 /// Builds `BENCH_astar.json` through the shared serializer.
 pub fn to_json(m: &AstarMeasurement) -> String {
     let instances = m.rows.iter().map(|r| {
-        let threaded =
-            Json::obj(r.threaded.iter().map(|&(t, d)| (format!("threads_{t}_secs"), secs(d))));
         Json::obj([
             ("n", Json::from(r.n)),
             ("phases_used", Json::from(r.phases_used)),
             ("reference_secs", secs(r.reference_total)),
             ("fast_secs", secs(r.fast_total)),
-            ("threaded", threaded),
             ("update_graph_reference_secs", secs(r.reference_update_graph)),
             ("update_graph_fast_secs", secs(r.fast_update_graph)),
             ("pool_hits", Json::from(r.pool_hits)),
@@ -258,8 +237,6 @@ pub fn report() -> ExpResult<String> {
             "phases",
             "reference",
             "fast",
-            "2 threads",
-            "8 threads",
             "UG ref",
             "UG fast",
             "pool h/m",
@@ -269,14 +246,11 @@ pub fn report() -> ExpResult<String> {
         ],
     );
     for r in &m.rows {
-        let threaded: Vec<String> = r.threaded.iter().map(|&(_, d)| format!("{d:.2?}")).collect();
         table.row(vec![
             format!("C{}", r.n),
             r.phases_used.to_string(),
             format!("{:.2?}", r.reference_total),
             format!("{:.2?}", r.fast_total),
-            threaded.first().cloned().unwrap_or_default(),
-            threaded.get(1).cloned().unwrap_or_default(),
             format!("{:.2?}", r.reference_update_graph),
             format!("{:.2?}", r.fast_update_graph),
             format!("{}/{}", r.pool_hits, r.pool_misses),
@@ -294,7 +268,7 @@ pub fn report() -> ExpResult<String> {
          update_graph speedup {ug:.2}x (wall {wall:.2}x), pool hit rate {rate:.0}% \
          ({hits} hits / {misses} builds)\n\
          update_graph speedup at least 5x: {fast_ok}\n\
-         byte-identical across engines and thread counts: {ident_ok}\n\
+         byte-identical across engines: {ident_ok}\n\
          wrote BENCH_astar.json\n",
         ug = m.update_graph_speedup(),
         wall = m.wall_speedup(),
@@ -314,7 +288,7 @@ mod tests {
     fn engines_agree_and_the_memo_earns_its_keep() {
         let m = measure().unwrap();
         assert_eq!(m.rows.len(), 3);
-        assert!(m.byte_identical(), "fast/threaded A_* diverged from the reference");
+        assert!(m.byte_identical(), "fast A_* diverged from the reference");
         assert!(m.pool_hits() > 0, "the pool memo never hit on the tower workload");
         for r in &m.rows {
             // Same-phase nodes share universes on colored cycles: at most
@@ -356,7 +330,6 @@ mod tests {
         assert_eq!(instances.len(), 3);
         let c12 = &instances[2];
         assert_eq!(c12.get("n").unwrap().as_f64(), Some(12.0));
-        assert!(c12.get("threaded").unwrap().get("threads_2_secs").unwrap().as_f64().is_some());
         assert!(c12.get("pool_hits").unwrap().as_f64().unwrap() > 0.0);
     }
 }

@@ -26,11 +26,11 @@
 //! | E14 | [`experiments::montecarlo`] | the Monte-Carlo / Las-Vegas gap |
 //! | E15 | [`experiments::batch`] | batch engine + s(G_*) cache (Lemma 3 operationalized) |
 //! | E16 | [`experiments::obs`] | observability layer: phase breakdown, curves, noop cost |
-//! | E17 | [`experiments::astar`] | fast Update-Graph engine: pool memo, interning, threads |
+//! | E17 | [`experiments::astar`] | fast Update-Graph engine: pool memo, interning, fast ≡ reference |
 //! | E18 | [`experiments::store`] | persistent store: cold vs warm-start across processes |
 //! | E19 | [`experiments::soak`] | seeded soak campaign + the `BENCH_soak.json` regression baseline |
 //! | E20 | [`experiments::trace`] | causal tracing: noop/flight overhead + the anonet-trace round trip |
-//! | E21 | [`experiments::scale`] | million-node core: arena encoding, incremental refinement, 1/2/8-thread byte-identity |
+//! | E21 | [`experiments::scale`] | million-node core: arena encoding, flat refinement kernel vs the full-history reference |
 //!
 //! Run them with `cargo run -p anonet-bench --bin report -- <id>|all`.
 //! Timing benchmarks live in `benches/` (Criterion).

@@ -43,11 +43,6 @@
 //!   (outputs, output phases, final bits, phase counts) across problem
 //!   families and adversarial schedules.
 //!
-//! [`run_astar_threaded`] additionally fans each phase's per-node and then
-//! per-candidate steps across an [`anonet_batch`] scoped thread pool;
-//! results are committed in node order, so the run is byte-identical at
-//! every thread count.
-//!
 //! On *successful* runs the engines agree exactly. On runs that abort with
 //! a budget or view error the fast path may surface a different (equally
 //! legitimate) error than the reference: it prepares pools for the whole
@@ -60,9 +55,8 @@
 
 use std::collections::HashMap;
 
-use anonet_batch::{BatchScheduler, JobResult};
 use anonet_graph::{distance, BitString, Label, LabeledGraph, NodeId};
-use anonet_obs::{names, NoopRecorder, Recorder, SharedRecorder, Span};
+use anonet_obs::{names, NoopRecorder, Recorder, Span};
 use anonet_runtime::{
     run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, TapeSource,
 };
@@ -121,7 +115,7 @@ pub struct AStarRun<O> {
 
 /// Runs the faithful `A_*` for problem `problem`, randomized solver
 /// `alg`, on the 2-hop colored instance `instance` (labels `(input,
-/// color)`) — fast path, single-threaded.
+/// color)`) — fast path.
 ///
 /// # Errors
 ///
@@ -137,11 +131,10 @@ pub fn run_astar<A, P, C>(
     cfg: &AStarConfig,
 ) -> Result<AStarRun<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
+    C: Label,
 {
     run_astar_observed(alg, problem, instance, cfg, &NoopRecorder)
 }
@@ -171,127 +164,10 @@ pub fn run_astar_observed<A, P, C>(
     rec: &dyn Recorder,
 ) -> Result<AStarRun<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
-{
-    drive_astar(alg, problem, instance, cfg, rec, &InOrder)
-}
-
-/// [`run_astar_observed`] with each phase fanned across `threads` scoped
-/// workers on an [`anonet_batch::BatchScheduler`]: first the per-node
-/// Update-Graph steps, then the per-candidate Update-Output/Update-Bits
-/// steps. Steps only read shared phase state, candidates are listed in
-/// order of first selection in node order, and the coordinator commits
-/// results in node order, so the run is **byte-identical** to
-/// [`run_astar`] at every thread count (`threads == 0` is treated as 1).
-/// Tracing is causal across the fan-out: the scheduler adopts the `astar`
-/// span as parent (via [`anonet_obs::TraceContext`]), so worker-side
-/// `update_*` spans nest below `astar/batch_run/job` instead of becoming
-/// fresh per-thread roots, and the per-phase tree reduces to the
-/// sequential one once the scheduler segments are erased
-/// ([`MemorySnapshot::reduced_span_paths`][anonet_obs::MemorySnapshot::reduced_span_paths]).
-///
-/// # Errors
-///
-/// See [`run_astar`]; the first failing node in node order wins.
-///
-/// # Panics
-///
-/// Re-raises panics from phase jobs (the scheduler isolates them; a panic
-/// in one of `A_*`'s steps is a bug, not a recoverable outcome).
-pub fn run_astar_threaded<A, P, C>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    threads: usize,
-    recorder: &SharedRecorder,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
-    P: Problem<Input = A::Input>,
-    C: Label + Sync,
-{
-    let scheduler =
-        BatchScheduler::with_threads(threads.max(1)).with_recorder(std::sync::Arc::clone(recorder));
-    drive_astar(alg, problem, instance, cfg, &**recorder, &scheduler)
-}
-
-/// How a phase maps a step over its nodes or its candidates: in order on
-/// the calling thread ([`InOrder`]) or across a [`BatchScheduler`]'s
-/// workers. Either way the results come back in item order.
-trait PhaseFan {
-    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync;
-}
-
-/// The sequential fan: a plain in-order map.
-struct InOrder;
-
-impl PhaseFan for InOrder {
-    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        Ok(items.iter().map(step).collect())
-    }
-}
-
-impl PhaseFan for BatchScheduler {
-    fn fan<T, R, F>(&self, items: &[T], step: F) -> Result<Vec<R>>
-    where
-        T: Sync,
-        R: Send,
-        F: Fn(&T) -> R + Sync,
-    {
-        // Jobs wrap the step's typed result in their Ok value, so the
-        // scheduler never renders a CoreError to a string; the commit
-        // propagates the first error in node order.
-        self.run(items, |_, item| Ok::<R, String>(step(item)))
-            .results
-            .into_iter()
-            .map(|r| match r {
-                JobResult::Ok(value) => Ok(value),
-                JobResult::Failed(msg) => {
-                    Err(CoreError::internal(format!("A_* phase jobs never return Err: {msg}")))
-                }
-                // Re-raising keeps the sequential panic semantics: a panic
-                // in a phase step aborts the run either way.
-                // anonet-lint: allow(panic-hygiene, reason = "re-raises a worker panic to preserve sequential semantics")
-                JobResult::Panicked(msg) => panic!("A_* phase job panicked: {msg}"),
-            })
-            .collect()
-    }
-}
-
-/// The fast engine's phase loop, shared by the sequential and threaded
-/// drivers: prepare the phase's pools, run [`astar_phase`] through `fan`,
-/// commit in node order.
-fn drive_astar<A, P, C, F>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    rec: &dyn Recorder,
-    fan: &F,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
-    P: Problem<Input = A::Input>,
-    C: Label + Sync,
-    F: PhaseFan,
+    C: Label,
 {
     let _astar_span = Span::new(rec, names::SPAN_ASTAR);
     let g = instance.graph();
@@ -305,7 +181,7 @@ where
         let prepare_span = Span::new(rec, names::SPAN_ASTAR_PREPARE);
         let plan = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
         drop(prepare_span);
-        let phase = astar_phase(fan, alg, &nodes, p, &plan, &cache, cfg, rec)?;
+        let phase = astar_phase(alg, &nodes, p, &plan, &cache, cfg, rec);
         if let Some(done) = state.commit_phase(phase, p)? {
             return Ok(done);
         }
@@ -389,12 +265,11 @@ struct CandidateStep<O> {
 /// 3. (in [`AStarState::commit_phase`]) per node, read `v̊`'s output and
 ///    tape from its candidate's step.
 ///
-/// Steps 1 and 2 go through `fan`. The candidate memo lives for this
-/// phase only: Update-Bits extends tapes to length `p`, so a candidate
-/// selected again in a later phase needs a fresh step.
-#[allow(clippy::too_many_arguments)]
-fn astar_phase<A, C, F>(
-    fan: &F,
+/// Errors are kept per node and per step, so the commit reports the first
+/// in node order. The candidate memo lives for this phase only:
+/// Update-Bits extends tapes to length `p`, so a candidate selected again
+/// in a later phase needs a fresh step.
+fn astar_phase<A, C>(
     alg: &A,
     nodes: &[NodeId],
     p: usize,
@@ -402,22 +277,18 @@ fn astar_phase<A, C, F>(
     cache: &AstarCache<A::Input, C>,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
-) -> Result<PhaseResults<A::Output>>
+) -> PhaseResults<A::Output>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
-    C: Label + Sync,
-    F: PhaseFan,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
+    C: Label,
 {
-    let selected = fan.fan(nodes, |&v| update_graph(v, p, plan, cache, rec))?;
-
     let mut slot_of: HashMap<(PoolKey, usize), usize, FastHash> = HashMap::default();
     let mut candidates: Vec<&CandidateQuotient<A::Input, C>> = Vec::new();
-    let selections = selected
-        .into_iter()
-        .map(|sel| {
-            Ok(sel?.map(|(id, q, v_star)| {
+    let selections = nodes
+        .iter()
+        .map(|&v| {
+            Ok(update_graph(v, p, plan, cache, rec)?.map(|(id, q, v_star)| {
                 let slot = *slot_of.entry(id).or_insert_with(|| {
                     candidates.push(q);
                     candidates.len() - 1
@@ -427,15 +298,15 @@ where
         })
         .collect();
 
-    let steps = fan.fan(&candidates, |q| candidate_step(alg, q, p, cfg, rec))?;
-    Ok(PhaseResults { selections, steps })
+    let steps = candidates.iter().map(|q| candidate_step(alg, q, p, cfg, rec)).collect();
+    PhaseResults { selections, steps }
 }
 
 /// A node's selection: `((pool key, candidate index), Ĝ_*, v̊)`.
 type Selection<'c, I, C> = ((PoolKey, usize), &'c CandidateQuotient<I, C>, NodeId);
 
 /// One node's Update-Graph in phase `p`: its depth-`p` view id looked up
-/// in the pool's selection index. Reads shared phase state only.
+/// in the pool's selection index.
 fn update_graph<'c, I: Label, C: Label>(
     v: NodeId,
     p: usize,
@@ -486,8 +357,8 @@ where
     Ok(CandidateStep { outputs, extension })
 }
 
-/// Mutable run state shared by the engines; phase results are committed
-/// in node order regardless of the order they were computed in.
+/// The fast engine's mutable run state; phase results are committed in
+/// node order.
 struct AStarState<O> {
     bits: Vec<BitString>,
     outputs: Vec<Option<O>>,
@@ -895,25 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_astar_is_byte_identical_at_every_thread_count() {
-        let cfg = AStarConfig::default();
-        let inst = triangle_instance();
-        let sequential = run_astar(&RandomizedMis::new(), &MisProblem, &inst, &cfg).unwrap();
-        for threads in [1usize, 2, 8] {
-            let par = run_astar_threaded(
-                &RandomizedMis::new(),
-                &MisProblem,
-                &inst,
-                &cfg,
-                threads,
-                &anonet_obs::noop(),
-            )
-            .unwrap();
-            assert_runs_identical(&par, &sequential);
-        }
-    }
-
-    #[test]
     fn observed_astar_reports_phase_spans_and_matches_plain() {
         let inst = triangle_instance();
         let rec = anonet_obs::MemoryRecorder::new();
@@ -973,8 +825,8 @@ mod tests {
                 }
             }
             distinct += phase_pairs.len();
-            let phase = astar_phase(&InOrder, &alg, &nodes, p, &plan, &cache, &cfg, &NoopRecorder);
-            let done = state.commit_phase(phase.unwrap(), p).unwrap();
+            let phase = astar_phase(&alg, &nodes, p, &plan, &cache, &cfg, &NoopRecorder);
+            let done = state.commit_phase(phase, p).unwrap();
             assert_eq!(done.is_some(), p == run.phases_used);
         }
 

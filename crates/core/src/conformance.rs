@@ -14,7 +14,7 @@ use anonet_runtime::Problem;
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
 use anonet_views::{quotient, ViewMode};
 
-use crate::astar::{run_astar, run_astar_reference, run_astar_threaded, AStarConfig, AStarRun};
+use crate::astar::{run_astar, run_astar_reference, AStarConfig, AStarRun};
 use crate::derandomizer::{DerandomizedRun, Derandomizer};
 use crate::error::CoreError;
 use crate::infinity::solve_infinity;
@@ -150,11 +150,10 @@ pub fn astar_infinity_agreement<A, P, C>(
     max_total_bits: usize,
 ) -> Result<Vec<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
+    C: Label,
 {
     let astar = run_astar(alg, problem, instance, astar_cfg)?;
     let inf = solve_infinity(alg, instance, max_total_bits, &astar_cfg.sim_config)?;
@@ -174,10 +173,8 @@ where
 ///
 /// Runs [`run_astar_reference`] and [`run_astar`] and demands equality of
 /// *every* observable field of the run — outputs, output phases, phase
-/// count, equivalent rounds, and the final bitstrings at byte level —
-/// then repeats the comparison for [`run_astar_threaded`] at each thread
-/// count in `threads`. One engine erroring while the other succeeds is a
-/// mismatch; both erroring propagates the reference's error (the suite
+/// count, equivalent rounds, and the final bitstrings at byte level. One
+/// engine erroring while the other succeeds is a mismatch; both erroring propagates the reference's error (the suite
 /// treats budget errors as out-of-scope, mismatches as failures).
 ///
 /// Returns the agreed run.
@@ -191,14 +188,12 @@ pub fn astar_fast_reference_agreement<A, P, C>(
     problem: &P,
     instance: &LabeledGraph<(A::Input, C)>,
     astar_cfg: &AStarConfig,
-    threads: &[usize],
 ) -> Result<AStarRun<A::Output>>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
+    C: Label,
 {
     const ORACLE: &str = "astar-fast-vs-reference";
     let reference = run_astar_reference(alg, problem, instance, astar_cfg);
@@ -213,25 +208,14 @@ where
             return Err(mismatch(ORACLE, format!("reference failed, fast engine succeeded: {e}")));
         }
     };
-    compare_astar_runs(ORACLE, "fast", &fast, &reference)?;
-    for &t in threads {
-        match run_astar_threaded(alg, problem, instance, astar_cfg, t, &anonet_obs::noop()) {
-            Ok(par) => compare_astar_runs(ORACLE, &format!("threaded({t})"), &par, &reference)?,
-            Err(e) => {
-                return Err(mismatch(
-                    ORACLE,
-                    format!("threaded({t}) failed, reference succeeded: {e}"),
-                ));
-            }
-        }
-    }
+    compare_astar_runs(ORACLE, &fast, &reference)?;
     Ok(fast)
 }
 
-/// Byte-level equality of two [`AStarRun`]s, every field.
+/// Byte-level equality of the fast run `got` and the reference run
+/// `want`, every field.
 fn compare_astar_runs<O: PartialEq + std::fmt::Debug>(
     oracle: &str,
-    variant: &str,
     got: &AStarRun<O>,
     want: &AStarRun<O>,
 ) -> Result<()> {
@@ -239,7 +223,7 @@ fn compare_astar_runs<O: PartialEq + std::fmt::Debug>(
         if a != b {
             return Err(mismatch(
                 oracle,
-                format!("{variant}: node {v} output {a:?} != reference output {b:?}"),
+                format!("fast: node {v} output {a:?} != reference output {b:?}"),
             ));
         }
     }
@@ -247,7 +231,7 @@ fn compare_astar_runs<O: PartialEq + std::fmt::Debug>(
         return Err(mismatch(
             oracle,
             format!(
-                "{variant}: output phases {:?} != reference {:?}",
+                "fast: output phases {:?} != reference {:?}",
                 got.output_phase, want.output_phase
             ),
         ));
@@ -256,7 +240,7 @@ fn compare_astar_runs<O: PartialEq + std::fmt::Debug>(
         return Err(mismatch(
             oracle,
             format!(
-                "{variant}: phases/rounds ({}, {}) != reference ({}, {})",
+                "fast: phases/rounds ({}, {}) != reference ({}, {})",
                 got.phases_used, got.equivalent_rounds, want.phases_used, want.equivalent_rounds
             ),
         ));
@@ -264,10 +248,7 @@ fn compare_astar_runs<O: PartialEq + std::fmt::Debug>(
     if got.final_bits != want.final_bits {
         return Err(mismatch(
             oracle,
-            format!(
-                "{variant}: final bits {:?} != reference {:?}",
-                got.final_bits, want.final_bits
-            ),
+            format!("fast: final bits {:?} != reference {:?}", got.final_bits, want.final_bits),
         ));
     }
     Ok(())
@@ -342,7 +323,6 @@ mod tests {
             &MisProblem,
             &lifted_c3(2),
             &AStarConfig::default(),
-            &[1, 2, 8],
         )
         .unwrap();
         assert_eq!(run.outputs.len(), 6);

@@ -47,8 +47,7 @@ impl Config {
         Config {
             // The deterministic stage `A_*` and everything feeding its
             // canonical encodings: byte-identical outputs are promised by
-            // the batch cache, the threaded engine, and the conformance
-            // oracles.
+            // the batch cache and the conformance oracles.
             determinism_scopes: s(&[
                 "crates/core/src/",
                 "crates/views/src/",
@@ -85,7 +84,6 @@ impl Config {
                 // The arena is the per-node hot path of every encoding:
                 // a panic there takes out whole batch workers.
                 "crates/views/src/arena.rs",
-                "crates/batch/src/views_par.rs",
                 // The trace CLI is forensic tooling: it must report a
                 // broken log as an error, never die on it.
                 "crates/trace/src/",
@@ -98,11 +96,7 @@ impl Config {
             thread_leak_scopes: s(&["crates/", "src/"]),
             error_swallow_scopes: s(&["crates/", "src/"]),
             // Only the parallel drivers promise byte-identical commits.
-            commit_order_scopes: s(&[
-                "crates/batch/src/",
-                "crates/core/src/astar.rs",
-                "crates/core/src/batch.rs",
-            ]),
+            commit_order_scopes: s(&["crates/batch/src/", "crates/core/src/batch.rs"]),
             thread_local_types: s(&["ViewArena"]),
         }
     }

@@ -222,26 +222,6 @@ impl MemorySnapshot {
         roots
     }
 
-    /// Span path → close count with the named segments erased — the
-    /// *phase structure* of a run with scheduler plumbing (`batch_run`,
-    /// `job`) removed. Spans whose own leaf is an erased name vanish
-    /// entirely; deeper descendants splice up to the surviving ancestor
-    /// (`astar/batch_run/job/update_graph` → `astar/update_graph`). The
-    /// testkit's causality oracle compares these maps across thread
-    /// counts.
-    pub fn reduced_span_paths(&self, erase: &[&str]) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (path, stat) in &self.spans {
-            let leaf = path.rsplit('/').next().unwrap_or(path);
-            if erase.contains(&leaf) {
-                continue;
-            }
-            let kept: Vec<&str> = path.split('/').filter(|seg| !erase.contains(seg)).collect();
-            *out.entry(kept.join("/")).or_default() += stat.count;
-        }
-        out
-    }
-
     /// `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.histograms.is_empty() && self.spans.is_empty()
@@ -357,22 +337,6 @@ mod tests {
         assert_eq!((cell.path.as_str(), cell.stat.count), ("campaign/cell", 1));
         assert_eq!(cell.children[0].path, "campaign/cell/work");
         drop(root);
-    }
-
-    #[test]
-    fn reduced_paths_erase_scheduler_segments() {
-        let rec = MemoryRecorder::new();
-        {
-            let astar = Span::new(&rec, "astar");
-            let batch = Span::child_of(&rec, "batch_run", astar.context());
-            let job = Span::child_of(&rec, "job", batch.context());
-            let _step = Span::child_of(&rec, "update_graph", astar.context());
-            drop(job);
-        }
-        let reduced = rec.snapshot().reduced_span_paths(&["batch_run", "job"]);
-        let expected: BTreeMap<String, u64> =
-            [("astar".to_string(), 1), ("astar/update_graph".to_string(), 1)].into();
-        assert_eq!(reduced, expected);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   [`Span::context`](crate::Span::context) is `Copy + Send`; hand it
 //!   across a thread boundary and open children with
 //!   [`Span::child_of`](crate::Span::child_of). This is how scheduler
-//!   jobs and the `A_*` phase fan-out stay parented under the submitting
-//!   span instead of becoming fresh per-thread roots.
+//!   jobs stay parented under the submitting span instead of becoming
+//!   fresh per-thread roots.
 //!
 //! Nothing here allocates an id, touches the thread-local, or reads a
 //! clock when the recorder is disabled — the no-op path stays free.

@@ -15,18 +15,18 @@ use anonet_runtime::{
     run, run_with_adversary, ExecConfig, Oblivious, ObliviousAlgorithm, Problem, RngSource, Status,
     ZeroSource,
 };
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use anonet_core::astar::{run_astar_observed, run_astar_threaded, AStarConfig};
+use anonet_core::astar::AStarConfig;
 use anonet_core::conformance::{
     astar_fast_reference_agreement, astar_infinity_agreement, replay_on_full_instance,
     view_graph_agreement,
 };
 use anonet_core::pipeline::run_pipeline;
 use anonet_core::{CoreError, Derandomizer, SearchStrategy};
-use anonet_obs::{bridge, names, MemoryRecorder, SharedRecorder};
-use anonet_views::{canonical_view_encoding, Refinement, RefinementEngine, ViewMode, ViewTree};
+use anonet_obs::{bridge, names, MemoryRecorder};
+use anonet_views::{canonical_view_encoding, ViewTree};
 
 use crate::gen::{self, Instance};
 use crate::oracles::Failure;
@@ -225,11 +225,7 @@ where
         }
 
         // Differential — the view machinery against itself: the arena
-        // encoder must byte-match the recursive `ViewTree` on every node,
-        // and the incremental refinement engine must track from-scratch
-        // refinement through seeded monotone label refinements, in both
-        // view modes. (The engine backs the scale path; a divergence here
-        // is a silent wrong-canonical-id bug everywhere downstream.)
+        // encoder must byte-match the recursive `ViewTree` on every node.
         let depth = n.clamp(1, 3);
         for v in instance.graph().nodes() {
             let reference = ViewTree::build(&instance, v, depth)
@@ -244,42 +240,6 @@ where
                 ));
             }
         }
-        for mode in [ViewMode::Portless, ViewMode::PortAware] {
-            let mut labels: Vec<(u32, u32)> =
-                inst.colors.labels().iter().map(|&c| (c, 0)).collect();
-            let relabeled = |labels: &[(u32, u32)]| {
-                LabeledGraph::new(inst.colors.graph().clone(), labels.to_vec())
-                    .expect("label count matches the graph it came from")
-            };
-            let mut engine = RefinementEngine::new(&relabeled(&labels), mode);
-            for phase in 1..=3u32 {
-                // A fresh, unique tag on one seeded node: a strict
-                // refinement, so the engine's incremental path is on trial
-                // (topology changes and non-monotone updates fall back to
-                // a rebuild by design).
-                let v = (rng.next_u64() % n as u64) as usize;
-                labels[v].1 = phase;
-                let g2 = relabeled(&labels);
-                engine.update(&g2);
-                let scratch = Refinement::compute(&g2, mode);
-                if engine.classes() != scratch.classes()
-                    || engine.stabilization_depth() != scratch.stabilization_depth()
-                {
-                    return Err(Failure::new(
-                        "refinement-incremental",
-                        format!(
-                            "engine diverged from from-scratch refinement ({mode:?}, phase \
-                             {phase}, node {v}): {:?} (depth {}) vs {:?} (depth {})",
-                            engine.classes(),
-                            engine.stabilization_depth(),
-                            scratch.classes(),
-                            scratch.stabilization_depth()
-                        ),
-                    ));
-                }
-            }
-        }
-
         // Metamorphic 3 — lift projection: derandomizing the lift is the
         // lift of derandomizing the base (Lemma 3 / Figure 2).
         if let (Some(projection), Some(base_colors)) = (&inst.projection, &inst.base_colors) {
@@ -455,9 +415,9 @@ where
                 Err(_) => {}
             }
 
-            // Differential 6 — the memoized A_* engine (and its parallel
-            // fan-out at 1/2/8 threads) against the literal Figure-3
-            // reference, byte-for-byte across every field of the run.
+            // Differential 6 — the memoized A_* engine against the literal
+            // Figure-3 reference, byte-for-byte across every field of the
+            // run.
             // Same gate and budget slot as differential 5: the reference
             // side is the expensive per-node enumeration.
             match astar_fast_reference_agreement(
@@ -465,7 +425,6 @@ where
                 &self.problem,
                 &instance,
                 &AStarConfig::default(),
-                &[1, 2, 8],
             ) {
                 Ok(_) => {}
                 Err(e @ CoreError::ConformanceMismatch { .. }) => {
@@ -473,58 +432,6 @@ where
                 }
                 // anonet-lint: allow(error-swallow, reason = "same budget-exhaustion contract as differential 5; mismatches are caught by the arm above")
                 Err(_) => {}
-            }
-
-            // Causality 7 — causal tracing is thread-invariant: the span
-            // tree of the threaded engine at any worker count, with the
-            // scheduler segments (`batch_run`, `job`) erased, must equal
-            // the sequential engine's phase tree, and no worker span may
-            // escape as a fresh per-thread root.
-            let seq_rec = MemoryRecorder::new();
-            if run_astar_observed(
-                &self.alg,
-                &self.problem,
-                &instance,
-                &AStarConfig::default(),
-                &seq_rec,
-            )
-            .is_ok()
-            {
-                let erase = [names::SPAN_BATCH_RUN, names::SPAN_JOB];
-                let want = seq_rec.snapshot().reduced_span_paths(&erase);
-                for t in [1usize, 2, 8] {
-                    let mem = Arc::new(MemoryRecorder::new());
-                    let shared: SharedRecorder = mem.clone();
-                    if run_astar_threaded(
-                        &self.alg,
-                        &self.problem,
-                        &instance,
-                        &AStarConfig::default(),
-                        t,
-                        &shared,
-                    )
-                    .is_err()
-                    {
-                        continue; // budget — out of scope here
-                    }
-                    let snap = mem.snapshot();
-                    if snap.span(names::SPAN_JOB).is_some() {
-                        return Err(Failure::new(
-                            "span-causality",
-                            format!("threaded({t}): job spans surfaced as orphan roots"),
-                        ));
-                    }
-                    let got = snap.reduced_span_paths(&erase);
-                    if got != want {
-                        return Err(Failure::new(
-                            "span-causality",
-                            format!(
-                                "threaded({t}) phase tree diverged from sequential:\n\
-                                 sequential: {want:?}\nthreaded:   {got:?}"
-                            ),
-                        ));
-                    }
-                }
             }
         }
 

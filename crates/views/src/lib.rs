@@ -71,8 +71,8 @@ pub use interner::{FastHash, FastHasher, Interner, Sym};
 pub use order::{canonical_encoding, canonical_order, update_graph_cmp};
 pub use quotient::{quotient, ViewQuotient};
 pub use refinement::{
-    assign_dense_classes, initial_label_classes, round_keys, BoundedRefinement, EngineStats,
-    Refinement, RefinementEngine, RoundKey, ViewMode,
+    assign_dense_classes, initial_label_classes, round_keys, BoundedRefinement, Refinement,
+    RoundKey, ViewMode,
 };
 pub use view_tree::{ViewTree, SIZE_BUDGET};
 

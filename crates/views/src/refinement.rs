@@ -6,29 +6,19 @@
 //! finer, so they stabilize after at most `n - 1` rounds — the
 //! finite-depth phenomenon that Section 3 of the paper exploits.
 //!
-//! Three engines share the round semantics:
+//! Two engines share the round semantics:
 //!
 //! * [`Refinement`] — the literal full-history reference: retains every
 //!   round (`O(n·rounds)` memory) and builds each round from
 //!   [`round_keys`] and [`assign_dense_classes`]. It is kept as the test
-//!   oracle for the other two and as E21's from-scratch baseline.
+//!   oracle for the other and as E21's from-scratch baseline.
 //! * [`BoundedRefinement`] — identical classes and depth, but retains
 //!   only the last two rounds plus the stable partition, and builds each
 //!   round with one flat, allocation-free kernel. The engine behind
 //!   quotients, the canonical order, Norris reports, and everything that
 //!   reads only the stable partition.
-//! * [`RefinementEngine`] — *incremental*: keeps the stable partition and
-//!   a sorted per-class dirty set, and when labels evolve monotonically
-//!   (new labels refine old — e.g. `A_*` appending output bits per
-//!   phase), re-refines only classes whose neighborhood multiset changed
-//!   instead of restarting from the label partition. Canonical ids and
-//!   stabilization depth are recovered exactly by replaying the round
-//!   trajectory on the class quotient (`O(classes)` per round, not
-//!   `O(n)`), so the engine is observationally identical to
-//!   [`Refinement::compute`] — a property the testkit differential oracle
-//!   pins across graph families, view modes, and adversarial schedules.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use anonet_graph::{Graph, Label, LabeledGraph, NodeId};
 
@@ -65,26 +55,15 @@ pub fn initial_label_classes<L: Label>(g: &LabeledGraph<L>) -> Vec<u32> {
     assign_dense_classes(&keys0)
 }
 
-/// The refinement keys of nodes `lo..hi` for one round, given the
-/// previous round's classes. Under [`ViewMode::Portless`] the neighbor
-/// list is sorted into a multiset; under [`ViewMode::PortAware`] it stays
-/// in port order and carries reverse ports.
-///
-/// Exposed so the batch layer can fan key construction over worker
-/// threads in node-range chunks and commit them in node order — the
-/// results are a pure function of `(g, prev, mode, lo, hi)`, so any
-/// schedule reassembles the identical key vector.
-pub fn round_keys<L: Label>(
-    g: &LabeledGraph<L>,
-    prev: &[u32],
-    mode: ViewMode,
-    lo: usize,
-    hi: usize,
-) -> Vec<RoundKey> {
+/// Every node's refinement key for one round, given the previous
+/// round's classes. Under [`ViewMode::Portless`] the neighbor list is
+/// sorted into a multiset; under [`ViewMode::PortAware`] it stays in port
+/// order and carries reverse ports.
+pub fn round_keys<L: Label>(g: &LabeledGraph<L>, prev: &[u32], mode: ViewMode) -> Vec<RoundKey> {
     let graph = g.graph();
-    (lo..hi)
-        .map(|i| {
-            let v = NodeId::new(i);
+    graph
+        .nodes()
+        .map(|v| {
             let mut nbrs: Vec<(u32, u32)> = graph
                 .neighbors(v)
                 .iter()
@@ -135,8 +114,8 @@ fn class_count_of(classes: &[u32]) -> usize {
 ///
 /// Each round is built literally, from one [`round_keys`] vector and one
 /// [`assign_dense_classes`] map. This type is an oracle: tests pin
-/// [`BoundedRefinement`] and [`RefinementEngine`] to it, and E21 times it
-/// as the from-scratch baseline. Production code uses
+/// [`BoundedRefinement`] to it, and E21 times it as the from-scratch
+/// baseline. Production code uses
 /// [`BoundedRefinement`], which computes the same classes and depth with
 /// `O(n)` memory and no per-node allocation.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -162,7 +141,7 @@ impl Refinement {
         loop {
             let prev = history.last().expect("history is non-empty");
             let prev_count = class_count_of(prev);
-            let keys = round_keys(g, prev, mode, 0, n);
+            let keys = round_keys(g, prev, mode);
             let next = assign_dense_classes(&keys);
             let next_count = class_count_of(&next);
             // Refinement only splits classes, so equal counts ⇒ equal
@@ -549,398 +528,6 @@ impl BoundedRefinement {
     }
 }
 
-/// Counters describing what the incremental engine actually did — the
-/// evidence that updates are incremental rather than silent rebuilds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct EngineStats {
-    /// Full from-scratch (re)builds: the initial one, plus one per
-    /// non-monotone or topology-changing update.
-    pub rebuilds: u64,
-    /// Updates served incrementally from the retained stable partition.
-    pub incremental_updates: u64,
-    /// Worklist rounds executed (across all builds and updates).
-    pub rounds: u64,
-    /// Classes split by the worklist.
-    pub classes_split: u64,
-    /// Dirty classes examined that turned out not to split.
-    pub classes_clean: u64,
-}
-
-/// Incremental color refinement.
-///
-/// Built once from a labeled graph, the engine retains the stable
-/// partition. When the instance's labels evolve *monotonically* — every
-/// new label class is contained in an old one, as happens each `A_*`
-/// phase when nodes append output/tape bits to their labels — an
-/// [`update`](RefinementEngine::update) seeds the worklist with the meet
-/// of the old stable partition and the new label partition and re-refines
-/// only classes whose neighborhood multiset changed, instead of
-/// restarting from round 0.
-///
-/// **Exactness.** The stable partition of refinement from an initial
-/// partition `P` is the coarsest equitable partition refining `P`.
-/// When new labels refine old labels, the from-scratch stable partition
-/// `S'` refines the old stable partition `S` (it is equitable and refines
-/// the old labels), hence refines `meet(S, new labels)` — and the
-/// coarsest equitable partition refining that meet is `S'` again. So the
-/// incremental fixpoint *is* the from-scratch partition. Canonical ids
-/// and the stabilization depth are then recovered exactly by replaying
-/// the round trajectory on the class quotient (every round's classes are
-/// constant on final classes, so per-class replay reproduces the
-/// per-node dense ranks), at `O(classes · degree)` per round. When the
-/// monotonicity precondition fails — or the topology changed — the
-/// engine detects it and falls back to a full rebuild, so results are
-/// *always* exact; [`stats`](RefinementEngine::stats) says which path
-/// ran.
-///
-/// Determinism: the dirty set is a `BTreeSet` (sorted iteration), splits
-/// are processed in ascending class id, and fresh internal ids are
-/// assigned in sorted key order — the anonet-lint determinism rule
-/// watches this module.
-#[derive(Clone, Debug)]
-pub struct RefinementEngine {
-    mode: ViewMode,
-    n: usize,
-    /// Port-ordered `(neighbor, reverse port)` per node, captured at
-    /// build time and used to detect topology changes on update.
-    adj: Vec<Vec<(u32, u32)>>,
-    /// Current canonical label classes (round 0 of the last instance).
-    label_class: Vec<u32>,
-    /// Internal (non-canonical, split-stable) class ids per node.
-    class_of: Vec<u32>,
-    /// Members per internal class, each sorted ascending.
-    members: Vec<Vec<u32>>,
-    /// Canonical class ids per node — equals `Refinement::classes()`.
-    canonical: Vec<u32>,
-    depth: usize,
-    stats: EngineStats,
-}
-
-impl RefinementEngine {
-    /// Builds the engine from scratch on `g`.
-    pub fn new<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Self {
-        let n = g.node_count();
-        let adj = capture_adjacency(g, mode);
-        let label_class = initial_label_classes(g);
-        let mut engine = RefinementEngine {
-            mode,
-            n,
-            adj,
-            label_class: label_class.clone(),
-            class_of: Vec::new(),
-            members: Vec::new(),
-            canonical: Vec::new(),
-            depth: 0,
-            stats: EngineStats::default(),
-        };
-        engine.rebuild_from_labels(&label_class);
-        engine
-    }
-
-    /// Refreshes the engine against the same graph with (possibly)
-    /// changed labels. Incremental when the new labels refine the old
-    /// ones and the topology is unchanged; otherwise an exact full
-    /// rebuild. Either way the results match `Refinement::compute` on the
-    /// new instance.
-    pub fn update<L: Label>(&mut self, g: &LabeledGraph<L>) {
-        let new_labels = initial_label_classes(g);
-        let same_topology = self.n == g.node_count() && adjacency_matches(g, self.mode, &self.adj);
-        if !same_topology {
-            self.n = g.node_count();
-            self.adj = capture_adjacency(g, self.mode);
-            self.label_class = new_labels.clone();
-            self.rebuild_from_labels(&new_labels);
-            return;
-        }
-        if !refines(&new_labels, &self.label_class) {
-            self.label_class = new_labels.clone();
-            self.rebuild_from_labels(&new_labels);
-            return;
-        }
-
-        // Monotone path: meet(old stable, new labels), then worklist.
-        self.stats.incremental_updates += 1;
-        self.label_class = new_labels.clone();
-        let seed_dirty = self.split_by_partition(&new_labels);
-        self.run_worklist(seed_dirty);
-        self.renumber();
-    }
-
-    /// The stable classes with canonical ids, indexed by node — equal to
-    /// [`Refinement::classes`] on the current instance.
-    pub fn classes(&self) -> &[u32] {
-        &self.canonical
-    }
-
-    /// Number of stable classes.
-    pub fn class_count(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Rounds until stability — equal to
-    /// [`Refinement::stabilization_depth`] on the current instance.
-    pub fn stabilization_depth(&self) -> usize {
-        self.depth
-    }
-
-    /// `true` iff all views are distinct.
-    pub fn is_discrete(&self) -> bool {
-        self.class_count() == self.n
-    }
-
-    /// The view mode the engine refines under.
-    pub fn mode(&self) -> ViewMode {
-        self.mode
-    }
-
-    /// The stable partition as explicit groups, ordered by canonical id.
-    pub fn partition(&self) -> Vec<Vec<NodeId>> {
-        partition_of(&self.canonical, self.class_count())
-    }
-
-    /// What the engine has done so far (rebuilds vs incremental updates).
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Approximate retained memory of the incremental state.
-    pub fn retained_bytes(&self) -> usize {
-        let u32s = self.label_class.capacity()
-            + self.class_of.capacity()
-            + self.canonical.capacity()
-            + self.members.iter().map(Vec::capacity).sum::<usize>();
-        let pairs: usize = self.adj.iter().map(Vec::capacity).sum();
-        u32s * std::mem::size_of::<u32>() + pairs * std::mem::size_of::<(u32, u32)>()
-    }
-
-    // ---- internals ------------------------------------------------------
-
-    fn rebuild_from_labels(&mut self, labels: &[u32]) {
-        self.stats.rebuilds += 1;
-        let count = labels.iter().copied().max().map(|m| m as usize + 1).unwrap_or(0);
-        self.class_of = labels.to_vec();
-        self.members = vec![Vec::new(); count];
-        for (v, &c) in labels.iter().enumerate() {
-            self.members[c as usize].push(v as u32);
-        }
-        let all: BTreeSet<u32> = (0..count as u32).collect();
-        self.run_worklist(all);
-        self.renumber();
-    }
-
-    /// Splits every class whose members disagree on the given node
-    /// partition (the meet step of a monotone update). Returns the
-    /// classes that must be re-examined.
-    fn split_by_partition(&mut self, part: &[u32]) -> BTreeSet<u32> {
-        let mut affected = BTreeSet::new();
-        for c in 0..self.members.len() as u32 {
-            let members = &self.members[c as usize];
-            if members.len() <= 1 {
-                self.stats.classes_clean += 1;
-                continue;
-            }
-            let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for &v in members {
-                groups.entry(part[v as usize]).or_default().push(v);
-            }
-            self.apply_groups(c, groups.into_values().collect(), &mut affected);
-        }
-        affected
-    }
-
-    /// Splits the given dirty classes by their members' current
-    /// neighborhood keys (the exact [`round_keys`] tail: `(class, rev)`
-    /// pairs, order-normalized for [`ViewMode::Portless`]). Returns the
-    /// classes to re-examine next round.
-    fn split_dirty(&mut self, dirty: &BTreeSet<u32>) -> BTreeSet<u32> {
-        let mut affected = BTreeSet::new();
-        for &c in dirty {
-            let members = &self.members[c as usize];
-            if members.len() <= 1 {
-                self.stats.classes_clean += 1;
-                continue;
-            }
-            // Exact keys, grouped through a sorted map: deterministic,
-            // ordered by the true lexicographic key order (the same order
-            // `assign_dense_classes` uses for the key tail at fixed
-            // previous class — members of one class share that prefix).
-            let mut groups: BTreeMap<Vec<u64>, Vec<u32>> = BTreeMap::new();
-            for &v in members {
-                let mut key: Vec<u64> = self.adj[v as usize]
-                    .iter()
-                    .map(|&(u, rev)| ((self.class_of[u as usize] as u64) << 32) | rev as u64)
-                    .collect();
-                if self.mode == ViewMode::Portless {
-                    key.sort_unstable();
-                }
-                groups.entry(key).or_default().push(v);
-            }
-            self.apply_groups(c, groups.into_values().collect(), &mut affected);
-        }
-        affected
-    }
-
-    /// Installs a class's key-groups: one group ⇒ clean; several ⇒ the
-    /// first keeps id `c`, the rest get fresh ids in key order, and every
-    /// class adjacent to the split class joins `affected`. Members stay
-    /// ascending within groups (insertion order was ascending).
-    fn apply_groups(&mut self, c: u32, groups: Vec<Vec<u32>>, affected: &mut BTreeSet<u32>) {
-        if groups.len() <= 1 {
-            self.stats.classes_clean += 1;
-            return;
-        }
-        self.stats.classes_split += groups.len() as u64 - 1;
-        let mut it = groups.into_iter();
-        let first = it.next().unwrap_or_default();
-        self.members[c as usize] = first;
-        let first_fresh = self.members.len();
-        for part in it {
-            let fresh = self.members.len() as u32;
-            for &v in &part {
-                self.class_of[v as usize] = fresh;
-            }
-            self.members.push(part);
-        }
-        // Neighbors of the old class c (= neighbors of all its parts) may
-        // split next round: their keys referenced c, whose meaning changed.
-        for part_id in std::iter::once(c).chain((first_fresh..self.members.len()).map(|i| i as u32))
-        {
-            for m in 0..self.members[part_id as usize].len() {
-                let v = self.members[part_id as usize][m];
-                for a in 0..self.adj[v as usize].len() {
-                    let u = self.adj[v as usize][a].0;
-                    affected.insert(self.class_of[u as usize]);
-                }
-            }
-        }
-    }
-
-    fn run_worklist(&mut self, mut dirty: BTreeSet<u32>) {
-        while !dirty.is_empty() {
-            self.stats.rounds += 1;
-            let sweep = std::mem::take(&mut dirty);
-            dirty = self.split_dirty(&sweep);
-        }
-    }
-
-    /// Recovers the exact canonical ids and stabilization depth of
-    /// `Refinement::compute` by replaying the round trajectory on the
-    /// class quotient: per round, each class's key is its previous round
-    /// id plus its (port-ordered or sorted) neighbor-class ids — constant
-    /// across the class's members by equitability — and dense ranks over
-    /// class keys equal dense ranks over node keys because every round's
-    /// partition is coarser than the stable one.
-    fn renumber(&mut self) {
-        let c = self.members.len();
-        if c == 0 {
-            self.canonical = Vec::new();
-            self.depth = 0;
-            return;
-        }
-        // Quotient structure: representative's neighbor (class, rev) list.
-        let qadj: Vec<Vec<(u32, u32)>> = self
-            .members
-            .iter()
-            .map(|m| {
-                let rep = m[0];
-                self.adj[rep as usize]
-                    .iter()
-                    .map(|&(u, rev)| (self.class_of[u as usize], rev))
-                    .collect()
-            })
-            .collect();
-        // Round 0 over classes: the representative's label class. Dense
-        // over classes iff dense over nodes — both are the same id set.
-        let mut cur: Vec<u32> =
-            self.members.iter().map(|m| self.label_class[m[0] as usize]).collect();
-        let mut depth = 0usize;
-        loop {
-            let prev_count = class_count_of(&cur);
-            if prev_count == c {
-                break; // discrete over classes ⇒ stable
-            }
-            let keys: Vec<RoundKey> = qadj
-                .iter()
-                .enumerate()
-                .map(|(i, nbrs)| {
-                    let mut mapped: Vec<(u32, u32)> =
-                        nbrs.iter().map(|&(qc, rev)| (cur[qc as usize], rev)).collect();
-                    if self.mode == ViewMode::Portless {
-                        mapped.sort_unstable();
-                    }
-                    (cur[i], mapped)
-                })
-                .collect();
-            let next = assign_dense_classes(&keys);
-            if class_count_of(&next) == prev_count {
-                break;
-            }
-            cur = next;
-            depth += 1;
-        }
-        self.depth = depth;
-        self.canonical = self.class_of.iter().map(|&ic| cur[ic as usize]).collect();
-    }
-}
-
-fn capture_adjacency<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Vec<Vec<(u32, u32)>> {
-    let graph = g.graph();
-    graph
-        .nodes()
-        .map(|v| {
-            graph
-                .neighbors(v)
-                .iter()
-                .enumerate()
-                .map(|(p, &u)| {
-                    let rev = match mode {
-                        ViewMode::Portless => 0,
-                        ViewMode::PortAware => {
-                            graph.reverse_port(v, anonet_graph::Port::new(p)).index() as u32
-                        }
-                    };
-                    (u.index() as u32, rev)
-                })
-                .collect()
-        })
-        .collect()
-}
-
-fn adjacency_matches<L: Label>(
-    g: &LabeledGraph<L>,
-    mode: ViewMode,
-    adj: &[Vec<(u32, u32)>],
-) -> bool {
-    let graph = g.graph();
-    if graph.node_count() != adj.len() {
-        return false;
-    }
-    graph.nodes().all(|v| {
-        let stored = &adj[v.index()];
-        let nbrs = graph.neighbors(v);
-        nbrs.len() == stored.len()
-            && nbrs.iter().enumerate().all(|(p, &u)| {
-                let rev = match mode {
-                    ViewMode::Portless => 0,
-                    ViewMode::PortAware => {
-                        graph.reverse_port(v, anonet_graph::Port::new(p)).index() as u32
-                    }
-                };
-                stored[p] == (u.index() as u32, rev)
-            })
-    })
-}
-
-/// `true` iff partition `fine` refines partition `coarse`: nodes sharing
-/// a `fine` class always share their `coarse` class.
-fn refines(fine: &[u32], coarse: &[u32]) -> bool {
-    if fine.len() != coarse.len() {
-        return false;
-    }
-    let mut image: BTreeMap<u32, u32> = BTreeMap::new();
-    fine.iter().zip(coarse.iter()).all(|(&f, &c)| *image.entry(f).or_insert(c) == c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1162,128 +749,5 @@ mod tests {
         let bounded = BoundedRefinement::compute(&g, ViewMode::Portless);
         assert!(full.stabilization_depth() > 10);
         assert!(bounded.retained_bytes() < full.retained_bytes() / 4);
-    }
-
-    // ---- incremental engine ---------------------------------------------
-
-    #[test]
-    fn engine_matches_from_scratch_on_build() {
-        for g in test_graphs() {
-            for mode in [ViewMode::Portless, ViewMode::PortAware] {
-                let reference = Refinement::compute(&g, mode);
-                let engine = RefinementEngine::new(&g, mode);
-                assert_eq!(engine.classes(), reference.classes(), "{mode:?}");
-                assert_eq!(engine.class_count(), reference.class_count());
-                assert_eq!(engine.stabilization_depth(), reference.stabilization_depth());
-                assert_eq!(engine.is_discrete(), reference.is_discrete());
-                assert_eq!(engine.partition(), reference.partition());
-                assert_eq!(engine.stats().rebuilds, 1);
-            }
-        }
-    }
-
-    /// Monotone label evolution: append a phase-dependent value derived
-    /// from the current class to each node's label (a (old, extra) pair
-    /// label always refines the old partition).
-    fn mutate_monotone(g: &LabeledGraph<u32>, extra: &[u32]) -> LabeledGraph<(u32, u32)> {
-        let labels: Vec<(u32, u32)> =
-            g.graph().nodes().map(|v| (*g.label(v), extra[v.index()])).collect();
-        g.graph().clone().with_labels(labels).unwrap()
-    }
-
-    #[test]
-    fn engine_incremental_updates_match_from_scratch() {
-        for g in test_graphs() {
-            for mode in [ViewMode::Portless, ViewMode::PortAware] {
-                let mut engine = RefinementEngine::new(&g, mode);
-                // Phase 1: no-op refinement (same extra everywhere).
-                let g1 = mutate_monotone(&g, &vec![0u32; g.node_count()]);
-                engine.update(&g1);
-                let r1 = Refinement::compute(&g1, mode);
-                assert_eq!(engine.classes(), r1.classes(), "{mode:?} phase 1");
-                assert_eq!(engine.stabilization_depth(), r1.stabilization_depth());
-
-                // Phase 2: split by current class parity — still monotone
-                // (extra is a function of the stable class, which refines
-                // labels… and labels refine labels).
-                let extra: Vec<u32> = engine.classes().iter().map(|&c| c % 2).collect();
-                let g2 = mutate_monotone(&g, &extra);
-                engine.update(&g2);
-                let r2 = Refinement::compute(&g2, mode);
-                assert_eq!(engine.classes(), r2.classes(), "{mode:?} phase 2");
-                assert_eq!(engine.class_count(), r2.class_count());
-                assert_eq!(engine.stabilization_depth(), r2.stabilization_depth());
-
-                // Phase 3: genuinely split one class by node index — the
-                // label (old, v%3) still refines (old, …) of phase 2? No:
-                // phase 2's extra differs from phase 3's, and (label, a)
-                // vs (label, b) partitions need not nest — the engine must
-                // detect non-monotone steps and still be exact.
-                let extra3: Vec<u32> = (0..g.node_count() as u32).map(|v| v % 3).collect();
-                let g3 = mutate_monotone(&g, &extra3);
-                engine.update(&g3);
-                let r3 = Refinement::compute(&g3, mode);
-                assert_eq!(engine.classes(), r3.classes(), "{mode:?} phase 3");
-                assert_eq!(engine.stabilization_depth(), r3.stabilization_depth());
-                assert!(engine.stats().incremental_updates >= 1, "{mode:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn engine_detects_topology_change_and_rebuilds() {
-        let g = fig1_c6();
-        let mut engine = RefinementEngine::new(&g, ViewMode::Portless);
-        let rebuilds_before = engine.stats().rebuilds;
-        let h = generators::cycle(9)
-            .unwrap()
-            .with_labels((0..9).map(|i| (i % 3) as u32 + 1).collect::<Vec<_>>())
-            .unwrap();
-        engine.update(&h);
-        let reference = Refinement::compute(&h, ViewMode::Portless);
-        assert_eq!(engine.classes(), reference.classes());
-        assert_eq!(engine.stats().rebuilds, rebuilds_before + 1);
-    }
-
-    #[test]
-    fn engine_is_deterministic_across_runs() {
-        // Same instance sequence ⇒ identical classes, 100 runs — the
-        // BTreeSet dirty set and sorted splits are what make this hold.
-        let g = generators::petersen().with_uniform_label(0u32);
-        let reference = {
-            let mut e = RefinementEngine::new(&g, ViewMode::PortAware);
-            let extra: Vec<u32> = e.classes().iter().map(|&c| c % 2).collect();
-            e.update(&mutate_monotone(&g, &extra));
-            e.classes().to_vec()
-        };
-        for run in 0..100 {
-            let mut e = RefinementEngine::new(&g, ViewMode::PortAware);
-            let extra: Vec<u32> = e.classes().iter().map(|&c| c % 2).collect();
-            e.update(&mutate_monotone(&g, &extra));
-            assert_eq!(e.classes(), reference.as_slice(), "run {run} diverged");
-        }
-    }
-
-    #[test]
-    fn refines_predicate() {
-        assert!(refines(&[0, 1, 2, 3], &[0, 0, 1, 1]));
-        assert!(refines(&[0, 0, 1, 1], &[0, 0, 1, 1]));
-        assert!(!refines(&[0, 0, 1, 1], &[0, 1, 2, 3]));
-        assert!(!refines(&[0, 1], &[0, 0, 1]));
-    }
-
-    #[test]
-    fn round_keys_chunks_concatenate_to_the_full_vector() {
-        let g = generators::petersen().with_degree_labels();
-        for mode in [ViewMode::Portless, ViewMode::PortAware] {
-            let prev = initial_label_classes(&g);
-            let full = round_keys(&g, &prev, mode, 0, g.node_count());
-            let mut chunked = Vec::new();
-            for lo in (0..g.node_count()).step_by(3) {
-                let hi = (lo + 3).min(g.node_count());
-                chunked.extend(round_keys(&g, &prev, mode, lo, hi));
-            }
-            assert_eq!(full, chunked, "{mode:?}");
-        }
     }
 }

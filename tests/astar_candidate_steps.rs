@@ -5,8 +5,7 @@
 //! still the paper's `A_*`, for MIS and maximal matching on lifts of K3,
 //! the paw, the diamond and K4 at multiplicities 2–6:
 //!
-//! * fast ≡ threaded fan-out at 1/2/8 threads ≡ the literal Figure-3
-//!   reference, on every field of the run;
+//! * fast ≡ the literal Figure-3 reference, on every field of the run;
 //! * the Update-Graph counters (`astar.c2.*`, pool hits/misses) equal the
 //!   values the per-node engine produced, pinned below;
 //! * aborting runs fail with the same typed error as before;
@@ -20,7 +19,7 @@ use anonet::algorithms::matching::{MatchingProblem, RandomizedMatching};
 use anonet::algorithms::mis::RandomizedMis;
 use anonet::algorithms::problems::MisProblem;
 use anonet::core::astar::{
-    run_astar, run_astar_observed, run_astar_reference, run_astar_threaded, AStarConfig, AStarRun,
+    run_astar, run_astar_observed, run_astar_reference, AStarConfig, AStarRun,
 };
 use anonet::core::CoreError;
 use anonet::graph::coloring::greedy_two_hop_coloring;
@@ -80,11 +79,10 @@ fn observed<A, P, C>(
     cfg: &AStarConfig,
 ) -> (Result<AStarRun<A::Output>, CoreError>, Counters, u64)
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
+    C: Label,
 {
     let rec = MemoryRecorder::new();
     let run = run_astar_observed(alg, problem, instance, cfg, &rec);
@@ -98,10 +96,10 @@ where
     (run, counters, snap.span_total(names::SPAN_UPDATE_BITS).count)
 }
 
-/// Runs the fast engine observed and threaded at 1/2/8 workers on one
-/// instance; checks them against each other, against the pinned counters
-/// and against the fibre bound on Update-Bits steps. Returns the run.
-fn check_fast_and_threaded<A, P, C>(
+/// Runs the fast engine observed on one instance; checks it against the
+/// pinned counters and against the fibre bound on Update-Bits steps.
+/// Returns the run.
+fn check_fast<A, P, C>(
     alg: &A,
     problem: &P,
     instance: &LabeledGraph<(A::Input, C)>,
@@ -111,11 +109,10 @@ fn check_fast_and_threaded<A, P, C>(
     ctx: &str,
 ) -> Result<AStarRun<A::Output>, CoreError>
 where
-    A: ObliviousAlgorithm + Clone + Sync,
-    A::Input: Label + Sync,
-    A::Output: Send + PartialEq + std::fmt::Debug,
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
     P: Problem<Input = A::Input>,
-    C: Label + Sync,
+    C: Label,
 {
     let (fast, counters, update_bits) = observed(alg, problem, instance, cfg);
     assert_eq!(counters, pinned, "{ctx}: Update-Graph counters moved (lookups, hits, pool h/m)");
@@ -126,15 +123,6 @@ where
         update_bits * m as u64 <= c2_hits,
         "{ctx}: {update_bits} Update-Bits steps for {c2_hits} selections at multiplicity {m}"
     );
-    for threads in [1usize, 2, 8] {
-        let par = run_astar_threaded(alg, problem, instance, cfg, threads, &anonet::obs::noop());
-        let ctx = format!("{ctx} threaded({threads}) vs fast");
-        match (&par, &fast) {
-            (Ok(par), Ok(fast)) => assert_runs_identical(par, fast, &ctx),
-            (Err(a), Err(b)) => assert_eq!(a, b, "{ctx}: errors"),
-            _ => panic!("{ctx}: one engine failed, the other did not"),
-        }
-    }
     fast
 }
 
@@ -213,7 +201,7 @@ fn mis_sweep(keep: Filter, with_reference: Filter) {
         }
         let instance = colored_lift(&base, m, |_| ());
         let ctx = format!("MIS on {name} x{m}");
-        let fast = check_fast_and_threaded(&alg, &MisProblem, &instance, &cfg, m, pinned, &ctx)
+        let fast = check_fast(&alg, &MisProblem, &instance, &cfg, m, pinned, &ctx)
             .unwrap_or_else(|e| panic!("{ctx}: {e}"));
         if with_reference(name, m) {
             let reference = run_astar_reference(&alg, &MisProblem, &instance, &cfg).unwrap();
@@ -231,8 +219,7 @@ fn matching_sweep(keep: Filter, with_reference: Filter) {
         }
         let instance = colored_lift(&base, m, |c| c);
         let ctx = format!("matching on {name} x{m}");
-        let fast =
-            check_fast_and_threaded(&alg, &MatchingProblem, &instance, &cfg, m, pinned, &ctx);
+        let fast = check_fast(&alg, &MatchingProblem, &instance, &cfg, m, pinned, &ctx);
         if name == "K3" {
             let fast = fast.unwrap_or_else(|e| panic!("{ctx}: {e}"));
             if with_reference(name, m) {
@@ -285,17 +272,5 @@ fn aborting_config_fails_with_the_pinned_error() {
         let want = CoreError::SearchBudgetExceeded { quotient_nodes, max_total_bits: 2 };
         let err = run_astar(&RandomizedMis::new(), &MisProblem, &instance, &cfg).unwrap_err();
         assert_eq!(err, want, "MIS on {name} x3");
-        for threads in [1usize, 2, 8] {
-            let err = run_astar_threaded(
-                &RandomizedMis::new(),
-                &MisProblem,
-                &instance,
-                &cfg,
-                threads,
-                &anonet::obs::noop(),
-            )
-            .unwrap_err();
-            assert_eq!(err, want, "MIS on {name} x3, {threads} threads");
-        }
     }
 }

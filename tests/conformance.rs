@@ -39,42 +39,3 @@ fn matching_conformance() {
 fn leader_conformance() {
     run_leader_suite(30);
 }
-
-#[test]
-fn astar_thread_sweep_is_byte_identical_on_concrete_instances() {
-    // The memoized A_* engine, fanned across 1/2/8 worker threads, must
-    // reproduce the sequential fast path (and hence, via the
-    // astar-fast-vs-reference oracle, the literal Figure-3 reference)
-    // byte-for-byte on concrete MIS instances.
-    use anonet::core::astar::{run_astar, run_astar_threaded, AStarConfig};
-    use anonet::graph::{generators, lift};
-
-    let cfg = AStarConfig::default();
-    let triangle =
-        generators::cycle(3).unwrap().with_labels(vec![((), 1u32), ((), 2), ((), 3)]).unwrap();
-    let c6 = lift::cyclic_cycle_lift(3, 2)
-        .unwrap()
-        .lift_labels(&[((), 1u32), ((), 2), ((), 3)])
-        .unwrap();
-    let p2 = generators::path(2).unwrap().with_labels(vec![((), 1u32), ((), 2)]).unwrap();
-
-    for inst in [triangle, c6, p2] {
-        let sequential = run_astar(&RandomizedMis::new(), &MisProblem, &inst, &cfg).unwrap();
-        for threads in [1usize, 2, 8] {
-            let par = run_astar_threaded(
-                &RandomizedMis::new(),
-                &MisProblem,
-                &inst,
-                &cfg,
-                threads,
-                &anonet::obs::noop(),
-            )
-            .unwrap();
-            assert_eq!(par.outputs, sequential.outputs, "{threads} threads");
-            assert_eq!(par.output_phase, sequential.output_phase, "{threads} threads");
-            assert_eq!(par.phases_used, sequential.phases_used, "{threads} threads");
-            assert_eq!(par.equivalent_rounds, sequential.equivalent_rounds, "{threads} threads");
-            assert_eq!(par.final_bits, sequential.final_bits, "{threads} threads");
-        }
-    }
-}

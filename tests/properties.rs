@@ -11,12 +11,11 @@ use anonet::algorithms::mis::RandomizedMis;
 use anonet::algorithms::problems::{MisProblem, TwoHopColoringProblem};
 use anonet::algorithms::two_hop_coloring::TwoHopColoring;
 use anonet::core::{Derandomizer, SearchStrategy};
-use anonet::graph::{coloring, BitString, Graph, LabeledGraph};
+use anonet::graph::{coloring, BitString, Graph};
 use anonet::runtime::{run, BitAssignment, ExecConfig, Oblivious, Problem, RngSource, TapeSource};
 use anonet::testkit::flavored_graph;
 use anonet::views::{
-    canonical_view_encoding, norris::norris_report, quotient, Refinement, RefinementEngine,
-    ViewMode, ViewTree,
+    canonical_view_encoding, norris::norris_report, quotient, Refinement, ViewMode, ViewTree,
 };
 use proptest::prelude::*;
 
@@ -166,48 +165,6 @@ fn check_pool_memo_key_invariance(seed: u64, n: usize, flavor: u8) {
     }
 }
 
-/// The incremental refinement engine tracks from-scratch refinement
-/// exactly — identical canonical class ids and stabilization depth —
-/// through a seeded mutation schedule that mixes monotone tag
-/// refinements (the incremental fast path) with a non-monotone relabel
-/// (the detect-and-rebuild path), in both view modes.
-fn check_incremental_refinement_matches_scratch(seed: u64, n: usize, flavor: u8) {
-    let g = arbitrary_graph(seed, n, flavor);
-    let n = g.node_count();
-    let mix = |x: u64| {
-        let x = (x ^ seed).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        (x ^ (x >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9)
-    };
-    for mode in [ViewMode::Portless, ViewMode::PortAware] {
-        let mut labels: Vec<(u32, u32)> = (0..n).map(|i| ((mix(i as u64) % 3) as u32, 0)).collect();
-        let relabeled = |labels: &[(u32, u32)]| {
-            LabeledGraph::new(g.clone(), labels.to_vec()).expect("label count matches")
-        };
-        let mut engine = RefinementEngine::new(&relabeled(&labels), mode);
-        for phase in 1..=4u32 {
-            let v = (mix(u64::from(phase) << 32) % n as u64) as usize;
-            if phase < 4 {
-                // Monotone: a fresh tag splits v out of its class.
-                labels[v].1 = phase;
-            } else {
-                // Non-monotone: a base-color change can merge classes,
-                // forcing the engine's exactness fallback.
-                labels[v].0 = (labels[v].0 + 1) % 3;
-                labels[v].1 = 0;
-            }
-            let g2 = relabeled(&labels);
-            engine.update(&g2);
-            let scratch = Refinement::compute(&g2, mode);
-            assert_eq!(
-                engine.classes(),
-                scratch.classes(),
-                "engine ids diverged ({mode:?}, phase {phase}, node {v})"
-            );
-            assert_eq!(engine.stabilization_depth(), scratch.stabilization_depth());
-        }
-    }
-}
-
 /// The arena encoder byte-matches the recursive `ViewTree` reference on
 /// every node at depths 1–3, on greedily 2-hop colored instances.
 fn check_arena_encoding_matches_view_tree(seed: u64, n: usize, flavor: u8) {
@@ -238,7 +195,6 @@ fn regression_seed_0_n_2_flavor_2() {
     check_matching_is_valid(0, 2, 2);
     check_execution_replays_from_tapes(0, 2, 2);
     check_pool_memo_key_invariance(0, 2, 2);
-    check_incremental_refinement_matches_scratch(0, 2, 2);
     check_arena_encoding_matches_view_tree(0, 2, 2);
 }
 
@@ -283,11 +239,6 @@ proptest! {
     #[test]
     fn pool_memo_keys_are_presentation_invariant(seed in 0u64..5000, n in 2usize..12, flavor in 0u8..4) {
         check_pool_memo_key_invariance(seed, n, flavor);
-    }
-
-    #[test]
-    fn incremental_refinement_matches_scratch(seed in 0u64..5000, n in 2usize..14, flavor in 0u8..4) {
-        check_incremental_refinement_matches_scratch(seed, n, flavor);
     }
 
     #[test]
