@@ -1,8 +1,7 @@
-//! E21 — the million-node core measured: arena-backed view encoding
-//! against the recursive [`ViewTree`] reference, and the flat
-//! [`BoundedRefinement`] kernel against the retained full-history
-//! [`Refinement`] — on deterministic beacon-labeled cycles from 10³ to
-//! 10⁶ nodes.
+//! E21 — the million-node core checked: layered view ids against the
+//! [`ViewTree`] reference, and the flat [`BoundedRefinement`] kernel
+//! against the retained full-history [`Refinement`] — on deterministic
+//! beacon-labeled cycles from 10³ to 10⁶ nodes.
 //!
 //! The workload is a *beacon cycle*: every 40th node carries a beacon
 //! label, the rest are blank. Refinement separates nodes by their offset
@@ -16,11 +15,12 @@
 //!
 //! Two gates, asserted by the `scale` CI job from `BENCH_scale.json`,
 //! which also pins every tier's `encoding_digest` (the all-node depth-2
-//! encodings), `stabilization_depth`, `class_count` and `rounds_total` to
-//! the committed file:
+//! [`ViewTree`] encodings), `stabilization_depth`, `class_count` and
+//! `rounds_total` to the committed file:
 //!
-//! * `byte_identical` — the arena byte-matches the recursive reference
-//!   on sampled nodes.
+//! * `view_ids_match` — on sampled nodes,
+//!   [`ViewIds`](anonet_views::ViewIds) gives two nodes equal depth-3 ids
+//!   iff their [`ViewTree`] encodings are equal.
 //! * `bounded_matches` — the flat kernel's classes and depth equal the
 //!   full-history reference after every mutation phase.
 //!
@@ -34,18 +34,19 @@
 use std::time::{Duration, Instant};
 
 use anonet_graph::{generators, Graph, LabeledGraph, NodeId};
-use anonet_views::{canonical_view_encoding, BoundedRefinement, Refinement, ViewMode, ViewTree};
+use anonet_testkit::check_view_ids;
+use anonet_views::{BoundedRefinement, Refinement, ViewMode, ViewTree};
 
 use crate::experiments::{common::tick, ExpResult};
 use crate::table::{secs, Json};
 use crate::Table;
 
-/// Depth of the sampled arena-vs-recursive encoding comparison.
+/// Depth of the sampled view-id partition check.
 const SAMPLE_DEPTH: usize = 3;
 /// Depth of the all-nodes encoding sweep (kept shallow so the 10⁶ tier
 /// stays tractable).
 const SWEEP_DEPTH: usize = 2;
-/// Nodes sampled for the arena-vs-recursive comparison.
+/// Nodes sampled for the view-id partition check.
 const SAMPLE_CAP: usize = 256;
 /// Monotone relabeling phases per size.
 const MUTATION_PHASES: usize = 6;
@@ -112,12 +113,8 @@ fn digest(encodings: &[Vec<u8>]) -> u64 {
 pub struct ScaleRow {
     /// Node count.
     pub n: usize,
-    /// Nodes in the arena-vs-recursive sample.
+    /// Nodes in the view-id sample.
     pub sampled: usize,
-    /// Arena time for the sampled depth-3 encodings.
-    pub arena_encode: Duration,
-    /// Recursive [`ViewTree`] time for the same sample.
-    pub recursive_encode: Duration,
     /// Σ retained from-scratch [`Refinement::compute`] over the phases.
     pub fromscratch_total: Duration,
     /// Σ [`BoundedRefinement::compute`] (the flat round kernel) over the
@@ -135,8 +132,8 @@ pub struct ScaleRow {
     pub bounded_bytes_per_node: f64,
     /// Digest of the all-nodes encodings, in node order.
     pub encoding_digest: u64,
-    /// The arena byte-matched the recursive reference on the sample.
-    pub byte_identical: bool,
+    /// Layered view ids partitioned the sample as [`ViewTree`] bytes do.
+    pub view_ids_match: bool,
     /// Flat-kernel classes and depth equaled from-scratch after every
     /// phase.
     pub bounded_matches: bool,
@@ -157,9 +154,9 @@ pub struct ScaleMeasurement {
 }
 
 impl ScaleMeasurement {
-    /// Every tier's identity gate held.
-    pub fn byte_identical(&self) -> bool {
-        self.rows.iter().all(|r| r.byte_identical)
+    /// Every tier's view-id gate held.
+    pub fn view_ids_match(&self) -> bool {
+        self.rows.iter().all(|r| r.view_ids_match)
     }
 
     /// Every tier's flat kernel ≡ from-scratch gate held.
@@ -173,25 +170,11 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
     let (graph, mut labels) = workload(n)?;
     let g = LabeledGraph::new(graph.clone(), labels.clone())?;
 
-    // Arena vs recursive reference on a deterministic node sample.
+    // Layered view ids vs `ViewTree` bytes on a deterministic node sample.
     let sampled = n.min(SAMPLE_CAP);
     let stride = (n / sampled).max(1);
-    let sample: Vec<NodeId> = (0..sampled).map(|k| NodeId::new((k * stride) % n)).collect();
-
-    let t0 = Instant::now();
-    let recursive: Vec<Vec<u8>> = sample
-        .iter()
-        .map(|&v| Ok(ViewTree::build(&g, v, SAMPLE_DEPTH)?.canonical_encoding()))
-        .collect::<ExpResult<_>>()?;
-    let recursive_encode = t0.elapsed();
-
-    let t0 = Instant::now();
-    let arena: Vec<Vec<u8>> = sample
-        .iter()
-        .map(|&v| Ok(canonical_view_encoding(&g, v, SAMPLE_DEPTH)?))
-        .collect::<ExpResult<_>>()?;
-    let arena_encode = t0.elapsed();
-    let byte_identical = arena == recursive;
+    let sample = (0..sampled).map(|k| NodeId::new((k * stride) % n));
+    let view_ids_match = check_view_ids(&g, SAMPLE_DEPTH, sample).is_ok();
 
     // Flat kernel vs retained full history over monotone phases.
     let mut fromscratch_total = Duration::ZERO;
@@ -225,15 +208,13 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
     let encs: Vec<Vec<u8>> = g_final
         .graph()
         .nodes()
-        .map(|v| canonical_view_encoding(&g_final, v, SWEEP_DEPTH))
+        .map(|v| Ok(ViewTree::build(&g_final, v, SWEEP_DEPTH)?.canonical_encoding()))
         .collect::<anonet_views::Result<_>>()?;
     let encoding_digest = digest(&encs);
 
     Ok(ScaleRow {
         n,
         sampled,
-        arena_encode,
-        recursive_encode,
         fromscratch_total,
         bounded_total,
         rounds_total,
@@ -242,7 +223,7 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
         full_bytes_per_node: full_bytes as f64 / n as f64,
         bounded_bytes_per_node: bounded.retained_bytes() as f64 / n as f64,
         encoding_digest,
-        byte_identical,
+        view_ids_match,
         bounded_matches,
     })
 }
@@ -277,8 +258,6 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
         Json::obj([
             ("n", Json::from(r.n)),
             ("sampled", Json::from(r.sampled)),
-            ("arena_encode_secs", secs(r.arena_encode)),
-            ("recursive_encode_secs", secs(r.recursive_encode)),
             ("fromscratch_secs", secs(r.fromscratch_total)),
             ("bounded_secs", secs(r.bounded_total)),
             ("rounds_total", Json::from(r.rounds_total)),
@@ -288,13 +267,13 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
             ("full_bytes_per_node", Json::Num(round3(r.full_bytes_per_node))),
             ("bounded_bytes_per_node", Json::Num(round3(r.bounded_bytes_per_node))),
             ("encoding_digest", Json::str(format!("{:016x}", r.encoding_digest))),
-            ("byte_identical", Json::from(r.byte_identical)),
+            ("view_ids_match", Json::from(r.view_ids_match)),
             ("bounded_matches", Json::from(r.bounded_matches)),
         ])
     });
     Json::obj([
         ("experiment", Json::str("scale")),
-        ("byte_identical", Json::from(m.byte_identical())),
+        ("view_ids_match", Json::from(m.view_ids_match())),
         ("bounded_matches", Json::from(m.bounded_matches())),
         ("tiers", Json::arr(tiers)),
     ])
@@ -311,12 +290,10 @@ pub fn report() -> ExpResult<String> {
     let m = measure()?;
 
     let mut table = Table::new(
-        "E21 / million-node core — arena encoding and the flat refinement kernel \
+        "E21 / million-node core — layered view ids and the flat refinement kernel \
          on beacon cycles (period 40)",
         &[
             "n",
-            "arena",
-            "recursive",
             "scratch (6ph)",
             "flat (6ph)",
             "rounds/s",
@@ -328,14 +305,12 @@ pub fn report() -> ExpResult<String> {
     for r in &m.rows {
         table.row(vec![
             r.n.to_string(),
-            format!("{:.2?}", r.arena_encode),
-            format!("{:.2?}", r.recursive_encode),
             format!("{:.2?}", r.fromscratch_total),
             format!("{:.2?}", r.bounded_total),
             format!("{:.0}", r.rounds_per_sec()),
             format!("{:.1}", r.full_bytes_per_node),
             format!("{:.1}", r.bounded_bytes_per_node),
-            tick(r.byte_identical && r.bounded_matches),
+            tick(r.view_ids_match && r.bounded_matches),
         ]);
     }
 
@@ -344,10 +319,10 @@ pub fn report() -> ExpResult<String> {
 
     Ok(format!(
         "{table}\n\
-         arena ≡ recursive encodings on the sample: {ident_ok}\n\
+         view ids ≡ ViewTree encodings on the sample: {ident_ok}\n\
          flat kernel ≡ from-scratch after every phase: {bounded_ok}\n\
          wrote BENCH_scale.json\n",
-        ident_ok = tick(m.byte_identical()),
+        ident_ok = tick(m.view_ids_match()),
         bounded_ok = tick(m.bounded_matches()),
     ))
 }
@@ -360,7 +335,7 @@ mod tests {
     fn small_tiers_pass_every_identity_gate() {
         let m = measure_sizes(&[80, 320]).unwrap();
         assert_eq!(m.rows.len(), 2);
-        assert!(m.byte_identical(), "arena diverged from the recursive reference");
+        assert!(m.view_ids_match(), "view ids diverged from ViewTree encodings");
         assert!(m.bounded_matches(), "flat kernel diverged from from-scratch");
         for r in &m.rows {
             assert!(r.rounds_total >= MUTATION_PHASES, "each phase runs at least one pass");
@@ -377,7 +352,7 @@ mod tests {
         let json = to_json(&m);
         let v = Json::parse(&json).unwrap();
         assert_eq!(v.get("experiment").unwrap().as_str(), Some("scale"));
-        assert_eq!(v.get("byte_identical").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("view_ids_match").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("bounded_matches").unwrap().as_bool(), Some(true));
         let tiers = v.get("tiers").unwrap().items().unwrap();
         assert_eq!(tiers.len(), 1);

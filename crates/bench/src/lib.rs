@@ -30,7 +30,7 @@
 //! | E18 | [`experiments::store`] | persistent store: cold vs warm-start across processes |
 //! | E19 | [`experiments::soak`] | seeded soak campaign + the `BENCH_soak.json` regression baseline |
 //! | E20 | [`experiments::trace`] | causal tracing: noop/flight overhead + the anonet-trace round trip |
-//! | E21 | [`experiments::scale`] | million-node core: arena encoding, flat refinement kernel vs the full-history reference |
+//! | E21 | [`experiments::scale`] | million-node core: layered view ids vs `ViewTree` bytes, flat refinement kernel vs the full-history reference |
 //!
 //! Run them with `cargo run -p anonet-bench --bin report -- <id>|all`.
 //! Timing benchmarks live in `benches/` (Criterion).

@@ -40,27 +40,17 @@
 //!   collision, the quotient for each candidate an index entry names.
 //!
 //! **Layered view ids.** C2 asks only whether two depth-`p` views are
-//! equal, never for their bytes, so views are compared through hash-consed
-//! ids computed in `p` sweeps over a graph:
-//!
-//! * `id_1(u) = intern(mark(u), 0)`;
-//! * `id_d(u) = intern(mark(u), deg(u), sorted id_{d−1} of the neighbours)`.
-//!
-//! `mark(u)` is the interned label encoding. The Portless canonical view
-//! encoding is the mark, the child count and the child encodings sorted by
-//! bytes, and every label encoding is self-delimiting, so by induction on
-//! `d` two ids are equal iff the
-//! [`canonical_view_encoding`] bytes are. A sweep costs `O(d·|E|)`
-//! instead of one `Δ^d`-vertex tree per node. The **instance interns**:
-//! [`AstarCache::view_ids`] sweeps it once per phase, interning every key
-//! of every layer, and returns the [`PhaseViews`] that
+//! equal, never for their bytes, so views are compared through the
+//! hash-consed layered ids of [`ViewIds`], computed in `p` sweeps over a
+//! graph instead of one `Δ^p`-vertex tree per node. The **instance
+//! interns**: [`AstarCache::view_ids`] sweeps it once per phase, interning
+//! every key of every layer, and returns the [`PhaseViews`] that
 //! [`AstarCache::ensure_pool`] requires, so no index of a phase is built
 //! before that phase's instance ids exist. Candidates only **look up**
-//! ([`Interner::sym`]): a candidate node whose key misses has a view no
-//! instance node has, and registers nothing. Tree sizes are counted
-//! alongside (saturating); a view larger than [`SIZE_BUDGET`] is handed to
-//! [`canonical_view_encoding`], so the same `ViewTooLarge` error surfaces
-//! at the same node as with explicit trees.
+//! ([`ViewIds::lookup`]): a candidate node whose key misses has a view no
+//! instance node has, and registers nothing. A view over the size budget
+//! fails with the `ViewTooLarge` error of the explicit build at the same
+//! node.
 //!
 //! The index must be keyed by the view depth and not only by `p_capped =
 //! min(p, max_candidate_nodes)`: once `p` exceeds the candidate-size cap
@@ -105,7 +95,7 @@ use anonet_graph::{BitString, Graph, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, Recorder};
 use anonet_runtime::Problem;
 use anonet_views::{
-    canonical_view_encoding, quotient, FastHash, Interner, Sym, ViewMode, ViewQuotient, SIZE_BUDGET,
+    quotient, FastHash, Interner, Sym, ViewIds, ViewLayers, ViewMode, ViewQuotient,
 };
 
 use crate::candidates::{label_shape, two_hop_colored_pool, ShapeLabelings};
@@ -158,9 +148,9 @@ impl SelectionIndex {
 struct PoolEntry<I: Label, C: Label> {
     /// The pool's universe, sorted.
     universe: Vec<CandidateLabel<I, C>>,
-    /// Each universe entry's interned label encoding: the first layer of
-    /// the views of every candidate node that carries it.
-    marks: Vec<Option<Sym>>,
+    /// Each universe entry's mark in the run's [`ViewIds`]: the first
+    /// layer of the views of every candidate node that carries it.
+    marks: Vec<Sym>,
     /// The candidates' universe indexes, node by node.
     labels: Vec<usize>,
     candidates: Vec<PoolCandidate>,
@@ -170,9 +160,9 @@ struct PoolEntry<I: Label, C: Label> {
 
 /// The instance's depth-`p` view id per node, interned by
 /// [`AstarCache::view_ids`]: the proof that the ids a depth-`depth` index
-/// build looks candidates up against exist. A view larger than
-/// [`SIZE_BUDGET`] carries the `ViewTooLarge` error of
-/// [`canonical_view_encoding`] at that node.
+/// build looks candidates up against exist. A view over the size budget
+/// carries the `ViewTooLarge` error of the explicit view build at that
+/// node.
 pub struct PhaseViews {
     depth: usize,
     ids: Vec<Result<Sym>>,
@@ -345,20 +335,14 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         ip: &LabeledGraph<CandidateLabel<I, C>>,
         depth: usize,
     ) -> PhaseViews {
-        let ViewIds { marks, layers: table } = &mut self.views;
-        let marks = marks_of(ip.labels(), |enc| Some(marks.intern(enc)));
-        let mut layers = Layers::default();
-        layers.sweep(ip.graph(), &marks, depth, &mut Table::Intern(table));
+        let layers = self.views.intern(ip, depth);
         let ids = ip
             .graph()
             .nodes()
             .map(|v| {
-                if layers.too_large(v, depth) {
-                    Err(view_too_large(ip, v, depth))
-                } else {
-                    layers.ids[v.index()]
-                        .ok_or_else(|| CoreError::internal("interning sweeps resolve every key"))
-                }
+                layers
+                    .id(ip.graph(), v)?
+                    .ok_or_else(|| CoreError::internal("interning sweeps resolve every key"))
             })
             .collect();
         PhaseViews { depth, ids }
@@ -398,7 +382,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
                 }
                 let labels = universe.labels;
                 let pool = two_hop_colored_pool(p_capped, labels, |((_i, c), _b)| c)?;
-                let entry = filter_pool(problem, labels, pool, &mut ids.marks)?;
+                let entry = filter_pool(problem, labels, pool, ids)?;
                 if rec.is_enabled() {
                     rec.counter(names::ASTAR_POOL_CANDIDATES, entry.candidates.len() as u64);
                 }
@@ -414,7 +398,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         };
         if !entry.indexes.contains_key(&views.depth) {
             let built = entry.quotients.len();
-            let index = entry.build_index(views.depth, &ids.layers)?;
+            let index = entry.build_index(views.depth, ids)?;
             entry.indexes.insert(views.depth, index);
             if rec.is_enabled() {
                 rec.counter(names::ASTAR_POOL_QUOTIENTS, (entry.quotients.len() - built) as u64);
@@ -486,7 +470,7 @@ pub fn pool_keys<L: Label>(
 /// Applies the node-independent `Update-Graph` gate that remains after
 /// the 2-hop gate (the C3 instance check) to a pool of 2-hop colored
 /// candidates over `universe`, in pool order, interning each universe
-/// entry's label encoding into `marks`.
+/// entry's mark into `views`.
 ///
 /// C3 reads a candidate's shape and its nodes' inputs only, so it is
 /// decided once per shape and vector of input-label ids: entry `i`'s id
@@ -502,7 +486,7 @@ fn filter_pool<I, C, P>(
     problem: &P,
     universe: &[CandidateLabel<I, C>],
     pool: Vec<ShapeLabelings>,
-    marks: &mut Interner,
+    views: &mut ViewIds,
 ) -> Result<PoolEntry<I, C>>
 where
     I: Label,
@@ -520,7 +504,7 @@ where
     }
     let mut entry = PoolEntry {
         universe: universe.to_vec(),
-        marks: marks_of(universe, |enc| Some(marks.intern(enc))),
+        marks: views.marks(universe),
         labels: Vec::new(),
         candidates: Vec::new(),
         quotients: Vec::new(),
@@ -570,28 +554,25 @@ impl<I: Label, C: Label> PoolEntry<I, C> {
     /// scan's tie-breaks: candidates visited in pool order, only the
     /// first node per view id registered within a candidate, entries
     /// replaced only on strictly smaller `(node count, encoding bytes)`.
-    /// Candidate keys are looked up in `layers_table`, never interned; a
-    /// node whose key misses registers nothing. Ends by building the
-    /// quotient of every candidate an entry names.
-    fn build_index(&mut self, depth: usize, layers_table: &Interner) -> Result<SelectionIndex> {
+    /// Candidate views are looked up in `views`, never interned; a node
+    /// whose view misses registers nothing. Ends by building the quotient
+    /// of every candidate an entry names.
+    fn build_index(&mut self, depth: usize, views: &ViewIds) -> Result<SelectionIndex> {
         let mut map: HashMap<Sym, usize, FastHash> = HashMap::default();
         // `(candidate index, v̂)` until the end, then `(quotient slot, v̂)`.
         let mut entries: Vec<(usize, NodeId)> = Vec::new();
-        let mut layers = Layers::default();
-        let mut marks: Vec<Option<Sym>> = Vec::new();
+        let mut layers = ViewLayers::default();
+        let mut marks: Vec<Sym> = Vec::new();
         // Per candidate: each view id it has, with its first node (v̂).
         let mut firsts: Vec<(Sym, NodeId)> = Vec::new();
         for idx in 0..self.candidates.len() {
             let PoolCandidate { shape: g, start, .. } = self.candidates[idx];
             marks.clear();
             marks.extend(self.labels[start..start + g.node_count()].iter().map(|&i| self.marks[i]));
-            layers.sweep(g, &marks, depth, &mut Table::Lookup(layers_table));
-            if let Some(u) = g.nodes().find(|&u| layers.too_large(u, depth)) {
-                return Err(view_too_large(&self.graph(idx)?, u, depth));
-            }
+            views.lookup(g, &marks, depth, &mut layers);
             firsts.clear();
             for u in g.nodes() {
-                if let Some(sym) = layers.ids[u.index()] {
+                if let Some(sym) = layers.id(g, u)? {
                     if firsts.iter().all(|&(seen, _)| seen != sym) {
                         firsts.push((sym, u));
                     }
@@ -651,132 +632,6 @@ impl<I: Label, C: Label> PoolEntry<I, C> {
     }
 }
 
-/// The error [`canonical_view_encoding`] reports for a view the size count
-/// put over [`SIZE_BUDGET`] — the explicit build is what fixes its value.
-fn view_too_large<L: Label>(g: &LabeledGraph<L>, v: NodeId, depth: usize) -> CoreError {
-    match canonical_view_encoding(g, v, depth) {
-        Err(e) => e.into(),
-        Ok(_) => CoreError::internal("a view over the size budget was built"),
-    }
-}
-
-/// The two interners behind layered view ids: label encodings → marks,
-/// and layer keys → view ids.
-#[derive(Default)]
-struct ViewIds {
-    marks: Interner,
-    layers: Interner,
-}
-
-/// Each label's mark: its encoding resolved through `resolve` (an intern
-/// or a lookup in [`ViewIds`]' mark table) — the one generic step before
-/// a sweep.
-fn marks_of<L: Label>(
-    labels: &[L],
-    mut resolve: impl FnMut(&[u8]) -> Option<Sym>,
-) -> Vec<Option<Sym>> {
-    let mut buf = Vec::new();
-    labels
-        .iter()
-        .map(|label| {
-            buf.clear();
-            label.encode(&mut buf);
-            resolve(&buf)
-        })
-        .collect()
-}
-
-/// How a sweep resolves its keys: candidates intern them, the instance
-/// only looks them up.
-enum Table<'a> {
-    Intern(&'a mut Interner),
-    Lookup(&'a Interner),
-}
-
-impl Table<'_> {
-    fn resolve(&mut self, key: &[u8]) -> Option<Sym> {
-        match self {
-            Table::Intern(table) => Some(table.intern(key)),
-            Table::Lookup(table) => table.sym(key),
-        }
-    }
-}
-
-/// One graph's layered view ids and view-tree sizes at the depth of the
-/// last [`sweep`](Layers::sweep), with the buffers the sweep reuses. Not
-/// generic over labels: marks come in as symbols.
-#[derive(Default)]
-struct Layers {
-    /// `id_d(u)` per node; `None` where a lookup missed.
-    ids: Vec<Option<Sym>>,
-    /// Vertex count of `L_d(u)` per node, saturating.
-    sizes: Vec<usize>,
-    next_ids: Vec<Option<Sym>>,
-    next_sizes: Vec<usize>,
-    kids: Vec<u32>,
-    key: Vec<u8>,
-}
-
-impl Layers {
-    /// Computes `id_depth` and the depth-`depth` tree size of every node
-    /// of `g` in `depth` sweeps (`depth = 0` leaves the depth-1 layer).
-    fn sweep(&mut self, g: &Graph, marks: &[Option<Sym>], depth: usize, table: &mut Table<'_>) {
-        self.ids.clear();
-        self.sizes.clear();
-        self.kids.clear();
-        for &mark in marks {
-            let id = mark.and_then(|m| self.resolve_key(m, table));
-            self.ids.push(id);
-            self.sizes.push(1);
-        }
-        for _ in 1..depth {
-            self.next_ids.clear();
-            self.next_sizes.clear();
-            for v in g.nodes() {
-                let neighbors = g.neighbors(v);
-                let size =
-                    neighbors.iter().fold(1usize, |s, u| s.saturating_add(self.sizes[u.index()]));
-                self.next_sizes.push(size);
-                self.kids.clear();
-                let mut known = marks[v.index()].is_some();
-                for u in neighbors {
-                    match self.ids[u.index()] {
-                        Some(id) => self.kids.push(id.index() as u32),
-                        None => known = false,
-                    }
-                }
-                let id = match marks[v.index()] {
-                    Some(m) if known => {
-                        self.kids.sort_unstable();
-                        self.resolve_key(m, table)
-                    }
-                    _ => None,
-                };
-                self.next_ids.push(id);
-            }
-            std::mem::swap(&mut self.ids, &mut self.next_ids);
-            std::mem::swap(&mut self.sizes, &mut self.next_sizes);
-        }
-    }
-
-    /// Resolves the key `(mark, |kids|, kids)`.
-    fn resolve_key(&mut self, mark: Sym, table: &mut Table<'_>) -> Option<Sym> {
-        self.key.clear();
-        self.key.extend_from_slice(&(mark.index() as u32).to_le_bytes());
-        self.key.extend_from_slice(&(self.kids.len() as u32).to_le_bytes());
-        for kid in &self.kids {
-            self.key.extend_from_slice(&kid.to_le_bytes());
-        }
-        table.resolve(&self.key)
-    }
-
-    /// `true` iff building `v`'s depth-`depth` view explicitly fails: the
-    /// tree is over [`SIZE_BUDGET`], or the depth is 0.
-    fn too_large(&self, v: NodeId, depth: usize) -> bool {
-        depth == 0 || self.sizes[v.index()] > SIZE_BUDGET
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,9 +645,7 @@ mod tests {
 
     use crate::astar::{prepare_phase, AStarConfig};
     use crate::candidates::tests::{first_of_each_class, materialize};
-    use crate::candidates::{
-        candidate_pool, candidate_pool_all_presentations, connected_graphs_up_to_iso,
-    };
+    use crate::candidates::{candidate_pool, candidate_pool_all_presentations};
 
     type MisLabel = CandidateLabel<(), u32>;
 
@@ -834,7 +687,7 @@ mod tests {
     fn candidate<I: Label, C: Label>(
         entry: &PoolEntry<I, C>,
         idx: usize,
-    ) -> (LabeledGraph<CandidateLabel<I, C>>, Vec<Option<Sym>>) {
+    ) -> (LabeledGraph<CandidateLabel<I, C>>, Vec<Sym>) {
         let graph = entry.graph(idx).unwrap();
         let start = entry.candidates[idx].start;
         let marks = entry.labels[start..start + graph.node_count()]
@@ -973,7 +826,7 @@ mod tests {
             depth in 1..=6usize,
         ) {
             let universe = small_universe(seed);
-            let mut views = ViewIds::default();
+            let mut views = ViewIds::new();
             let full: Vec<_> = candidate_pool_all_presentations(max_nodes, &universe)
                 .unwrap()
                 .into_iter()
@@ -983,13 +836,13 @@ mod tests {
                 interned_ids(&mut views, cand, depth);
             }
             let deduped = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
-            let mut deduped = filter_pool(&MisProblem, &universe, deduped, &mut views.marks).unwrap();
+            let mut deduped = filter_pool(&MisProblem, &universe, deduped, &mut views).unwrap();
             let full = shaped(&full, &universe);
-            let mut full = filter_pool(&MisProblem, &universe, full, &mut views.marks).unwrap();
+            let mut full = filter_pool(&MisProblem, &universe, full, &mut views).unwrap();
             proptest::prop_assert!(full.candidates.len() >= deduped.candidates.len());
 
-            let index_d = deduped.build_index(depth, &views.layers).unwrap();
-            let index_f = full.build_index(depth, &views.layers).unwrap();
+            let index_d = deduped.build_index(depth, &views).unwrap();
+            let index_f = full.build_index(depth, &views).unwrap();
 
             let selections_d = selections(&index_d, &deduped);
             let selections_f = selections(&index_f, &full);
@@ -1174,23 +1027,8 @@ mod tests {
         g: &LabeledGraph<MisLabel>,
         depth: usize,
     ) -> Vec<Option<Sym>> {
-        let marks = marks_of(g.labels(), |enc| Some(views.marks.intern(enc)));
-        let mut layers = Layers::default();
-        layers.sweep(g.graph(), &marks, depth, &mut Table::Intern(&mut views.layers));
-        layers.ids
-    }
-
-    /// Looks `g`'s depth-`depth` view ids up, as an index build does for a
-    /// candidate: marks interned, layer keys only looked up.
-    fn looked_up_ids(
-        views: &mut ViewIds,
-        g: &LabeledGraph<MisLabel>,
-        depth: usize,
-    ) -> Vec<Option<Sym>> {
-        let marks = marks_of(g.labels(), |enc| Some(views.marks.intern(enc)));
-        let mut layers = Layers::default();
-        layers.sweep(g.graph(), &marks, depth, &mut Table::Lookup(&views.layers));
-        layers.ids
+        let layers = views.intern(g, depth);
+        g.graph().nodes().map(|v| layers.id(g.graph(), v).unwrap()).collect()
     }
 
     /// The C2 index as built when candidates interned their own views:
@@ -1246,80 +1084,20 @@ mod tests {
         (((), rng.gen_range(1..=3u32)), b)
     }
 
-    /// A labeled graph for the layered-id property: `kind` 0 is a
-    /// connected G(n, p), 1 a random lift of a small base with lifted
-    /// labels, 2 a candidate on at most four nodes.
-    fn sample_graph(kind: usize, seed: u64) -> LabeledGraph<MisLabel> {
+    /// A random lift of K3, C4, the paw or K4 with lifted labels.
+    fn random_lift(seed: u64) -> LabeledGraph<MisLabel> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        match kind {
-            0 => {
-                let n = rng.gen_range(2..=9usize);
-                let g = generators::gnp_connected(n, 0.4, &mut rng).unwrap();
-                let labels = (0..n).map(|_| small_label(&mut rng)).collect();
-                g.with_labels(labels).unwrap()
-            }
-            1 => {
-                let bases = [
-                    generators::complete(3).unwrap(),
-                    generators::cycle(4).unwrap(),
-                    Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap(),
-                    generators::complete(4).unwrap(),
-                ];
-                let base = &bases[rng.gen_range(0..bases.len())];
-                let m = rng.gen_range(2..=4usize);
-                let lift = random_connected_lift(base, m, 1000, &mut rng).unwrap();
-                let labels: Vec<MisLabel> =
-                    (0..base.node_count()).map(|_| small_label(&mut rng)).collect();
-                lift.lift_labels(&labels).unwrap()
-            }
-            _ => {
-                let n = rng.gen_range(1..=4usize);
-                let shapes = connected_graphs_up_to_iso(n).unwrap();
-                let shape = &shapes[rng.gen_range(0..shapes.len())];
-                shape.with_labels((0..n).map(|_| small_label(&mut rng)).collect()).unwrap()
-            }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// Layered ids are equal exactly when the canonical view bytes
-        /// are, both between interned ids and for the lookup-only ids of a
-        /// second graph, swept as an index build sweeps a candidate,
-        /// against a table only the first graph's instance sweep filled.
-        #[test]
-        fn layered_ids_agree_with_view_bytes(
-            kind_a in 0..3usize,
-            kind_b in 0..3usize,
-            seed in 0u64..1_000_000,
-        ) {
-            let a = sample_graph(kind_a, seed);
-            let b = sample_graph(kind_b, seed.wrapping_add(1));
-            for depth in 1..=6usize {
-                let bytes = |g: &LabeledGraph<MisLabel>| -> Vec<Vec<u8>> {
-                    g.graph().nodes().map(|v| canonical_view_encoding(g, v, depth).unwrap()).collect()
-                };
-                let (bytes_a, bytes_b) = (bytes(&a), bytes(&b));
-
-                let mut cache: AstarCache<(), u32> = AstarCache::new();
-                let phase = cache.view_ids(&a, depth);
-                let ids_a: Vec<Option<Sym>> =
-                    a.graph().nodes().map(|v| Some(phase.id(v).unwrap())).collect();
-                let looked_up = looked_up_ids(&mut cache.views, &b, depth);
-                let ids_b = interned_ids(&mut cache.views, &b, depth);
-                for (u, bytes_u) in bytes_a.iter().enumerate() {
-                    for (w, bytes_w) in bytes_b.iter().enumerate() {
-                        let equal = bytes_u == bytes_w;
-                        proptest::prop_assert_eq!(ids_a[u] == ids_b[w], equal, "depth {depth}: {u} vs {w}");
-                        proptest::prop_assert_eq!(looked_up[w] == ids_a[u], equal, "depth {depth}: lookup {w} vs {u}");
-                    }
-                    for (x, bytes_x) in bytes_a.iter().enumerate() {
-                        proptest::prop_assert_eq!(ids_a[u] == ids_a[x], bytes_u == bytes_x);
-                    }
-                }
-            }
-        }
+        let bases = [
+            generators::complete(3).unwrap(),
+            generators::cycle(4).unwrap(),
+            Graph::from_edges(4, &[(0, 1), (0, 2), (1, 2), (2, 3)]).unwrap(),
+            generators::complete(4).unwrap(),
+        ];
+        let base = &bases[rng.gen_range(0..bases.len())];
+        let m = rng.gen_range(2..=4usize);
+        let lift = random_connected_lift(base, m, 1000, &mut rng).unwrap();
+        let labels: Vec<MisLabel> = (0..base.node_count()).map(|_| small_label(&mut rng)).collect();
+        lift.lift_labels(&labels).unwrap()
     }
 
     proptest::proptest! {
@@ -1335,7 +1113,7 @@ mod tests {
             seed in 0u64..1_000_000,
             depth in 1..=6usize,
         ) {
-            let ip = sample_graph(1, seed);
+            let ip = random_lift(seed);
             let cfg = AStarConfig::default();
             let mut cache: AstarCache<(), u32> = AstarCache::new();
             let plan = prepare_phase(&mut cache, &MisProblem, &ip, depth, &cfg, &NoopRecorder).unwrap();
@@ -1385,7 +1163,7 @@ mod tests {
         // The literal per-node build fixes the error value and which node
         // fails first; the run surfaces the first failure in node order.
         for v in (0..=2).map(NodeId::new) {
-            let explicit = canonical_view_encoding(&ip, v, depth).map_err(CoreError::from);
+            let explicit = ViewTree::build(&ip, v, depth).map(|_| ()).map_err(CoreError::from);
             match (ids.id(v), explicit) {
                 (Err(e), Err(want)) => assert_eq!(e, want, "node {v:?}"),
                 (Ok(_), Ok(_)) => {}
@@ -1411,16 +1189,16 @@ mod tests {
             .unwrap();
         // The budget check sees every candidate node, whether or not its
         // view resolves: here none does, as the instance table is empty.
-        let mut views = ViewIds::default();
+        let mut views = ViewIds::new();
         let graphs = [p2.clone(), k6.clone()];
         let universe: Vec<MisLabel> = k6.labels().to_vec();
         let pool = shaped(&graphs, &universe);
-        let mut entry = filter_pool(&MisProblem, &universe, pool, &mut views.marks).unwrap();
+        let mut entry = filter_pool(&MisProblem, &universe, pool, &mut views).unwrap();
         assert_eq!(entry.candidates.len(), 2);
-        assert!(entry.build_index(9, &views.layers).is_ok());
-        let want: CoreError = canonical_view_encoding(&k6, NodeId::new(0), 10).unwrap_err().into();
-        assert!(canonical_view_encoding(&p2, NodeId::new(0), 10).is_ok());
-        assert_eq!(entry.build_index(10, &views.layers).err(), Some(want));
+        assert!(entry.build_index(9, &views).is_ok());
+        let want: CoreError = ViewTree::build(&k6, NodeId::new(0), 10).unwrap_err().into();
+        assert!(ViewTree::build(&p2, NodeId::new(0), 10).is_ok());
+        assert_eq!(entry.build_index(10, &views).err(), Some(want));
     }
 
     #[test]
@@ -1434,9 +1212,9 @@ mod tests {
         let mut universe = triangle_universe();
         universe.push((((), 1u32), BitString::from_bits([true])));
         universe.sort();
-        let mut marks = Interner::new();
+        let mut views = ViewIds::new();
         let pruned = two_hop_colored_pool(4, &universe, |((_i, c), _b)| c).unwrap();
-        let mut pruned = filter_pool(&MisProblem, &universe, pruned, &mut marks).unwrap();
+        let mut pruned = filter_pool(&MisProblem, &universe, pruned, &mut views).unwrap();
         let full = candidate_pool(4, &universe)
             .unwrap()
             .into_iter()
@@ -1444,7 +1222,7 @@ mod tests {
             .collect();
         let full = first_of_each_class(full);
         let mut full =
-            filter_pool(&MisProblem, &universe, shaped(&full, &universe), &mut marks).unwrap();
+            filter_pool(&MisProblem, &universe, shaped(&full, &universe), &mut views).unwrap();
         let summary = |entry: &mut PoolEntry<(), u32>| -> Vec<_> {
             (0..entry.candidates.len())
                 .map(|idx| {
@@ -1502,9 +1280,9 @@ mod tests {
         universe.push((((), 4u32), BitString::from_bits([false])));
         universe.sort();
         for max_nodes in 1..=4 {
-            let mut marks = Interner::new();
+            let mut views = ViewIds::new();
             let pool = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
-            let entry = filter_pool(&MisProblem, &universe, pool, &mut marks).unwrap();
+            let entry = filter_pool(&MisProblem, &universe, pool, &mut views).unwrap();
             let literal = first_of_each_class(
                 candidate_pool(max_nodes, &universe)
                     .unwrap()
@@ -1517,7 +1295,7 @@ mod tests {
             let want: Vec<_> = literal
                 .into_iter()
                 .map(|g| {
-                    let m = marks_of(g.labels(), |enc| marks.sym(enc));
+                    let m = views.marks(g.labels());
                     (g, m)
                 })
                 .collect();
@@ -1540,7 +1318,7 @@ mod tests {
             let universe = input_universe(seed);
             let pool = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
             let literal = materialize(&pool, &universe);
-            let entry = filter_pool(&OnesIndependent, &universe, pool, &mut Interner::new()).unwrap();
+            let entry = filter_pool(&OnesIndependent, &universe, pool, &mut ViewIds::new()).unwrap();
             let got: Vec<_> = (0..entry.candidates.len()).map(|idx| entry.graph(idx).unwrap()).collect();
             let want: Vec<_> = literal
                 .into_iter()

@@ -24,7 +24,7 @@ use anonet_batch::{CachedAssignment, DerandCache};
 use anonet_graph::{BitString, Label, LabeledGraph};
 use anonet_obs::{names, noop, Recorder, SharedRecorder, Span};
 use anonet_runtime::{run, BitAssignment, ExecConfig, Oblivious, ObliviousAlgorithm, TapeSource};
-use anonet_views::{quotient, thread_arena_stats, ViewMode};
+use anonet_views::{quotient, ViewMode};
 
 use crate::search::{canonical_successful_simulation, SearchStrategy};
 use crate::Result;
@@ -161,7 +161,6 @@ where
         let rec: &dyn Recorder = &*self.recorder;
         let observing = rec.is_enabled();
         let _derand_span = Span::new(rec, names::SPAN_DERANDOMIZE);
-        let arena_before = thread_arena_stats();
 
         // Step 1: the finite view graph of the full (i, c)-labeled instance.
         let t0 = Instant::now();
@@ -209,7 +208,6 @@ where
                         if observing {
                             rec.counter(names::CACHE_HIT, 1);
                             rec.histogram(names::CACHE_BYTES, cache.stats().bytes as u64);
-                            record_view_obs(rec, arena_before);
                         }
                         let lift_span = Span::new(rec, names::SPAN_LIFT);
                         let qouts = exec.outputs_unwrapped();
@@ -276,7 +274,6 @@ where
             if let Some(cache) = &self.cache {
                 rec.histogram(names::CACHE_BYTES, cache.stats().bytes as u64);
             }
-            record_view_obs(rec, arena_before);
         }
         let lift_span = Span::new(rec, names::SPAN_LIFT);
         let qouts = sim.execution.outputs_unwrapped();
@@ -295,19 +292,6 @@ where
             search_time: t1.elapsed(),
         })
     }
-}
-
-/// Emits this run's view-machinery deltas: interner hit/miss counters and
-/// the number of arena vertices built (a per-run gauge, recorded as a
-/// histogram sample — the [`Recorder`] surface has no gauge type).
-fn record_view_obs(rec: &dyn Recorder, before: anonet_views::ArenaStats) {
-    let now = thread_arena_stats();
-    rec.counter(names::VIEWS_INTERNER_HIT, now.interner_hits.saturating_sub(before.interner_hits));
-    rec.counter(
-        names::VIEWS_INTERNER_MISS,
-        now.interner_misses.saturating_sub(before.interner_misses),
-    );
-    rec.histogram(names::VIEWS_ARENA_NODES, now.nodes_built.saturating_sub(before.nodes_built));
 }
 
 /// Derandomizes an arbitrary **port-sensitive** algorithm on a 2-hop

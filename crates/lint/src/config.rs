@@ -81,9 +81,9 @@ impl Config {
                 // The soak driver is itself a gate: a panic mid-campaign
                 // loses the replay strings the gate exists to report.
                 "crates/soak/src/",
-                // The arena is the per-node hot path of every encoding:
-                // a panic there takes out whole batch workers.
-                "crates/views/src/arena.rs",
+                // Layered view ids are the per-node hot path of `A_*`'s
+                // C2 check: a panic there takes out whole batch workers.
+                "crates/views/src/view_ids.rs",
                 // The trace CLI is forensic tooling: it must report a
                 // broken log as an error, never die on it.
                 "crates/trace/src/",

@@ -7,9 +7,10 @@
 //!   re-acquisition of a held class, edges that close a cross-file
 //!   cycle, and guards held across a spawn/submit site.
 //! * **thread-leak** — taints bindings derived from `thread_local!`
-//!   statics or thread-confined types (`ViewArena`) and flags them when
-//!   captured by a closure handed to a scheduler or thread spawn: the
-//!   legitimate pattern accesses the thread-local *inside* the worker.
+//!   statics or thread-confined types (`Config::thread_local_types`) and
+//!   flags them when captured by a closure handed to a scheduler or thread
+//!   spawn: the legitimate pattern accesses the thread-local *inside* the
+//!   worker.
 //! * **error-swallow** — flags `Result`s silently discarded in non-test
 //!   code: `let _ = fallible(…)`, statement-terminal `.ok();`, and
 //!   `Err(…) => {}` match arms, where "fallible" means every workspace

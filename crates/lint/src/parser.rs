@@ -474,7 +474,7 @@ fn outer() { fn inner() {} }
     fn thread_local_statics_are_collected() {
         let src = "
 thread_local! {
-    static ARENA: RefCell<ViewArena> = RefCell::new(ViewArena::new());
+    static ARENA: RefCell<Scratch> = RefCell::new(Scratch::new());
     static ORDINAL: u64 = next();
 }
 fn f() {}

@@ -228,7 +228,7 @@ pub fn check_headlines(bench_dir: &Path) -> DiffOutcome {
         ("BENCH_batch.json", &["byte_identical"]),
         ("BENCH_astar.json", &["byte_identical"]),
         ("BENCH_store.json", &["byte_identical", "warm_strictly_better"]),
-        ("BENCH_scale.json", &["byte_identical", "bounded_matches"]),
+        ("BENCH_scale.json", &["view_ids_match", "bounded_matches"]),
     ];
     for (file, flags) in headlines {
         let path = bench_dir.join(file);
@@ -482,7 +482,7 @@ mod tests {
         // The scale headline gates both of its flags.
         std::fs::write(
             dir.join("BENCH_scale.json"),
-            "{\"byte_identical\": true, \"bounded_matches\": false}",
+            "{\"view_ids_match\": true, \"bounded_matches\": false}",
         )
         .expect("write headline");
         let outcome = check_headlines(&dir);

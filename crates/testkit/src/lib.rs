@@ -61,7 +61,7 @@ pub mod testcase;
 pub use campaign::{CampaignCell, CampaignGrid};
 pub use gen::{build_graph, build_instance, color_graph, flavored_graph, Instance};
 pub use leader::{check_leader, run_leader_suite};
-pub use oracles::{fingerprint, Failure};
+pub use oracles::{check_view_ids, fingerprint, Failure};
 pub use persist::{check_persistence, default_persistence_cases, PersistReport};
 pub use suite::{Config, Suite};
 pub use testcase::{AdversaryKind, ColoringMode, TestCase};

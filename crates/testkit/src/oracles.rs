@@ -1,8 +1,11 @@
-//! Failure reporting and output fingerprints shared by the suites.
+//! Failure reporting, output fingerprints and the view-id differential
+//! shared by the suites.
 
+use std::collections::HashMap;
 use std::fmt;
 
-use anonet_graph::Label;
+use anonet_graph::{Label, LabeledGraph, NodeId};
+use anonet_views::{ViewIds, ViewTree};
 
 /// One oracle violation: which oracle fired and a human-readable witness.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -40,6 +43,47 @@ pub fn fingerprint<L: Label>(labels: &[L]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
     }
     hash
+}
+
+/// The `view-ids` differential: at `depth`, two of `nodes` get equal
+/// [`ViewIds`] ids in `g` iff their [`ViewTree`] canonical encodings are
+/// equal.
+///
+/// # Errors
+///
+/// A `view-ids` [`Failure`] naming two nodes the ids and the bytes
+/// disagree on, or a view error from either side.
+pub fn check_view_ids<L: Label>(
+    g: &LabeledGraph<L>,
+    depth: usize,
+    nodes: impl IntoIterator<Item = NodeId>,
+) -> Result<(), Failure> {
+    let fail = |detail: String| Failure::new("view-ids", detail);
+    let layers = ViewIds::new().intern(g, depth);
+    // The first node seen per view (with its id), and per id.
+    let mut by_bytes = HashMap::new();
+    let mut by_id = HashMap::new();
+    for v in nodes {
+        let bytes = ViewTree::build(g, v, depth).map_err(|e| fail(e.to_string()))?;
+        let id = layers.id(g.graph(), v).map_err(|e| fail(e.to_string()))?;
+        let (first_id, w) = *by_bytes.entry(bytes.canonical_encoding()).or_insert((id, v));
+        let x = *by_id.entry(id).or_insert(v);
+        if first_id != id {
+            return Err(fail(format!(
+                "nodes {} and {} have equal depth-{depth} views but different ids",
+                w.index(),
+                v.index()
+            )));
+        }
+        if x != w {
+            return Err(fail(format!(
+                "nodes {} and {} share an id but have different depth-{depth} views",
+                x.index(),
+                w.index()
+            )));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

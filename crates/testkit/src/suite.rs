@@ -26,10 +26,9 @@ use anonet_core::conformance::{
 use anonet_core::pipeline::run_pipeline;
 use anonet_core::{CoreError, Derandomizer, SearchStrategy};
 use anonet_obs::{bridge, names, MemoryRecorder};
-use anonet_views::{canonical_view_encoding, ViewTree};
 
 use crate::gen::{self, Instance};
-use crate::oracles::Failure;
+use crate::oracles::{check_view_ids, Failure};
 use crate::testcase::{AdversaryKind, TestCase};
 
 /// Environment-driven suite configuration.
@@ -224,22 +223,9 @@ where
             ));
         }
 
-        // Differential — the view machinery against itself: the arena
-        // encoder must byte-match the recursive `ViewTree` on every node.
-        let depth = n.clamp(1, 3);
-        for v in instance.graph().nodes() {
-            let reference = ViewTree::build(&instance, v, depth)
-                .map_err(|e| Failure::new("arena-encoding", e.to_string()))?
-                .canonical_encoding();
-            let fast = canonical_view_encoding(&instance, v, depth)
-                .map_err(|e| Failure::new("arena-encoding", e.to_string()))?;
-            if fast != reference {
-                return Err(Failure::new(
-                    "arena-encoding",
-                    format!("arena encoding of node {} diverged from ViewTree", v.index()),
-                ));
-            }
-        }
+        // Differential — the view machinery against itself: layered view
+        // ids partition the nodes exactly as `ViewTree` bytes do.
+        check_view_ids(&instance, n.clamp(1, 3), instance.graph().nodes())?;
         // Metamorphic 3 — lift projection: derandomizing the lift is the
         // lift of derandomizing the base (Lemma 3 / Figure 2).
         if let (Some(projection), Some(base_colors)) = (&inst.projection, &inst.base_colors) {

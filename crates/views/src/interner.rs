@@ -16,21 +16,18 @@
 //! [`Interner::resolve`] and compare bytes when an *ordering* is needed.
 //! Equality of symbols, however, is exactly equality of encodings.
 //!
-//! **Which tables hash with [`FastHash`].** A table that lives for one
-//! run over one instance — the `A_*` memo (`anonet-core`'s `AstarCache`)
-//! and the [`Interner`]s inside it — hashes with [`FastHash`], a
-//! deterministic Fx-style multiply-rotate hasher: its keys are symbols,
-//! ids and encodings the run derived from its own instance, so keys
-//! crafted to collide could slow only the run that was handed them.
-//! Tables that outlive one instance and gather keys from many callers'
-//! graphs keep std's DoS-resistant `RandomState`: the per-thread
-//! [`ViewArena`](crate::ViewArena)'s interner (whole subtree encodings,
-//! up to the view size budget, across every call on that thread), the
-//! derandomization cache and the store. [`Interner`] takes the hasher as
-//! a parameter for that reason; it defaults to [`FastHash`].
+//! **One hasher.** Every table here hashes with [`FastHash`], a
+//! deterministic Fx-style multiply-rotate hasher. Its users are the
+//! tables of one run over one instance — the `A_*` memo (`anonet-core`'s
+//! `AstarCache`) and the [`ViewIds`](crate::ViewIds) interners inside it —
+//! whose keys are symbols, ids and encodings the run derived from its own
+//! instance, so keys crafted to collide could slow only the run that was
+//! handed them. Tables that outlive one instance and gather keys from
+//! many callers' graphs (the derandomization cache, the store) keep std's
+//! DoS-resistant `RandomState` and do not use this module.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A deterministic Fx-style hasher: each word is folded in as
 /// `(h.rotate_left(5) ^ word) · K`, eight bytes per step. Cheap on the
@@ -114,9 +111,8 @@ impl Sym {
     }
 }
 
-/// A hash-consing table for canonical byte encodings, hashing with `S`
-/// ([`FastHash`] unless the table outlives one instance; see the module
-/// docs). Symbols, counters and stored bytes do not depend on `S`.
+/// A hash-consing table for canonical byte encodings, hashing with
+/// [`FastHash`] (see the module docs).
 ///
 /// # Example
 ///
@@ -131,30 +127,22 @@ impl Sym {
 /// assert_eq!(interner.sym(b"unseen"), None);
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct Interner<S = FastHash> {
-    lookup: HashMap<Box<[u8]>, Sym, S>,
+pub struct Interner {
+    lookup: HashMap<Box<[u8]>, Sym, FastHash>,
     entries: Vec<Box<[u8]>>,
-    hits: u64,
-    misses: u64,
-    stored_bytes: usize,
 }
 
 impl Interner {
-    /// An empty table hashing with [`FastHash`].
+    /// An empty table.
     pub fn new() -> Self {
         Interner::default()
     }
-}
 
-impl<S: BuildHasher> Interner<S> {
     /// Interns `bytes`, returning its (new or existing) symbol.
     pub fn intern(&mut self, bytes: &[u8]) -> Sym {
         if let Some(&sym) = self.lookup.get(bytes) {
-            self.hits += 1;
             return sym;
         }
-        self.misses += 1;
-        self.stored_bytes += bytes.len();
         let sym = Sym(u32::try_from(self.entries.len()).expect("fewer than 2^32 encodings"));
         let boxed: Box<[u8]> = bytes.into();
         self.entries.push(boxed.clone());
@@ -185,24 +173,6 @@ impl<S: BuildHasher> Interner<S> {
     /// `true` iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Lifetime count of [`intern`](Interner::intern) calls that found an
-    /// existing encoding — the `views.interner.hit` obs counter.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lifetime count of [`intern`](Interner::intern) calls that inserted
-    /// a new encoding — the `views.interner.miss` obs counter.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Total payload bytes of the distinct encodings stored (excludes map
-    /// overhead; used as a footprint proxy).
-    pub fn stored_bytes(&self) -> usize {
-        self.stored_bytes
     }
 }
 
@@ -244,34 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_counters_track_lookups() {
+    fn a_fixed_key_stream_interns_to_pinned_symbols() {
         let mut t = Interner::new();
-        assert_eq!((t.hits(), t.misses()), (0, 0));
-        t.intern(b"alpha");
-        t.intern(b"alpha");
-        t.intern(b"beta");
-        assert_eq!(t.hits(), 1);
-        assert_eq!(t.misses(), 2);
-        assert_eq!(t.stored_bytes(), "alpha".len() + "beta".len());
-        // `sym` is read-only and must not move the counters.
-        let _ = t.sym(b"alpha");
-        assert_eq!((t.hits(), t.misses()), (1, 2));
-    }
-
-    #[test]
-    fn a_fixed_key_stream_interns_to_pinned_symbols_and_counters() {
-        fn check<S: BuildHasher>(mut t: Interner<S>) {
-            let stream: [&[u8]; 9] =
-                [b"", b"a", b"ab", b"a", b"abcdefghi", b"", b"abcdefgh", b"abcdefghi", b"b"];
-            let syms: Vec<usize> = stream.iter().map(|k| t.intern(k).index()).collect();
-            assert_eq!(syms, [0, 1, 2, 1, 3, 0, 4, 3, 5]);
-            assert_eq!((t.hits(), t.misses()), (3, 6));
-            assert_eq!(t.stored_bytes(), 1 + 2 + 9 + 8 + 1);
-            assert_eq!(t.len(), 6);
-        }
-        check(Interner::new());
-        // The arena's hasher: symbols and counters do not depend on it.
-        check(Interner::<std::collections::hash_map::RandomState>::default());
+        let stream: [&[u8]; 9] =
+            [b"", b"a", b"ab", b"a", b"abcdefghi", b"", b"abcdefgh", b"abcdefghi", b"b"];
+        let syms: Vec<usize> = stream.iter().map(|k| t.intern(k).index()).collect();
+        assert_eq!(syms, [0, 1, 2, 1, 3, 0, 4, 3, 5]);
+        assert_eq!(t.len(), 6);
     }
 
     #[test]

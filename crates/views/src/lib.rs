@@ -15,6 +15,13 @@
 //! partition computed by `d` rounds of refinement, and refinement is
 //! linear-time per round.
 //!
+//! When views of one depth must be compared *across* graphs — a node of
+//! an instance against the nodes of small candidate graphs, as C2 of
+//! `A_*`'s `Update-Graph` asks — [`ViewIds`] gives each view a
+//! hash-consed id in `d` sweeps over the graph: two ids are equal iff the
+//! [`ViewTree`]s' canonical encodings are, and no tree is built.
+//! [`ViewTree`] stays the byte-level oracle for both.
+//!
 //! ## Port decoration
 //!
 //! The paper's views carry node labels only. Its model, however, is
@@ -53,7 +60,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 pub mod cover;
 mod error;
 mod folded;
@@ -62,18 +68,16 @@ pub mod norris;
 mod order;
 mod quotient;
 mod refinement;
+mod view_ids;
 mod view_tree;
 
-pub use arena::{canonical_view_encoding, thread_arena_stats, ArenaStats, ViewArena, ViewNode};
 pub use error::ViewError;
 pub use folded::FoldedView;
 pub use interner::{FastHash, FastHasher, Interner, Sym};
 pub use order::{canonical_encoding, canonical_order, update_graph_cmp};
 pub use quotient::{quotient, ViewQuotient};
-pub use refinement::{
-    assign_dense_classes, initial_label_classes, round_keys, BoundedRefinement, Refinement,
-    RoundKey, ViewMode,
-};
+pub use refinement::{BoundedRefinement, Refinement, ViewMode};
+pub use view_ids::{ViewIds, ViewLayers};
 pub use view_tree::{ViewTree, SIZE_BUDGET};
 
 /// Convenient alias for results with [`ViewError`].

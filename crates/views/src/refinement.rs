@@ -45,12 +45,12 @@ pub enum ViewMode {
 
 /// One node's composite key for a refinement round: its previous class
 /// and its neighbor multiset/vector of `(previous class, reverse port)`.
-pub type RoundKey = (u32, Vec<(u32, u32)>);
+type RoundKey = (u32, Vec<(u32, u32)>);
 
 /// The canonical round-0 partition: dense class ids assigned by sorted
 /// label encodings. [`BoundedRefinement`] computes the same ids from one
 /// flat encoding buffer.
-pub fn initial_label_classes<L: Label>(g: &LabeledGraph<L>) -> Vec<u32> {
+fn initial_label_classes<L: Label>(g: &LabeledGraph<L>) -> Vec<u32> {
     let keys0: Vec<Vec<u8>> = g.graph().nodes().map(|v| g.label(v).encoded()).collect();
     assign_dense_classes(&keys0)
 }
@@ -59,7 +59,7 @@ pub fn initial_label_classes<L: Label>(g: &LabeledGraph<L>) -> Vec<u32> {
 /// round's classes. Under [`ViewMode::Portless`] the neighbor list is
 /// sorted into a multiset; under [`ViewMode::PortAware`] it stays in port
 /// order and carries reverse ports.
-pub fn round_keys<L: Label>(g: &LabeledGraph<L>, prev: &[u32], mode: ViewMode) -> Vec<RoundKey> {
+fn round_keys<L: Label>(g: &LabeledGraph<L>, prev: &[u32], mode: ViewMode) -> Vec<RoundKey> {
     let graph = g.graph();
     graph
         .nodes()
@@ -88,7 +88,7 @@ pub fn round_keys<L: Label>(g: &LabeledGraph<L>, prev: &[u32], mode: ViewMode) -
 }
 
 /// Sorts keys and assigns dense canonical ids by sorted order.
-pub fn assign_dense_classes<K: Ord>(keys: &[K]) -> Vec<u32> {
+fn assign_dense_classes<K: Ord>(keys: &[K]) -> Vec<u32> {
     let mut sorted: Vec<&K> = keys.iter().collect();
     sorted.sort();
     sorted.dedup();
@@ -112,8 +112,8 @@ fn class_count_of(classes: &[u32]) -> usize {
 /// structures — which is what lets every node of an anonymous network
 /// compute the same quotient independently.
 ///
-/// Each round is built literally, from one [`round_keys`] vector and one
-/// [`assign_dense_classes`] map. This type is an oracle: tests pin
+/// Each round is built literally, from one `round_keys` vector and one
+/// `assign_dense_classes` map. This type is an oracle: tests pin
 /// [`BoundedRefinement`] to it, and E21 times it as the from-scratch
 /// baseline. Production code uses
 /// [`BoundedRefinement`], which computes the same classes and depth with

@@ -2,17 +2,43 @@
 
 use std::fmt;
 
-use anonet_graph::{Label, LabeledGraph, NodeId, Port};
+use anonet_graph::{Graph, Label, LabeledGraph, NodeId, Port};
 
 use crate::error::ViewError;
 use crate::Result;
 
 /// Hard cap on explicit view-tree sizes; deeper views must go through
-/// refinement instead. Shared with the arena path so both fail on
-/// exactly the same inputs: a build fails with
-/// [`ViewError::ViewTooLarge`] exactly when the tree has more than this
-/// many vertices.
+/// refinement instead. A build fails with [`ViewError::ViewTooLarge`]
+/// exactly when the tree has more than this many vertices, and the
+/// layered ids of [`ViewIds`](crate::ViewIds) report the same error.
 pub const SIZE_BUDGET: usize = 2_000_000;
+
+/// Checks that `L_d(v)` fits [`SIZE_BUDGET`] by counting its vertices in
+/// the order a build creates them, without building it.
+///
+/// # Errors
+///
+/// [`ViewError::ViewTooLarge`] for `d = 0`, and when the budget runs out:
+/// its `depth` is the remaining depth at the first vertex over it.
+pub(crate) fn check_size(g: &Graph, v: NodeId, d: usize) -> Result<()> {
+    fn walk(g: &Graph, v: NodeId, d: usize, budget: &mut usize) -> Result<()> {
+        if *budget == 0 {
+            return Err(ViewError::ViewTooLarge { depth: d, budget: SIZE_BUDGET });
+        }
+        *budget -= 1;
+        if d > 1 {
+            for &u in g.neighbors(v) {
+                walk(g, u, d - 1, budget)?;
+            }
+        }
+        Ok(())
+    }
+    if d == 0 {
+        return Err(ViewError::ViewTooLarge { depth: 0, budget: SIZE_BUDGET });
+    }
+    let mut budget = SIZE_BUDGET;
+    walk(g, v, d, &mut budget)
+}
 
 /// An explicit depth-`d` local view: a rooted tree whose vertices carry
 /// *marks* (the labels of the underlying nodes).
@@ -52,27 +78,18 @@ impl<L: Label> ViewTree<L> {
     /// internal size budget, and an invalid-parameter style error for
     /// `d = 0` (views start at depth 1).
     pub fn build(g: &LabeledGraph<L>, v: NodeId, d: usize) -> Result<Self> {
-        if d == 0 {
-            return Err(ViewError::ViewTooLarge { depth: 0, budget: SIZE_BUDGET });
-        }
-        // Pre-check size: sum over levels of (#walks of that length).
-        let mut budget = SIZE_BUDGET;
-        let tree = Self::build_rec(g, v, d, &mut budget)?;
-        Ok(tree)
+        check_size(g.graph(), v, d)?;
+        Ok(Self::build_rec(g, v, d))
     }
 
-    fn build_rec(g: &LabeledGraph<L>, v: NodeId, d: usize, budget: &mut usize) -> Result<Self> {
-        if *budget == 0 {
-            return Err(ViewError::ViewTooLarge { depth: d, budget: SIZE_BUDGET });
-        }
-        *budget -= 1;
+    fn build_rec(g: &LabeledGraph<L>, v: NodeId, d: usize) -> Self {
         let mut children = Vec::new();
         if d > 1 {
             for &u in g.graph().neighbors(v) {
-                children.push(Self::build_rec(g, u, d - 1, budget)?);
+                children.push(Self::build_rec(g, u, d - 1));
             }
         }
-        Ok(ViewTree { mark: g.label(v).clone(), children })
+        ViewTree { mark: g.label(v).clone(), children }
     }
 
     /// Assembles a view tree from a mark and child sub-views (used by

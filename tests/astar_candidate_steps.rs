@@ -237,14 +237,14 @@ fn matching_sweep(keep: Filter, with_reference: Filter) {
 }
 
 #[test]
-fn mis_on_lifts_is_identical_across_engines_and_thread_counts() {
+fn mis_on_lifts_keeps_its_pins_and_matches_the_reference_on_k3() {
     // The literal reference costs about half a second per node on the
     // four-node bases even in release; those run in the ignored sweep.
     mis_sweep(|_, _| true, |name, _| name == "K3");
 }
 
 #[test]
-fn matching_on_lifts_is_identical_across_thread_counts() {
+fn matching_on_small_lifts_keeps_its_pins() {
     // Matching's extension searches are long: a debug build runs the
     // smallest lifts of K3 and the paw, the ignored sweep all of them.
     matching_sweep(|name, m| m == 2 && (name == "K3" || name == "paw"), |_, _| false);

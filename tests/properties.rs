@@ -13,10 +13,8 @@ use anonet::algorithms::two_hop_coloring::TwoHopColoring;
 use anonet::core::{Derandomizer, SearchStrategy};
 use anonet::graph::{coloring, BitString, Graph};
 use anonet::runtime::{run, BitAssignment, ExecConfig, Oblivious, Problem, RngSource, TapeSource};
-use anonet::testkit::flavored_graph;
-use anonet::views::{
-    canonical_view_encoding, norris::norris_report, quotient, Refinement, ViewMode, ViewTree,
-};
+use anonet::testkit::{check_view_ids, flavored_graph};
+use anonet::views::{norris::norris_report, quotient, Refinement, ViewMode};
 use proptest::prelude::*;
 
 /// A random connected graph from a seed: mixes families for diversity.
@@ -165,19 +163,15 @@ fn check_pool_memo_key_invariance(seed: u64, n: usize, flavor: u8) {
     }
 }
 
-/// The arena encoder byte-matches the recursive `ViewTree` reference on
-/// every node at depths 1–3, on greedily 2-hop colored instances.
-fn check_arena_encoding_matches_view_tree(seed: u64, n: usize, flavor: u8) {
+/// Layered view ids partition the nodes exactly as the `ViewTree`
+/// canonical encodings do, at depths 1–3, on greedily 2-hop colored
+/// instances.
+fn check_view_ids_match_view_tree(seed: u64, n: usize, flavor: u8) {
     let g = arbitrary_graph(seed, n, flavor);
     let colored = coloring::greedy_two_hop_coloring(&g);
     for depth in 1..=3usize {
-        for v in colored.graph().nodes() {
-            let reference = ViewTree::build(&colored, v, depth)
-                .expect("small instances fit the budget")
-                .canonical_encoding();
-            let fast = canonical_view_encoding(&colored, v, depth)
-                .expect("small instances fit the budget");
-            assert_eq!(fast, reference, "node {} depth {depth}", v.index());
+        if let Err(failure) = check_view_ids(&colored, depth, colored.graph().nodes()) {
+            panic!("{failure}");
         }
     }
 }
@@ -195,7 +189,7 @@ fn regression_seed_0_n_2_flavor_2() {
     check_matching_is_valid(0, 2, 2);
     check_execution_replays_from_tapes(0, 2, 2);
     check_pool_memo_key_invariance(0, 2, 2);
-    check_arena_encoding_matches_view_tree(0, 2, 2);
+    check_view_ids_match_view_tree(0, 2, 2);
 }
 
 proptest! {
@@ -242,7 +236,7 @@ proptest! {
     }
 
     #[test]
-    fn arena_encodings_match_view_tree(seed in 0u64..5000, n in 2usize..12, flavor in 0u8..4) {
-        check_arena_encoding_matches_view_tree(seed, n, flavor);
+    fn view_ids_match_view_tree(seed in 0u64..5000, n in 2usize..12, flavor in 0u8..4) {
+        check_view_ids_match_view_tree(seed, n, flavor);
     }
 }
