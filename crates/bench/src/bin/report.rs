@@ -1,10 +1,13 @@
 //! Experiment report runner: regenerates every figure/theorem artifact.
 //!
 //! ```text
-//! cargo run -p anonet-bench --bin report            # all experiments
-//! cargo run -p anonet-bench --bin report -- fig2    # one experiment
-//! cargo run -p anonet-bench --bin report -- list    # list ids
+//! cargo run -p anonet-bench --bin report                 # all experiments
+//! cargo run -p anonet-bench --bin report -- fig2         # one experiment
+//! cargo run -p anonet-bench --bin report -- batch scale  # several, in order
+//! cargo run -p anonet-bench --bin report -- list         # list ids
 //! ```
+//!
+//! Exits 1 if any experiment failed.
 
 use std::process::ExitCode;
 
@@ -20,7 +23,7 @@ fn main() -> ExitCode {
             }
             return ExitCode::SUCCESS;
         }
-        Some(id) => vec![id],
+        Some(_) => args.iter().map(String::as_str).collect(),
     };
 
     let mut failures = 0usize;

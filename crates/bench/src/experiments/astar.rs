@@ -1,36 +1,29 @@
-//! E17 — the `Update-Graph` engine measured: the memoized `A_*` fast path
+//! E17 — the `Update-Graph` engine checked: the memoized `A_*` fast path
 //! (candidate-pool memo, interned view encodings, C2 selection indexes)
-//! against the literal Figure-3 reference, on the E16/Figure-2 workload
-//! (the colored C3 ⪯ C6 ⪯ C12 tower).
+//! against the literal Figure-3 reference, on the Figure-2 workload (the
+//! colored C3 ⪯ C6 ⪯ C12 tower).
 //!
-//! E16's phase breakdown showed `update_graph` dominating the faithful
-//! `A_*` by two orders of magnitude over `update_output`/`update_bits`:
-//! the reference rebuilds the candidate pool and rescans C2/C3 per node
-//! per phase although the pool depends only on `(p_capped, universe)` and
-//! color classes share universes exactly. This experiment quantifies the
-//! memo: per-instance wall times and Update-Graph time for both engines
-//! (the reference's `update_graph` spans against the fast engine's
-//! `astar/prepare` plus `update_graph` spans, since the fast engine builds
-//! pools, indexes and view ids once per phase under `astar/prepare`), the
-//! pool-memo hit rate, and — the part that matters — byte-identity of
-//! every run against the reference.
+//! The reference rebuilds the candidate pool and rescans C2/C3 per node
+//! per phase, although the pool depends only on `(p_capped, universe)`
+//! and color classes share universes exactly. This experiment counts
+//! what the memo does — pool hits and builds, candidates and quotients,
+//! C2 lookups and hits, candidate steps — and checks the part that
+//! matters: byte-identity of every run against the reference. How much
+//! faster the memo is lives in `perfbench`'s `astar_lifts` workload.
 //!
-//! [`report`] writes `BENCH_astar.json` (shared [`Json`] serializer; the
-//! `astar-perf` CI job asserts `byte_identical == true`, a nonzero pool
-//! hit count, `candidate_steps < c2_hits` on C12, and per-instance
-//! `phases_used`, pool, candidate, quotient and C2 counts equal to the
-//! committed file).
-
-use std::time::{Duration, Instant};
+//! [`report`] fails unless every run is byte-identical, the pool memo
+//! hits, and C12's fibres share candidate steps (`candidate_steps <
+//! c2_hits`); it writes `BENCH_astar.json` (shared [`Json`] serializer),
+//! a pure function of the code.
 
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
-use anonet_core::astar::{run_astar_observed, run_astar_reference_observed, AStarConfig, AStarRun};
+use anonet_core::astar::{run_astar_observed, run_astar_reference, AStarConfig, AStarRun};
 use anonet_obs::{names, MemoryRecorder};
 use anonet_runtime::Problem;
 
 use crate::experiments::{common::tick, ExpResult, Family};
-use crate::table::{secs, Json};
+use crate::table::Json;
 use crate::Table;
 
 /// One tower instance, both engines measured.
@@ -40,18 +33,7 @@ pub struct AstarRow {
     pub n: usize,
     /// Phases until convergence (identical for both engines).
     pub phases_used: usize,
-    /// Reference engine wall time.
-    pub reference_total: Duration,
-    /// Fast engine wall time.
-    pub fast_total: Duration,
-    /// `update_graph` span total of the reference run.
-    pub reference_update_graph: Duration,
-    /// The fast run's Update-Graph time: its `astar/prepare` span total
-    /// (pools, selection indexes and the instance's view ids) plus its
-    /// `update_graph` span total (the per-node C2 lookups). Both halves
-    /// are work the reference does inside its `update_graph` spans.
-    pub fast_update_graph: Duration,
-    /// Pool-memo hits / misses of the fast run.
+    /// Pool-memo hits of the fast run.
     pub pool_hits: u64,
     /// Pool-memo misses (pools actually built).
     pub pool_misses: u64,
@@ -79,21 +61,6 @@ pub struct AstarMeasurement {
 }
 
 impl AstarMeasurement {
-    /// Σ reference / Σ fast Update-Graph time (see
-    /// [`AstarRow::fast_update_graph`]) — the headline.
-    pub fn update_graph_speedup(&self) -> f64 {
-        let reference: f64 = self.rows.iter().map(|r| r.reference_update_graph.as_secs_f64()).sum();
-        let fast: f64 = self.rows.iter().map(|r| r.fast_update_graph.as_secs_f64()).sum();
-        reference / fast.max(f64::EPSILON)
-    }
-
-    /// Σ reference / Σ fast whole-run wall time.
-    pub fn wall_speedup(&self) -> f64 {
-        let reference: f64 = self.rows.iter().map(|r| r.reference_total.as_secs_f64()).sum();
-        let fast: f64 = self.rows.iter().map(|r| r.fast_total.as_secs_f64()).sum();
-        reference / fast.max(f64::EPSILON)
-    }
-
     /// `true` iff the fast engine agreed with the reference on every field
     /// of every instance.
     pub fn byte_identical(&self) -> bool {
@@ -141,17 +108,9 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
     for (n, colored) in Family::figure2_tower() {
         let instance = colored.map_labels(|&c| ((), c));
 
-        let reference_rec = MemoryRecorder::new();
-        let start = Instant::now();
-        let reference =
-            run_astar_reference_observed(&alg, &MisProblem, &instance, &cfg, &reference_rec)?;
-        let reference_total = start.elapsed();
-
+        let reference = run_astar_reference(&alg, &MisProblem, &instance, &cfg)?;
         let fast_rec = MemoryRecorder::new();
-        let start = Instant::now();
         let fast = run_astar_observed(&alg, &MisProblem, &instance, &cfg, &fast_rec)?;
-        let fast_total = start.elapsed();
-
         let byte_identical = runs_equal(&fast, &reference);
 
         let plain = instance.map_labels(|_| ());
@@ -159,16 +118,10 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
             return Err(format!("A_* produced an invalid MIS on C{n}").into());
         }
 
-        let reference_snap = reference_rec.snapshot();
         let fast_snap = fast_rec.snapshot();
         rows.push(AstarRow {
             n,
             phases_used: reference.phases_used,
-            reference_total,
-            fast_total,
-            reference_update_graph: reference_snap.span_total(names::SPAN_UPDATE_GRAPH).total,
-            fast_update_graph: fast_snap.span_total(names::SPAN_ASTAR_PREPARE).total
-                + fast_snap.span_total(names::SPAN_UPDATE_GRAPH).total,
             pool_hits: fast_snap.counter(names::ASTAR_POOL_HIT),
             pool_misses: fast_snap.counter(names::ASTAR_POOL_MISS),
             pool_candidates: fast_snap.counter(names::ASTAR_POOL_CANDIDATES),
@@ -183,6 +136,32 @@ pub fn measure() -> ExpResult<AstarMeasurement> {
     Ok(AstarMeasurement { rows })
 }
 
+/// E17's invariants: every fast run equals the reference, the pool memo
+/// hits, and on the multiplicity-4 tower (C12, the last row) a fibre's
+/// nodes share one candidate step, so the engine runs fewer steps than
+/// nodes select candidates.
+///
+/// # Errors
+///
+/// Names the invariant that failed.
+pub fn check(m: &AstarMeasurement) -> ExpResult<()> {
+    if let Some(r) = m.rows.iter().find(|r| !r.byte_identical) {
+        return Err(format!("C{}: fast A_* diverged from the reference", r.n).into());
+    }
+    if m.pool_hits() == 0 {
+        return Err("the pool memo never hit on the tower workload".into());
+    }
+    let c12 = m.rows.last().ok_or("no tower instance measured")?;
+    if c12.candidate_steps >= c12.c2_hits {
+        return Err(format!(
+            "C{}: {} candidate steps for {} C2 hits",
+            c12.n, c12.candidate_steps, c12.c2_hits
+        )
+        .into());
+    }
+    Ok(())
+}
+
 fn round3(x: f64) -> f64 {
     (x * 1e3).round() / 1e3
 }
@@ -193,10 +172,6 @@ pub fn to_json(m: &AstarMeasurement) -> String {
         Json::obj([
             ("n", Json::from(r.n)),
             ("phases_used", Json::from(r.phases_used)),
-            ("reference_secs", secs(r.reference_total)),
-            ("fast_secs", secs(r.fast_total)),
-            ("update_graph_reference_secs", secs(r.reference_update_graph)),
-            ("update_graph_fast_secs", secs(r.fast_update_graph)),
             ("pool_hits", Json::from(r.pool_hits)),
             ("pool_misses", Json::from(r.pool_misses)),
             ("pool_candidates", Json::from(r.pool_candidates)),
@@ -210,8 +185,6 @@ pub fn to_json(m: &AstarMeasurement) -> String {
     Json::obj([
         ("experiment", Json::str("astar")),
         ("byte_identical", Json::from(m.byte_identical())),
-        ("update_graph_speedup", Json::Num(round3(m.update_graph_speedup()))),
-        ("wall_speedup", Json::Num(round3(m.wall_speedup()))),
         ("pool_hits", Json::from(m.pool_hits())),
         ("pool_misses", Json::from(m.pool_misses())),
         ("pool_hit_rate", Json::Num(round3(m.pool_hit_rate()))),
@@ -225,34 +198,21 @@ pub fn to_json(m: &AstarMeasurement) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; artifact I/O failing is an error too.
+/// Propagates measurement errors and a failed [`check`]; artifact I/O
+/// failing is an error too.
 pub fn report() -> ExpResult<String> {
     let m = measure()?;
+    check(&m)?;
 
     let mut table = Table::new(
         "E17 / Update-Graph engine — memoized A_* vs the literal Figure-3 reference \
          (MIS on the colored C3/C6/C12 tower)",
-        &[
-            "n",
-            "phases",
-            "reference",
-            "fast",
-            "UG ref",
-            "UG fast",
-            "pool h/m",
-            "cands/quots",
-            "steps/hits",
-            "identical",
-        ],
+        &["n", "phases", "pool h/m", "cands/quots", "steps/hits", "identical"],
     );
     for r in &m.rows {
         table.row(vec![
             format!("C{}", r.n),
             r.phases_used.to_string(),
-            format!("{:.2?}", r.reference_total),
-            format!("{:.2?}", r.fast_total),
-            format!("{:.2?}", r.reference_update_graph),
-            format!("{:.2?}", r.fast_update_graph),
             format!("{}/{}", r.pool_hits, r.pool_misses),
             format!("{}/{}", r.pool_candidates, r.pool_quotients),
             format!("{}/{}", r.candidate_steps, r.c2_hits),
@@ -265,17 +225,12 @@ pub fn report() -> ExpResult<String> {
 
     Ok(format!(
         "{table}\n\
-         update_graph speedup {ug:.2}x (wall {wall:.2}x), pool hit rate {rate:.0}% \
-         ({hits} hits / {misses} builds)\n\
-         update_graph speedup at least 5x: {fast_ok}\n\
+         pool hit rate {rate:.0}% ({hits} hits / {misses} builds)\n\
          byte-identical across engines: {ident_ok}\n\
          wrote BENCH_astar.json\n",
-        ug = m.update_graph_speedup(),
-        wall = m.wall_speedup(),
         rate = m.pool_hit_rate() * 100.0,
         hits = m.pool_hits(),
         misses = m.pool_misses(),
-        fast_ok = tick(m.update_graph_speedup() >= 5.0),
         ident_ok = tick(m.byte_identical()),
     ))
 }
@@ -283,13 +238,19 @@ pub fn report() -> ExpResult<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One measurement shared by the tests (the reference engine is slow).
+    fn measured() -> &'static AstarMeasurement {
+        static M: OnceLock<AstarMeasurement> = OnceLock::new();
+        M.get_or_init(|| measure().unwrap())
+    }
 
     #[test]
     fn engines_agree_and_the_memo_earns_its_keep() {
-        let m = measure().unwrap();
+        let m = measured();
         assert_eq!(m.rows.len(), 3);
-        assert!(m.byte_identical(), "fast A_* diverged from the reference");
-        assert!(m.pool_hits() > 0, "the pool memo never hit on the tower workload");
+        check(m).unwrap();
         for r in &m.rows {
             // Same-phase nodes share universes on colored cycles: at most
             // 3 color classes, so at least 3/4 of requests hit on C12.
@@ -298,16 +259,6 @@ mod tests {
             assert!(r.pool_quotients <= r.pool_candidates);
             assert!(r.phases_used >= 1);
         }
-        // The multiplicity-4 tower: a fibre's nodes share one candidate
-        // step, so the per-candidate engine runs fewer steps than nodes
-        // select candidates.
-        let c12 = &m.rows[2];
-        assert!(
-            c12.candidate_steps < c12.c2_hits,
-            "C12 ran {} candidate steps for {} selections",
-            c12.candidate_steps,
-            c12.c2_hits
-        );
         // C12 shares pools across its 12 nodes; the hit rate must clear
         // the 2-in-3 mark overall (C3 contributes the worst case).
         assert!(
@@ -318,13 +269,30 @@ mod tests {
     }
 
     #[test]
+    fn two_measurements_render_the_same_bytes() {
+        assert_eq!(to_json(&measure().unwrap()), to_json(measured()));
+    }
+
+    #[test]
+    fn each_broken_invariant_fails_the_check() {
+        let m = measured();
+        let mut diverged = m.clone();
+        diverged.rows[1].byte_identical = false;
+        assert!(check(&diverged).unwrap_err().to_string().contains("C6: fast A_* diverged"));
+        let mut no_hits = m.clone();
+        no_hits.rows.iter_mut().for_each(|r| r.pool_hits = 0);
+        assert!(check(&no_hits).unwrap_err().to_string().contains("never hit"));
+        let mut per_node = m.clone();
+        per_node.rows[2].candidate_steps = per_node.rows[2].c2_hits;
+        assert!(check(&per_node).unwrap_err().to_string().contains("C12: 36 candidate steps"));
+    }
+
+    #[test]
     fn json_parses_and_carries_the_schema() {
-        let m = measure().unwrap();
-        let json = to_json(&m);
+        let json = to_json(measured());
         let v = Json::parse(&json).unwrap();
         assert_eq!(v.get("experiment").unwrap().as_str(), Some("astar"));
         assert_eq!(v.get("byte_identical").unwrap().as_bool(), Some(true));
-        assert!(v.get("update_graph_speedup").unwrap().as_f64().unwrap() > 0.0);
         assert!(v.get("pool_hit_rate").unwrap().as_f64().unwrap() > 0.0);
         let instances = v.get("instances").unwrap().items().unwrap();
         assert_eq!(instances.len(), 3);

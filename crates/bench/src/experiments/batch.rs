@@ -1,18 +1,19 @@
 //! E15 — the batch engine and the content-addressed derandomization
-//! cache, measured: sweep ≥ 8 lifts per base over two cyclic bases, run
-//! the deterministic stage (a) sequentially with no cache and (b) on the
+//! cache: sweep 8 lifts per base over two cyclic bases, run the
+//! deterministic stage (a) sequentially with no cache and (b) on the
 //! batch scheduler with a shared [`DerandCache`], and verify the outputs
 //! are identical bit for bit while the cached batch collapses each lift
 //! family's canonical search (paper, Lemma 3: one search per quotient
 //! class) into a single miss plus replays.
 //!
-//! The rendered table reports per-instance wall times and hit/miss
-//! status; the summary reports the headline speedup, jobs/sec, and cache
-//! hit rate, and [`report`] additionally emits `BENCH_batch.json` with
-//! the machine-readable numbers.
+//! [`report`] fails unless every row is byte-identical, and writes
+//! `BENCH_batch.json`: the rows and the cache counters, a pure function
+//! of the code. The cached batch runs on [`THREADS`] workers, and the
+//! file is the same at 1, 2 and 4: single-flight misses keep the
+//! counters free of races, while which row of a family claims its miss
+//! first is left to the scheduler and so is not recorded.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_algorithms::problems::MisProblem;
@@ -24,11 +25,14 @@ use anonet_graph::LabeledGraph;
 use anonet_runtime::{ExecConfig, Problem};
 
 use crate::experiments::{common::tick, ExpResult};
-use crate::table::{secs, Json};
+use crate::table::Json;
 use crate::Table;
 
 /// Lift multiplicities swept per base (8 lifts each, m = 2..=9).
 pub const MULTIPLICITIES: std::ops::RangeInclusive<usize> = 2..=9;
+
+/// Worker threads of the cached batch.
+pub const THREADS: usize = 2;
 
 /// One instance of the sweep: a lift of one of the cyclic bases.
 #[derive(Clone, Debug)]
@@ -41,33 +45,17 @@ pub struct BatchRow {
     pub n: usize,
     /// Quotient size seen by the derandomizer (must equal the base size).
     pub quotient: usize,
-    /// Whether the cached run hit the assignment table.
-    pub cache_hit: bool,
-    /// Wall time of the uncached sequential run.
-    pub uncached: Duration,
-    /// Wall time of the cached batch run.
-    pub cached: Duration,
     /// The two runs agree on every recorded field, byte for byte.
     pub identical: bool,
     /// The derandomized output is a valid MIS of the lift.
     pub valid: bool,
 }
 
-/// The headline numbers of the sweep.
+/// The totals of the sweep.
 #[derive(Clone, Debug)]
 pub struct BatchSummary {
     /// Instances swept.
     pub jobs: usize,
-    /// Worker threads of the batch scheduler.
-    pub threads: usize,
-    /// Wall time of the uncached sequential baseline.
-    pub uncached_wall: Duration,
-    /// Wall time of the cache-enabled batch.
-    pub cached_wall: Duration,
-    /// `uncached_wall / cached_wall`.
-    pub speedup: f64,
-    /// Throughput of the cache-enabled batch.
-    pub jobs_per_sec: f64,
     /// Cache accounting for the batch window.
     pub cache: CacheStats,
     /// Every instance's cached run matched its uncached run byte for byte.
@@ -75,9 +63,10 @@ pub struct BatchSummary {
 }
 
 /// One batch instance: base-family name, multiplicity, colored lift.
-type LiftInstance = (&'static str, usize, LabeledGraph<((), u32)>);
+pub(crate) type LiftInstance = (&'static str, usize, LabeledGraph<((), u32)>);
 
-fn lift_families() -> ExpResult<Vec<LiftInstance>> {
+/// The sweep's instances, C3 lifts then C4 lifts (E18 runs the same).
+pub(crate) fn lift_families() -> ExpResult<Vec<LiftInstance>> {
     let mut instances = Vec::new();
     for (name, base_n) in [("C3", 3usize), ("C4", 4usize)] {
         let labels: Vec<((), u32)> = (0..base_n).map(|i| ((), i as u32 + 1)).collect();
@@ -110,14 +99,15 @@ pub(crate) fn run_bytes(run: &DerandomizedRun<bool>) -> Vec<u8> {
     out
 }
 
-/// Runs the sweep: sequential-uncached baseline, then cache-enabled batch,
-/// with the paper's exhaustive (minimal-assignment) search so the work a
-/// hit saves is the full `2^(|V_*|·t)` enumeration.
+/// Runs the sweep: sequential-uncached baseline, then the cache-enabled
+/// batch on `threads` workers, with the paper's exhaustive
+/// (minimal-assignment) search so the work a hit saves is the full
+/// `2^(|V_*|·t)` enumeration.
 ///
 /// # Errors
 ///
 /// Propagates lift-construction and derandomization errors.
-pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
+pub fn measure_with(threads: usize) -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
     let instances = lift_families()?;
     let graphs: Vec<LabeledGraph<((), u32)>> =
         instances.iter().map(|(_, _, g)| g.clone()).collect();
@@ -129,9 +119,9 @@ pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
     let baseline =
         derandomize_batch(&alg, &graphs, strategy, &config, &BatchScheduler::with_threads(1), None);
 
-    // The engine under test: shared cache, machine-sized worker pool.
+    // The engine under test: a shared cache on a fixed worker pool.
     let cache = Arc::new(DerandCache::new());
-    let scheduler = BatchScheduler::new();
+    let scheduler = BatchScheduler::with_threads(threads);
     let batch = derandomize_batch(&alg, &graphs, strategy, &config, &scheduler, Some(&cache));
 
     let mut rows = Vec::new();
@@ -144,32 +134,44 @@ pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
             m: *m,
             n: g.node_count(),
             quotient: par.quotient_nodes,
-            cache_hit: par.cache_hit,
-            uncached: baseline.stats.job_times[i],
-            cached: batch.stats.job_times[i],
             identical: run_bytes(seq) == run_bytes(par),
             valid: MisProblem.is_valid_output(&plain, &par.outputs),
         });
     }
 
-    let cache_stats = batch.stats.cache.ok_or("cache stats missing")?;
     let summary = BatchSummary {
         jobs: rows.len(),
-        threads: batch.stats.threads,
-        uncached_wall: baseline.stats.wall,
-        cached_wall: batch.stats.wall,
-        speedup: baseline.stats.wall.as_secs_f64()
-            / batch.stats.wall.as_secs_f64().max(f64::EPSILON),
-        jobs_per_sec: batch.stats.jobs_per_sec(),
-        cache: cache_stats,
+        cache: batch.stats.cache.ok_or("cache stats missing")?,
         all_identical: rows.iter().all(|r| r.identical),
     };
     Ok((rows, summary))
 }
 
+/// [`measure_with`] on [`THREADS`] workers.
+///
+/// # Errors
+///
+/// As [`measure_with`].
+pub fn measure() -> ExpResult<(Vec<BatchRow>, BatchSummary)> {
+    measure_with(THREADS)
+}
+
+/// E15's invariant: the cached batch reproduced every uncached run byte
+/// for byte.
+///
+/// # Errors
+///
+/// Names the first row whose runs differ.
+pub fn check(rows: &[BatchRow]) -> ExpResult<()> {
+    match rows.iter().find(|r| !r.identical) {
+        Some(r) => Err(format!("{} m={}: cached run differs from uncached", r.base, r.m).into()),
+        None => Ok(()),
+    }
+}
+
 /// Builds the machine-readable summary through the workspace's shared
 /// JSON serializer ([`crate::table::Json`] — the dependency policy keeps
-/// serde out, and E15 and E16 share this one code path).
+/// serde out, and every experiment shares this one code path).
 pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
     let row_objs = rows.iter().map(|r| {
         Json::obj([
@@ -177,9 +179,6 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
             ("m", Json::from(r.m)),
             ("n", Json::from(r.n)),
             ("quotient", Json::from(r.quotient)),
-            ("cache_hit", Json::from(r.cache_hit)),
-            ("uncached_secs", secs(r.uncached)),
-            ("cached_secs", secs(r.cached)),
             ("identical", Json::from(r.identical)),
             ("valid", Json::from(r.valid)),
         ])
@@ -187,11 +186,6 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
     Json::obj([
         ("experiment", Json::str("batch")),
         ("jobs", Json::from(s.jobs)),
-        ("threads", Json::from(s.threads)),
-        ("sequential_uncached_secs", secs(s.uncached_wall)),
-        ("batch_cached_secs", secs(s.cached_wall)),
-        ("speedup", Json::Num((s.speedup * 1e3).round() / 1e3)),
-        ("jobs_per_sec", Json::Num((s.jobs_per_sec * 1e3).round() / 1e3)),
         ("byte_identical", Json::from(s.all_identical)),
         (
             "cache",
@@ -219,13 +213,15 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; the JSON write failing is an error too.
+/// Propagates measurement errors and a failed [`check`]; the JSON write
+/// failing is an error too.
 pub fn report() -> ExpResult<String> {
     let (rows, summary) = measure()?;
+    check(&rows)?;
     let mut t = Table::new(
         "E15 / batch engine — sequential uncached vs concurrent batch with the s(G_*) cache \
          (MIS, exhaustive minimal-assignment search)",
-        &["base", "m", "n", "|V*|", "cache", "uncached", "cached", "identical", "valid"],
+        &["base", "m", "n", "|V*|", "identical", "valid"],
     );
     for r in &rows {
         t.row(vec![
@@ -233,26 +229,15 @@ pub fn report() -> ExpResult<String> {
             r.m.to_string(),
             r.n.to_string(),
             r.quotient.to_string(),
-            if r.cache_hit { "hit".into() } else { "miss".into() },
-            format!("{:.2?}", r.uncached),
-            format!("{:.2?}", r.cached),
             tick(r.identical),
             tick(r.valid),
         ]);
     }
-    let json = to_json(&rows, &summary);
-    std::fs::write("BENCH_batch.json", &json)?;
+    std::fs::write("BENCH_batch.json", to_json(&rows, &summary))?;
     Ok(format!(
-        "{t}\n{jobs} jobs on {threads} thread(s): uncached sequential {unc:.3?}, \
-         cached batch {cac:.3?} — speedup {spd:.2}x at {jps:.1} jobs/sec\n{cache}\n\
+        "{t}\n{jobs} jobs, cached batch on {THREADS} threads\n{cache}\n\
          byte-identical outputs: {ident}\nwrote BENCH_batch.json\n",
-        t = t,
         jobs = summary.jobs,
-        threads = summary.threads,
-        unc = summary.uncached_wall,
-        cac = summary.cached_wall,
-        spd = summary.speedup,
-        jps = summary.jobs_per_sec,
         cache = summary.cache.render(),
         ident = tick(summary.all_identical),
     ))
@@ -268,6 +253,7 @@ mod tests {
         // 8 lifts per base, two bases.
         assert_eq!(rows.len(), 16);
         assert!(summary.all_identical);
+        assert!(check(&rows).is_ok());
         assert!(rows.iter().all(|r| r.valid));
         // One miss per base family, hits everywhere else.
         assert_eq!(summary.cache.assignment_misses, 2);
@@ -275,6 +261,26 @@ mod tests {
         assert!(summary.cache.hit_rate() > 0.8);
         // Quotients collapse to the bases.
         assert!(rows.iter().all(|r| r.quotient == if r.base == "C3" { 3 } else { 4 }));
+    }
+
+    #[test]
+    fn the_report_is_the_same_at_one_two_and_four_threads() {
+        let render = |threads| {
+            let (rows, summary) = measure_with(threads).unwrap();
+            to_json(&rows, &summary)
+        };
+        let one = render(1);
+        assert_eq!(render(2), one);
+        assert_eq!(render(4), one);
+        assert_eq!(render(THREADS), one, "two measurements render the same bytes");
+    }
+
+    #[test]
+    fn a_differing_row_fails_the_check() {
+        let (mut rows, _) = measure().unwrap();
+        rows[9].identical = false;
+        let err = check(&rows).unwrap_err().to_string();
+        assert!(err.contains("C4 m=3"), "{err}");
     }
 
     #[test]
@@ -291,6 +297,5 @@ mod tests {
         let parsed_rows = v.get("rows").unwrap().items().unwrap();
         assert_eq!(parsed_rows.len(), 16);
         assert_eq!(parsed_rows[0].get("base").unwrap().as_str(), Some("C3"));
-        assert!(parsed_rows[0].get("uncached_secs").unwrap().as_f64().unwrap() >= 0.0);
     }
 }

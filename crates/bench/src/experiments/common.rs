@@ -62,6 +62,39 @@ pub fn tick(b: bool) -> String {
     }
 }
 
+/// The tier-1 overhead tests' timer: the min-of-5 wall of the Petersen
+/// MIS pipeline observed through `rec`, over the min-of-5 wall of the
+/// un-instrumented entry point, the two runs alternating so that drift
+/// in the machine's load reaches both.
+#[cfg(test)]
+pub(crate) fn petersen_overhead(seed: u64, rec: &anonet_obs::SharedRecorder) -> f64 {
+    use anonet_algorithms::mis::RandomizedMis;
+    use anonet_core::pipeline::{run_pipeline, run_pipeline_observed};
+    use anonet_core::SearchStrategy;
+    use anonet_runtime::ExecConfig;
+    use std::time::{Duration, Instant};
+
+    let alg = RandomizedMis::new();
+    let net = generators::petersen().with_uniform_label(());
+    let strategy = SearchStrategy::default();
+    let timed = |f: &dyn Fn()| {
+        let t = Instant::now();
+        f();
+        t.elapsed()
+    };
+    let (mut plain, mut observed) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        plain = plain.min(timed(&|| {
+            run_pipeline(&alg, &net, seed, strategy).unwrap();
+        }));
+        observed = observed.min(timed(&|| {
+            run_pipeline_observed(&alg, &net, seed, strategy, &ExecConfig::default(), None, rec)
+                .unwrap();
+        }));
+    }
+    observed.as_secs_f64() / plain.as_secs_f64().max(f64::EPSILON)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

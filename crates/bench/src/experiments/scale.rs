@@ -13,10 +13,11 @@
 //! mirroring a coloring stage handing refined colors to the pipeline,
 //! and both engines recompute from scratch.
 //!
-//! Two gates, asserted by the `scale` CI job from `BENCH_scale.json`,
-//! which also pins every tier's `encoding_digest` (the all-node depth-2
-//! [`ViewTree`] encodings), `stabilization_depth`, `class_count` and
-//! `rounds_total` to the committed file:
+//! [`report`] fails unless both identities hold on every tier, and
+//! writes `BENCH_scale.json`, a pure function of the code: every tier's
+//! `encoding_digest` (the all-node depth-2 [`ViewTree`] encodings),
+//! `stabilization_depth`, `class_count`, `rounds_total` and retained
+//! bytes per node. The two identities:
 //!
 //! * `view_ids_match` — on sampled nodes,
 //!   [`ViewIds`](anonet_views::ViewIds) gives two nodes equal depth-3 ids
@@ -27,18 +28,13 @@
 //! Memory curves use retained bytes as the peak-RSS proxy (the
 //! structures' own accounting; no platform RSS probing): full-history
 //! [`Refinement`] vs the two-round [`BoundedRefinement`].
-//!
-//! `ANONET_SCALE_MAX_N` caps the size sweep (CI runs 10⁵; the 10⁶ tier is
-//! the nightly default).
-
-use std::time::{Duration, Instant};
 
 use anonet_graph::{generators, Graph, LabeledGraph, NodeId};
 use anonet_testkit::check_view_ids;
 use anonet_views::{BoundedRefinement, Refinement, ViewMode, ViewTree};
 
 use crate::experiments::{common::tick, ExpResult};
-use crate::table::{secs, Json};
+use crate::table::Json;
 use crate::Table;
 
 /// Depth of the sampled view-id partition check.
@@ -55,14 +51,8 @@ const MUTATION_PHASES: usize = 6;
 /// and blow the stable partition up to Θ(n) classes).
 const PERIOD: usize = 40;
 
-/// The default size sweep; `ANONET_SCALE_MAX_N` truncates it.
-pub fn sizes() -> Vec<usize> {
-    let cap = std::env::var("ANONET_SCALE_MAX_N")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .unwrap_or(1_000_000);
-    [1_000usize, 10_000, 100_000, 1_000_000].into_iter().filter(|&n| n <= cap).collect()
-}
+/// The size tiers [`report`] sweeps, ascending.
+pub const TIERS: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
 
 /// The size-`n` workload: a cycle with a beacon label every [`PERIOD`]
 /// nodes, `(beacon?, tag 0)` labels. `n` must be a multiple of the
@@ -115,11 +105,6 @@ pub struct ScaleRow {
     pub n: usize,
     /// Nodes in the view-id sample.
     pub sampled: usize,
-    /// Σ retained from-scratch [`Refinement::compute`] over the phases.
-    pub fromscratch_total: Duration,
-    /// Σ [`BoundedRefinement::compute`] (the flat round kernel) over the
-    /// same phases.
-    pub bounded_total: Duration,
     /// Refinement rounds the from-scratch path executed, all phases.
     pub rounds_total: usize,
     /// Stabilization depth after the final phase.
@@ -137,13 +122,6 @@ pub struct ScaleRow {
     /// Flat-kernel classes and depth equaled from-scratch after every
     /// phase.
     pub bounded_matches: bool,
-}
-
-impl ScaleRow {
-    /// Refinement rounds per second sustained by the from-scratch path.
-    pub fn rounds_per_sec(&self) -> f64 {
-        self.rounds_total as f64 / self.fromscratch_total.as_secs_f64().max(f64::EPSILON)
-    }
 }
 
 /// The whole E21 measurement.
@@ -177,8 +155,6 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
     let view_ids_match = check_view_ids(&g, SAMPLE_DEPTH, sample).is_ok();
 
     // Flat kernel vs retained full history over monotone phases.
-    let mut fromscratch_total = Duration::ZERO;
-    let mut bounded_total = Duration::ZERO;
     let mut rounds_total = 0usize;
     let mut bounded_matches = true;
     let mut full_bytes = 0usize;
@@ -186,17 +162,13 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
         mutate(&mut labels, phase);
         let g2 = LabeledGraph::new(graph.clone(), labels.clone())?;
 
-        let t0 = Instant::now();
         let reference = Refinement::compute(&g2, ViewMode::Portless);
-        fromscratch_total += t0.elapsed();
         // `depth + 1` key-construction passes ran: one per refining
         // round plus the pass that certified stability.
         rounds_total += reference.stabilization_depth() + 1;
         full_bytes = reference.retained_bytes();
 
-        let t0 = Instant::now();
         let bounded = BoundedRefinement::compute(&g2, ViewMode::Portless);
-        bounded_total += t0.elapsed();
         bounded_matches &= bounded.classes() == reference.classes()
             && bounded.stabilization_depth() == reference.stabilization_depth();
     }
@@ -215,8 +187,6 @@ fn measure_size(n: usize) -> ExpResult<ScaleRow> {
     Ok(ScaleRow {
         n,
         sampled,
-        fromscratch_total,
-        bounded_total,
         rounds_total,
         stabilization_depth,
         class_count,
@@ -239,13 +209,32 @@ pub fn measure_sizes(tiers: &[usize]) -> ExpResult<ScaleMeasurement> {
     Ok(ScaleMeasurement { rows })
 }
 
-/// Measures the default (env-capped) sweep.
+/// Measures every tier of [`TIERS`].
 ///
 /// # Errors
 ///
 /// As [`measure_sizes`].
 pub fn measure() -> ExpResult<ScaleMeasurement> {
-    measure_sizes(&sizes())
+    measure_sizes(&TIERS)
+}
+
+/// E21's invariants, on every tier: layered view ids partition the
+/// sample as [`ViewTree`] bytes do, and the flat kernel equals the
+/// from-scratch reference after every phase.
+///
+/// # Errors
+///
+/// Names the first tier and identity that failed.
+pub fn check(m: &ScaleMeasurement) -> ExpResult<()> {
+    for r in &m.rows {
+        if !r.view_ids_match {
+            return Err(format!("n={}: view ids diverged from ViewTree encodings", r.n).into());
+        }
+        if !r.bounded_matches {
+            return Err(format!("n={}: flat kernel diverged from from-scratch", r.n).into());
+        }
+    }
+    Ok(())
 }
 
 fn round3(x: f64) -> f64 {
@@ -258,10 +247,7 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
         Json::obj([
             ("n", Json::from(r.n)),
             ("sampled", Json::from(r.sampled)),
-            ("fromscratch_secs", secs(r.fromscratch_total)),
-            ("bounded_secs", secs(r.bounded_total)),
             ("rounds_total", Json::from(r.rounds_total)),
-            ("rounds_per_sec", Json::Num(round3(r.rounds_per_sec()))),
             ("stabilization_depth", Json::from(r.stabilization_depth)),
             ("class_count", Json::from(r.class_count)),
             ("full_bytes_per_node", Json::Num(round3(r.full_bytes_per_node))),
@@ -285,29 +271,23 @@ pub fn to_json(m: &ScaleMeasurement) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; artifact I/O failing is an error too.
+/// Propagates measurement errors and a failed [`check`]; artifact I/O
+/// failing is an error too.
 pub fn report() -> ExpResult<String> {
     let m = measure()?;
+    check(&m)?;
 
     let mut table = Table::new(
         "E21 / million-node core — layered view ids and the flat refinement kernel \
          on beacon cycles (period 40)",
-        &[
-            "n",
-            "scratch (6ph)",
-            "flat (6ph)",
-            "rounds/s",
-            "B/node full",
-            "B/node flat",
-            "identical",
-        ],
+        &["n", "rounds (6ph)", "depth", "classes", "B/node full", "B/node flat", "identical"],
     );
     for r in &m.rows {
         table.row(vec![
             r.n.to_string(),
-            format!("{:.2?}", r.fromscratch_total),
-            format!("{:.2?}", r.bounded_total),
-            format!("{:.0}", r.rounds_per_sec()),
+            r.rounds_total.to_string(),
+            r.stabilization_depth.to_string(),
+            r.class_count.to_string(),
             format!("{:.1}", r.full_bytes_per_node),
             format!("{:.1}", r.bounded_bytes_per_node),
             tick(r.view_ids_match && r.bounded_matches),
@@ -335,8 +315,7 @@ mod tests {
     fn small_tiers_pass_every_identity_gate() {
         let m = measure_sizes(&[80, 320]).unwrap();
         assert_eq!(m.rows.len(), 2);
-        assert!(m.view_ids_match(), "view ids diverged from ViewTree encodings");
-        assert!(m.bounded_matches(), "flat kernel diverged from from-scratch");
+        check(&m).unwrap();
         for r in &m.rows {
             assert!(r.rounds_total >= MUTATION_PHASES, "each phase runs at least one pass");
             assert!(r.class_count >= PERIOD / 2, "the beacon offset structure must survive");
@@ -362,11 +341,23 @@ mod tests {
     }
 
     #[test]
-    fn size_sweep_respects_the_env_cap() {
-        // Read-only check of the parsing contract on the default.
-        let tiers = sizes();
-        assert!(!tiers.is_empty());
-        assert!(tiers.windows(2).all(|w| w[0] < w[1]));
+    fn two_measurements_render_the_same_bytes() {
+        let tiers = &TIERS[..1];
+        assert_eq!(
+            to_json(&measure_sizes(tiers).unwrap()),
+            to_json(&measure_sizes(tiers).unwrap())
+        );
+    }
+
+    #[test]
+    fn each_broken_identity_fails_the_check() {
+        let m = measure_sizes(&[80, 320]).unwrap();
+        let mut ids = m.clone();
+        ids.rows[1].view_ids_match = false;
+        assert!(check(&ids).unwrap_err().to_string().contains("n=320: view ids"));
+        let mut kernel = m;
+        kernel.rows[0].bounded_matches = false;
+        assert!(check(&kernel).unwrap_err().to_string().contains("n=80: flat kernel"));
     }
 
     #[test]

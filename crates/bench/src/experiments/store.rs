@@ -7,24 +7,25 @@
 //! `warm()`, and must answer **every** lookup from cache, strictly
 //! beating the cold hit rate while producing byte-identical outputs.
 //!
-//! [`report`] emits `BENCH_store.json` and, as the CI artifact, the
-//! store's own accounting at `target/store-report.json` (both written
-//! through the shared `anonet_obs::Json` serializer).
+//! [`report`] fails unless both hold, and emits `BENCH_store.json` (the
+//! counters of both lifecycles and the disk tier, a pure function of
+//! the code) and, as the CI artifact, the store's own accounting at
+//! `target/store-report.json` (both written through the shared
+//! `anonet_obs::Json` serializer).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use anonet_algorithms::mis::RandomizedMis;
 use anonet_batch::{BatchScheduler, CacheStats, PersistentDerandCache};
 use anonet_core::batch::derandomize_batch;
 use anonet_core::SearchStrategy;
-use anonet_graph::lift::cyclic_cycle_lift;
 use anonet_graph::LabeledGraph;
 use anonet_runtime::ExecConfig;
 
-use crate::experiments::batch::MULTIPLICITIES;
+use crate::experiments::batch::{lift_families, run_bytes};
 use crate::experiments::{common::tick, ExpResult};
-use crate::table::{secs, Json};
+use crate::table::Json;
 use crate::Table;
 
 /// One cache lifecycle over the workload ("process" in the two-process
@@ -35,8 +36,6 @@ pub struct StorePhase {
     pub name: &'static str,
     /// Entries preloaded by `warm()` before the run (0 for cold).
     pub warmed: usize,
-    /// Wall time of the batch run.
-    pub wall: Duration,
     /// Cache accounting for the run window.
     pub cache: CacheStats,
     /// Records the store recovered during this lifecycle's open.
@@ -61,18 +60,6 @@ pub struct StoreSummary {
     pub disk: anonet_store::StoreStats,
 }
 
-fn lift_families() -> ExpResult<Vec<LabeledGraph<((), u32)>>> {
-    let mut instances = Vec::new();
-    for base_n in [3usize, 4] {
-        let labels: Vec<((), u32)> = (0..base_n).map(|i| ((), i as u32 + 1)).collect();
-        for m in MULTIPLICITIES {
-            let lift = cyclic_cycle_lift(base_n, m)?;
-            instances.push(lift.lift_labels(&labels)?);
-        }
-    }
-    Ok(instances)
-}
-
 /// One lifecycle: open the store at `dir`, optionally warm, run the
 /// whole workload on the batch scheduler, flush, and report.
 fn run_phase(
@@ -88,19 +75,21 @@ fn run_phase(
     let alg = RandomizedMis::new();
     let strategy = SearchStrategy::Exhaustive { max_total_bits: 24 };
     let config = ExecConfig::default();
-    let scheduler = BatchScheduler::new();
+    // One worker: each larger multiplicity of a known quotient appends a
+    // record, so the order in which a family's lifts reach the store
+    // decides `recovered_records` and `disk_bytes`.
+    let scheduler = BatchScheduler::with_threads(1);
     let cache = Arc::clone(pdc.cache());
     let outcome = derandomize_batch(&alg, graphs, strategy, &config, &scheduler, Some(&cache));
     let mut outputs = Vec::with_capacity(graphs.len());
     for result in &outcome.results {
         let run = result.ok().ok_or("store phase job failed")?;
-        outputs.push(super::batch::run_bytes(run));
+        outputs.push(run_bytes(run));
     }
     pdc.flush()?;
     let phase = StorePhase {
         name,
         warmed,
-        wall: outcome.stats.wall,
         cache: pdc.cache_stats().delta_from(&before)?,
         recovered_records: opened.recovered_records,
     };
@@ -114,7 +103,11 @@ fn run_phase(
 ///
 /// Propagates store, lift-construction, and derandomization errors.
 pub fn measure() -> ExpResult<StoreSummary> {
-    let dir = std::env::temp_dir().join(format!("anonet-bench-store-{}", std::process::id()));
+    // One directory per call: tests measure concurrently in one process.
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir =
+        std::env::temp_dir().join(format!("anonet-bench-store-{}-{call}", std::process::id()));
     // A stale directory would let the cold phase warm-start and skew the
     // measurement, so anything but "already absent" is a hard error.
     if let Err(e) = std::fs::remove_dir_all(&dir) {
@@ -122,7 +115,7 @@ pub fn measure() -> ExpResult<StoreSummary> {
             return Err(format!("clearing scratch store {}: {e}", dir.display()).into());
         }
     }
-    let graphs = lift_families()?;
+    let graphs: Vec<_> = lift_families()?.into_iter().map(|(_, _, g)| g).collect();
 
     let (cold, cold_out, _) = run_phase(&dir, "cold", false, &graphs)?;
     // Second lifecycle: fresh memory, the disk tier carries everything.
@@ -141,11 +134,26 @@ pub fn measure() -> ExpResult<StoreSummary> {
     Ok(summary)
 }
 
+/// E18's invariants: the warm lifecycle reproduced the cold outputs byte
+/// for byte and strictly beat its hit rate.
+///
+/// # Errors
+///
+/// Names the invariant that failed.
+pub fn check(s: &StoreSummary) -> ExpResult<()> {
+    if !s.identical {
+        return Err("warm outputs differ from cold outputs".into());
+    }
+    if !s.warm_strictly_better {
+        return Err("the warm start did not beat the cold hit rate".into());
+    }
+    Ok(())
+}
+
 fn phase_json(p: &StorePhase) -> Json {
     Json::obj([
         ("name", Json::str(p.name)),
         ("warmed_entries", Json::from(p.warmed)),
-        ("wall_secs", secs(p.wall)),
         ("recovered_records", Json::from(p.recovered_records)),
         ("assignment_hits", Json::from(p.cache.assignment_hits)),
         ("assignment_misses", Json::from(p.cache.assignment_misses)),
@@ -185,13 +193,15 @@ pub fn to_json(s: &StoreSummary) -> String {
 ///
 /// # Errors
 ///
-/// Propagates measurement errors; either JSON write failing is an error.
+/// Propagates measurement errors and a failed [`check`]; either JSON
+/// write failing is an error.
 pub fn report() -> ExpResult<String> {
     let summary = measure()?;
+    check(&summary)?;
     let mut t = Table::new(
         "E18 / persistent store — cold first process vs warm-started second process \
          (MIS over the C3/C4 lift families, one on-disk store)",
-        &["phase", "warmed", "hits", "misses", "disk hits", "hit rate", "wall"],
+        &["phase", "warmed", "hits", "misses", "disk hits", "hit rate"],
     );
     for p in [&summary.cold, &summary.warm] {
         t.row(vec![
@@ -201,7 +211,6 @@ pub fn report() -> ExpResult<String> {
             p.cache.assignment_misses.to_string(),
             p.cache.disk_hits.to_string(),
             format!("{:.1}%", 100.0 * p.cache.hit_rate()),
-            format!("{:.2?}", p.wall),
         ]);
     }
     std::fs::write("BENCH_store.json", to_json(&summary))?;
@@ -222,15 +231,13 @@ pub fn report() -> ExpResult<String> {
     std::fs::create_dir_all("target")?;
     std::fs::write("target/store-report.json", disk_report)?;
     Ok(format!(
-        "{t}\n{jobs} jobs per phase; cold {cold:.3?} at {ch:.1}% hits, \
-         warm {warm:.3?} at {wh:.1}% hits (warmed {wn} entries from disk)\n\
+        "{t}\n{jobs} jobs per phase; cold {ch:.1}% hits, \
+         warm {wh:.1}% hits (warmed {wn} entries from disk)\n\
          byte-identical outputs: {ident}; warm strictly better: {better}\n\
          wrote BENCH_store.json and target/store-report.json\n",
         t = t,
         jobs = summary.jobs,
-        cold = summary.cold.wall,
         ch = 100.0 * summary.cold.cache.hit_rate(),
-        warm = summary.warm.wall,
         wh = 100.0 * summary.warm.cache.hit_rate(),
         wn = summary.warm.warmed,
         ident = tick(summary.identical),
@@ -261,8 +268,23 @@ mod tests {
         // The second open replayed the first lifecycle's records.
         assert!(s.warm.recovered_records >= 4);
         assert!(s.warm_strictly_better);
+        assert!(check(&s).is_ok());
         assert!(s.warm.cache.hit_rate() == 1.0);
         assert!((s.cold.cache.hit_rate() - 0.875).abs() < 1e-12);
+    }
+
+    #[test]
+    fn two_measurements_render_the_same_bytes() {
+        assert_eq!(to_json(&measure().unwrap()), to_json(&measure().unwrap()));
+    }
+
+    #[test]
+    fn a_broken_invariant_fails_the_check() {
+        let s = measure().unwrap();
+        let differs = StoreSummary { identical: false, ..s.clone() };
+        assert!(check(&differs).unwrap_err().to_string().contains("differ"));
+        let no_better = StoreSummary { warm_strictly_better: false, ..s };
+        assert!(check(&no_better).unwrap_err().to_string().contains("hit rate"));
     }
 
     #[test]

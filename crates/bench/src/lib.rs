@@ -25,15 +25,17 @@
 //! | E13 | [`experiments::distributed`] | message-level derandomizer (extension) |
 //! | E14 | [`experiments::montecarlo`] | the Monte-Carlo / Las-Vegas gap |
 //! | E15 | [`experiments::batch`] | batch engine + s(G_*) cache (Lemma 3 operationalized) |
-//! | E16 | [`experiments::obs`] | observability layer: phase breakdown, curves, noop cost |
+//! | E16 | [`experiments::obs`] | observability layer: bridged engine counters, curves, histograms |
 //! | E17 | [`experiments::astar`] | fast Update-Graph engine: pool memo, interning, fast ≡ reference |
 //! | E18 | [`experiments::store`] | persistent store: cold vs warm-start across processes |
 //! | E19 | [`experiments::soak`] | seeded soak campaign + the `BENCH_soak.json` regression baseline |
-//! | E20 | [`experiments::trace`] | causal tracing: noop/flight overhead + the anonet-trace round trip |
+//! | E20 | [`experiments::trace`] | causal tracing: the flight ring + the anonet-trace round trip |
 //! | E21 | [`experiments::scale`] | million-node core: layered view ids vs `ViewTree` bytes, flat refinement kernel vs the full-history reference |
 //!
-//! Run them with `cargo run -p anonet-bench --bin report -- <id>|all`.
-//! Timing benchmarks live in `benches/` (Criterion).
+//! Run them with `cargo run -p anonet-bench --bin report -- <id>... | all`.
+//! E15–E18, E20 and E21 write `BENCH_*.json` files that record counts,
+//! flags and digests only, so CI regenerates them and diffs them against
+//! the committed copies. Timing lives in `perfbench/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -41,7 +43,7 @@
 pub mod experiments;
 mod table;
 
-pub use table::{secs, Json, Table};
+pub use table::{Json, Table};
 
 /// All experiment ids, in presentation order.
 pub const EXPERIMENT_IDS: &[&str] = &[

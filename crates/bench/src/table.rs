@@ -3,7 +3,6 @@
 //! [`anonet_obs::json`]) that every `BENCH_*.json` artifact goes through.
 
 use std::fmt;
-use std::time::Duration;
 
 pub use anonet_obs::json::Json;
 
@@ -82,12 +81,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// A [`Duration`] as fractional seconds, rounded to microsecond
-/// resolution so the JSON artifacts stay stable and short.
-pub fn secs(d: Duration) -> Json {
-    Json::Num((d.as_secs_f64() * 1e6).round() / 1e6)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,12 +108,5 @@ mod tests {
     #[test]
     fn f2_formats() {
         assert_eq!(f2(1.2345), "1.23");
-    }
-
-    #[test]
-    fn secs_round_trips_through_the_shared_serializer() {
-        let v = secs(Duration::from_micros(1_234_567));
-        assert_eq!(v.to_string(), "1.234567");
-        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
     }
 }

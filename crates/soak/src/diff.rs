@@ -28,9 +28,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::Path;
-
-use anonet_obs::Json;
 
 use crate::campaign::{CellReport, SoakReport};
 
@@ -215,54 +212,6 @@ pub fn diff(current: &SoakReport, baseline: &SoakReport, band: f64) -> DiffOutco
         }
     }
 
-    out
-}
-
-/// Checks the committed headline `BENCH_*.json` invariants alongside the
-/// soak diff: flags that must stay `true` forever regardless of machine
-/// speed. Absent or unreadable files become notes (the repo may predate
-/// an experiment), `false` flags become regressions.
-pub fn check_headlines(bench_dir: &Path) -> DiffOutcome {
-    let mut out = DiffOutcome::default();
-    let headlines: [(&str, &[&str]); 4] = [
-        ("BENCH_batch.json", &["byte_identical"]),
-        ("BENCH_astar.json", &["byte_identical"]),
-        ("BENCH_store.json", &["byte_identical", "warm_strictly_better"]),
-        ("BENCH_scale.json", &["view_ids_match", "bounded_matches"]),
-    ];
-    for (file, flags) in headlines {
-        let path = bench_dir.join(file);
-        let text = match std::fs::read_to_string(&path) {
-            Ok(text) => text,
-            Err(_) => {
-                out.notes.push(format!("headline {} absent; skipped", path.display()));
-                continue;
-            }
-        };
-        let json = match Json::parse(&text) {
-            Ok(json) => json,
-            Err(e) => {
-                out.notes.push(format!("headline {} unreadable ({e}); skipped", path.display()));
-                continue;
-            }
-        };
-        for flag in flags {
-            match json.get(flag).and_then(Json::as_bool) {
-                Some(true) => {}
-                Some(false) => out.regressions.push(Regression {
-                    cell: file.into(),
-                    replay: format!("cargo run -p anonet-bench -- {file}"),
-                    field: (*flag).into(),
-                    baseline: "true".into(),
-                    current: "false".into(),
-                    detail: "committed headline invariant is false".into(),
-                }),
-                None => out
-                    .notes
-                    .push(format!("headline {} has no boolean `{flag}`; skipped", path.display())),
-            }
-        }
-    }
     out
 }
 
@@ -454,40 +403,5 @@ mod tests {
         let outcome = diff(&baseline, &current, DEFAULT_BAND);
         assert!(outcome.passed());
         assert!(outcome.notes.iter().any(|n| n.contains("new")));
-    }
-
-    #[test]
-    fn headline_check_degrades_gracefully_and_gates_flags() {
-        let dir =
-            std::env::temp_dir().join(format!("anonet-soak-headlines-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-
-        // Nothing committed: all notes, no failures.
-        let outcome = check_headlines(&dir);
-        assert!(outcome.passed());
-        assert_eq!(outcome.notes.len(), 4);
-
-        // A false flag fails; a true one passes.
-        std::fs::write(
-            dir.join("BENCH_store.json"),
-            "{\"byte_identical\": true, \"warm_strictly_better\": false}",
-        )
-        .expect("write headline");
-        let outcome = check_headlines(&dir);
-        assert!(!outcome.passed());
-        assert_eq!(outcome.regressions.len(), 1);
-        assert_eq!(outcome.regressions[0].field, "warm_strictly_better");
-
-        // The scale headline gates both of its flags.
-        std::fs::write(
-            dir.join("BENCH_scale.json"),
-            "{\"view_ids_match\": true, \"bounded_matches\": false}",
-        )
-        .expect("write headline");
-        let outcome = check_headlines(&dir);
-        assert!(!outcome.passed());
-        assert!(outcome.regressions.iter().any(|r| r.field == "bounded_matches"));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,7 +1,7 @@
 //! # anonet-soak
 //!
 //! Seeded soak campaigns plus the perf-regression sentinel that turns
-//! the repo's `BENCH_*.json` trajectory into a gate.
+//! the committed `BENCH_soak.json` baseline into a gate.
 //!
 //! A **campaign** ([`run_campaign`]) sweeps the cells of a
 //! [`CampaignGrid`](anonet_testkit::CampaignGrid) — the cross product

@@ -5,14 +5,13 @@
 //! anonet-soak run   [--grid full|smoke] [--seed N] [--reps N]
 //!                   [--budget-secs N] [--out PATH] [--trace PATH]
 //! anonet-soak check [--baseline PATH] [--current PATH] [--band-pct P]
-//!                   [--bench-dir DIR] [run options for the fresh run]
+//!                   [run options for the fresh run]
 //! ```
 //!
 //! `run` executes a campaign and writes the report. `check` loads (or
-//! freshly runs) a current report, diffs it against the baseline, checks
-//! the committed headline `BENCH_*.json` invariants, and exits 1 on any
-//! regression — listing each regressed cell with its `tc1:…` replay
-//! string. A missing baseline degrades to a note (exit 0) so the gate
+//! freshly runs) a current report, diffs it against the baseline, and
+//! exits 1 on any regression — listing each regressed cell with its
+//! `tc1:…` replay string. A missing baseline degrades to a note (exit 0) so the gate
 //! can be adopted before a baseline is committed. Exit 2 is an
 //! operational error (bad flags, unreadable files, campaign failure).
 
@@ -34,7 +33,6 @@ struct Options {
     baseline: PathBuf,
     current: Option<PathBuf>,
     band: f64,
-    bench_dir: PathBuf,
     trace: Option<PathBuf>,
 }
 
@@ -50,7 +48,6 @@ impl Options {
             baseline: PathBuf::from(DEFAULT_BASELINE),
             current: None,
             band: diff::DEFAULT_BAND,
-            bench_dir: PathBuf::from("."),
             trace: None,
         }
     }
@@ -68,7 +65,7 @@ impl Options {
 fn usage() -> String {
     "usage: anonet-soak run   [--grid full|smoke] [--seed N] [--reps N] \
      [--budget-secs N] [--out PATH] [--trace PATH]\n       anonet-soak check [--baseline PATH] \
-     [--current PATH] [--band-pct P] [--bench-dir DIR] [run options]"
+     [--current PATH] [--band-pct P] [run options]"
         .to_string()
 }
 
@@ -107,9 +104,6 @@ fn parse(args: &mut std::env::Args, opts: &mut Options) -> Result<(), String> {
                     return Err(format!("--band-pct: {pct} is not in 0..=100"));
                 }
                 opts.band = pct / 100.0;
-            }
-            "--bench-dir" => {
-                opts.bench_dir = PathBuf::from(parse_value::<String>("--bench-dir", args.next())?);
             }
             "--trace" => {
                 opts.trace = Some(PathBuf::from(parse_value::<String>("--trace", args.next())?));
@@ -176,10 +170,6 @@ fn cmd_check(opts: &Options) -> Result<ExitCode, SoakError> {
             opts.baseline.display()
         ));
     }
-    let headlines = diff::check_headlines(&opts.bench_dir);
-    outcome.regressions.extend(headlines.regressions);
-    outcome.notes.extend(headlines.notes);
-
     print!("{}", diff::render(&outcome));
     Ok(if outcome.passed() { ExitCode::SUCCESS } else { ExitCode::FAILURE })
 }

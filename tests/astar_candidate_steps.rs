@@ -252,7 +252,7 @@ fn matching_on_small_lifts_keeps_its_pins() {
 
 /// The full grid: every lift of both problems on every engine, the
 /// reference included wherever the run succeeds. About two minutes in a
-/// release build; the `astar-perf` CI job runs it with `--ignored`.
+/// release build; the `reports` CI job runs it with `--ignored`.
 #[test]
 #[ignore = "release-mode sweep: the literal reference takes minutes here"]
 fn full_lift_sweep_matches_the_reference() {
