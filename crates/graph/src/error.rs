@@ -48,6 +48,12 @@ pub enum GraphError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// The degrees sum past `u32::MAX`, the range of a graph's adjacency
+    /// offsets.
+    TooManyHalfEdges {
+        /// The half-edge count at which the offsets overflowed.
+        half_edges: usize,
+    },
     /// A randomized generator exhausted its retry budget without producing
     /// a graph with the requested property (e.g. a connected lift).
     RetriesExhausted {
@@ -81,6 +87,9 @@ impl fmt::Display for GraphError {
             GraphError::InvalidParameter { reason } => {
                 write!(f, "invalid parameter: {reason}")
             }
+            GraphError::TooManyHalfEdges { half_edges } => {
+                write!(f, "{half_edges} half-edges exceed the u32 adjacency offsets")
+            }
             GraphError::RetriesExhausted { what, attempts } => {
                 write!(f, "failed to generate {what} after {attempts} attempts")
             }
@@ -105,6 +114,7 @@ mod tests {
             GraphError::LabelCountMismatch { labels: 2, nodes: 3 },
             GraphError::InvalidPermutation { len: 4 },
             GraphError::InvalidParameter { reason: "n < 3".into() },
+            GraphError::TooManyHalfEdges { half_edges: 1 << 32 },
             GraphError::RetriesExhausted { what: "a connected lift".into(), attempts: 7 },
         ];
         for e in errors {

@@ -1,6 +1,8 @@
 //! The port-numbered simple graph at the heart of the model.
 
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::GraphError;
 use crate::labeled::LabeledGraph;
@@ -49,6 +51,14 @@ impl fmt::Display for Edge {
 /// Graphs are immutable after construction; build them with
 /// [`GraphBuilder`] or the [`generators`](crate::generators) module.
 ///
+/// The adjacency lists are stored once, in compressed sparse row form in
+/// two [`Arc`] slices: `u32` offsets and one neighbor array in port order,
+/// `4 + 4·deg(v)` bytes per node. Cloning a graph bumps reference counts,
+/// so every labeling of one topology ([`Graph::with_labels`],
+/// [`LabeledGraph::map_labels`], [`LabeledGraph::zip`], lifted labels)
+/// shares one copy. Equality and hashing are by content (equality first
+/// compares the pointers).
+///
 /// # Example
 ///
 /// ```
@@ -63,10 +73,136 @@ impl fmt::Display for Edge {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Graph {
-    /// `adj[v]` lists the neighbors of `v`; index = port number.
-    adj: Vec<Vec<NodeId>>,
+    /// Node `v`'s neighbors, in port order, are
+    /// `nbrs[offsets[v]..offsets[v + 1]]`, so `offsets` has `n + 1`
+    /// entries.
+    offsets: Arc<[u32]>,
+    nbrs: Arc<[NodeId]>,
+}
+
+impl Graph {
+    /// The graph whose node `v` has degree `degrees[v]` and whose
+    /// neighbor slice `fill(v, slice)` writes, unvalidated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`GraphError::TooManyHalfEdges`] if the degrees sum past
+    /// `u32::MAX`.
+    fn build(
+        degrees: impl ExactSizeIterator<Item = usize>,
+        fill: impl FnMut(usize, &mut [NodeId]),
+    ) -> Result<Graph> {
+        Ok(Graph::with_offsets(offsets_of(degrees)?, fill))
+    }
+
+    /// The graph with these offsets whose node `v`'s neighbor slice
+    /// `fill(v, slice)` writes, unvalidated. Allocates the neighbor array
+    /// and nothing else.
+    fn with_offsets(offsets: Arc<[u32]>, mut fill: impl FnMut(usize, &mut [NodeId])) -> Graph {
+        let total = offsets.last().map_or(0, |&end| end as usize);
+        let mut nbrs: Arc<[NodeId]> = (0..total).map(|_| NodeId::default()).collect();
+        let slots = Arc::get_mut(&mut nbrs).expect("a fresh Arc has one owner");
+        for (v, w) in offsets.windows(2).enumerate() {
+            fill(v, &mut slots[w[0] as usize..w[1] as usize]);
+        }
+        Graph { offsets, nbrs }
+    }
+
+    /// Checks that the lists describe a simple symmetric graph, in
+    /// `O(n + m)`. The error is the one a scan of the half-edges in node
+    /// then port order meets first, checking each for an out-of-range
+    /// target, a loop, a repeat within its list, and a missing reverse
+    /// half-edge, in that order.
+    fn validate(&self) -> Result<()> {
+        let n = self.node_count();
+        let range = |v: usize| self.half_edges(NodeId::new(v));
+        // Pass 1: the first out-of-range target, loop or repeat. `seen[u]`
+        // is the last node whose list named `u`, plus one.
+        let mut seen = vec![0usize; n];
+        let mut fault = None;
+        'scan: for v in 0..n {
+            for i in range(v) {
+                let u = self.nbrs[i].index();
+                let err = if u >= n {
+                    GraphError::NodeOutOfRange { node: u, n }
+                } else if u == v {
+                    GraphError::LoopEdge { node: v }
+                } else if seen[u] == v + 1 {
+                    GraphError::ParallelEdge { u: v, v: u }
+                } else {
+                    seen[u] = v + 1;
+                    continue;
+                };
+                fault = Some((i, err));
+                break 'scan;
+            }
+        }
+        let scanned = fault.as_ref().map_or(self.nbrs.len(), |(i, _)| *i);
+
+        // Pass 2: the first half-edge before `scanned` whose target does not
+        // list its source. Bucket the sources by target (counting sort, so
+        // each bucket is in scan order), then mark each target's own list
+        // and look its sources up.
+        let mut bucket = vec![0u32; n + 1];
+        for u in &self.nbrs[..scanned] {
+            bucket[u.index() + 1] += 1;
+        }
+        for u in 0..n {
+            bucket[u + 1] += bucket[u];
+        }
+        let mut sources = vec![(0u32, 0u32); scanned];
+        let mut next = bucket.clone();
+        for v in 0..n {
+            for i in range(v).take_while(|&i| i < scanned) {
+                let u = self.nbrs[i].index();
+                sources[next[u] as usize] = (v as u32, i as u32);
+                next[u] += 1;
+            }
+        }
+        seen.fill(0);
+        let mut asymmetric: Option<(u32, u32, usize)> = None;
+        for u in 0..n {
+            for w in &self.nbrs[range(u)] {
+                if w.index() < n {
+                    seen[w.index()] = u + 1;
+                }
+            }
+            for &(v, i) in &sources[bucket[u] as usize..bucket[u + 1] as usize] {
+                if seen[v as usize] != u + 1 && asymmetric.is_none_or(|(_, j, _)| i < j) {
+                    asymmetric = Some((v, i, u));
+                }
+            }
+        }
+        match (asymmetric, fault) {
+            (Some((v, _, u)), _) => Err(GraphError::InvalidParameter {
+                reason: format!(
+                    "adjacency not symmetric: {v} lists {} but not vice versa",
+                    NodeId::new(u)
+                ),
+            }),
+            (None, Some((_, err))) => Err(err),
+            (None, None) => Ok(()),
+        }
+    }
+}
+
+/// The `n + 1` prefix sums of `degrees`: a CSR offset array.
+///
+/// # Errors
+///
+/// Returns [`GraphError::TooManyHalfEdges`] once a prefix passes
+/// `u32::MAX`.
+fn offsets_of(degrees: impl ExactSizeIterator<Item = usize>) -> Result<Arc<[u32]>> {
+    let mut offsets: Arc<[u32]> = (0..=degrees.len()).map(|_| 0).collect();
+    let slots = Arc::get_mut(&mut offsets).expect("a fresh Arc has one owner");
+    let mut end = 0usize;
+    for (slot, d) in slots[1..].iter_mut().zip(degrees) {
+        end = end.saturating_add(d);
+        *slot = u32::try_from(end).map_err(|_| GraphError::TooManyHalfEdges { half_edges: end })?;
+    }
+    Ok(offsets)
 }
 
 impl Graph {
@@ -93,13 +229,27 @@ impl Graph {
     }
 
     /// Number of nodes.
+    #[inline]
     pub fn node_count(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(Vec::len).sum::<usize>() / 2
+        self.nbrs.len() / 2
+    }
+
+    /// The positions of `v`'s ports in the graph's flat half-edge order:
+    /// node by node, port by port. Port `p` of `v` is half-edge
+    /// `half_edges(v).start + p`, so per-half-edge data can live in one
+    /// array laid out like the adjacency.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is out of range.
+    #[inline]
+    pub fn half_edges(&self, v: NodeId) -> Range<usize> {
+        self.offsets[v.index()] as usize..self.offsets[v.index() + 1] as usize
     }
 
     /// Degree of `v`.
@@ -107,18 +257,19 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn degree(&self, v: NodeId) -> usize {
-        self.adj[v.index()].len()
+        self.half_edges(v).len()
     }
 
     /// Maximum degree over all nodes.
     pub fn max_degree(&self) -> usize {
-        self.adj.iter().map(Vec::len).max().unwrap_or(0)
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
     }
 
     /// Iterates over all node identifiers `0..n`.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.adj.len()).map(NodeId::new)
+        (0..self.node_count()).map(NodeId::new)
     }
 
     /// Neighbors of `v` in port order (`Γ(v)`).
@@ -126,8 +277,9 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
+    #[inline]
     pub fn neighbors(&self, v: NodeId) -> &[NodeId] {
-        &self.adj[v.index()]
+        &self.nbrs[self.half_edges(v)]
     }
 
     /// The neighbor of `v` reached through `port`.
@@ -135,13 +287,14 @@ impl Graph {
     /// # Panics
     ///
     /// Panics if `v` or `port` is out of range.
+    #[inline]
     pub fn endpoint(&self, v: NodeId, port: Port) -> NodeId {
-        self.adj[v.index()][port.index()]
+        self.neighbors(v)[port.index()]
     }
 
     /// The port of `v` that leads to `u`, if `(v, u)` is an edge.
     pub fn port_to(&self, v: NodeId, u: NodeId) -> Option<Port> {
-        self.adj[v.index()].iter().position(|&w| w == u).map(Port::new)
+        self.neighbors(v).iter().position(|&w| w == u).map(Port::new)
     }
 
     /// The port on the *other* side of the edge `(v, endpoint(v, port))`,
@@ -157,14 +310,13 @@ impl Graph {
 
     /// `true` if `(u, v)` is an edge.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.adj[u.index()].contains(&v)
+        self.neighbors(u).contains(&v)
     }
 
     /// Iterates over all undirected edges, each reported once with `u < v`.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        self.adj.iter().enumerate().flat_map(|(u, nbrs)| {
-            let u = NodeId::new(u);
-            nbrs.iter().filter(move |&&v| u < v).map(move |&v| Edge { u, v })
+        self.nodes().flat_map(|u| {
+            self.neighbors(u).iter().filter(move |&&v| u < v).map(move |&v| Edge { u, v })
         })
     }
 
@@ -245,12 +397,13 @@ impl Graph {
         if perm.len() != n {
             return Err(GraphError::InvalidPermutation { len: perm.len() });
         }
-        let mut adj = vec![Vec::new(); n];
-        for v in self.nodes() {
-            adj[perm.apply(v.index())] =
-                self.adj[v.index()].iter().map(|u| NodeId::new(perm.apply(u.index()))).collect();
-        }
-        Ok(Graph { adj })
+        let old = perm.inverse();
+        let old_of = |w: usize| NodeId::new(old.apply(w));
+        Graph::build((0..n).map(|w| self.degree(old_of(w))), |w, slot| {
+            for (s, u) in slot.iter_mut().zip(self.neighbors(old_of(w))) {
+                *s = NodeId::new(perm.apply(u.index()));
+            }
+        })
     }
 
     /// Re-permutes the port numbering of every node: new port `p` of `v`
@@ -267,16 +420,19 @@ impl Graph {
         if perms.len() != self.node_count() {
             return Err(GraphError::InvalidPermutation { len: perms.len() });
         }
-        let mut adj = Vec::with_capacity(self.node_count());
         for v in self.nodes() {
-            let d = self.degree(v);
             let perm = &perms[v.index()];
-            if perm.len() != d {
+            if perm.len() != self.degree(v) {
                 return Err(GraphError::InvalidPermutation { len: perm.len() });
             }
-            adj.push((0..d).map(|p| self.adj[v.index()][perm.apply(p)]).collect());
         }
-        Ok(Graph { adj })
+        // Same degrees, so the permuted graph shares the offsets.
+        Ok(Graph::with_offsets(Arc::clone(&self.offsets), |v, slot| {
+            let nbrs = self.neighbors(NodeId::new(v));
+            for (p, s) in slot.iter_mut().enumerate() {
+                *s = nbrs[perms[v].apply(p)];
+            }
+        }))
     }
 
     /// Re-permutes every node's ports uniformly at random — a seeded
@@ -288,9 +444,24 @@ impl Graph {
         self.with_ports_permuted(&perms).expect("per-node permutations match degrees")
     }
 
-    /// Internal constructor from validated adjacency lists.
-    pub(crate) fn from_adjacency_unchecked(adj: Vec<Vec<NodeId>>) -> Self {
-        Graph { adj }
+    /// Builds the graph whose node `v` has degree `degrees[v]` and whose
+    /// port-ordered neighbors `fill(v, slice)` writes, validating it as
+    /// [`Graph::from_adjacency`] does. Makes a constant number of
+    /// allocations, whatever the size.
+    ///
+    /// # Errors
+    ///
+    /// As [`Graph::from_adjacency`].
+    pub(crate) fn from_fill(
+        degrees: impl ExactSizeIterator<Item = usize>,
+        fill: impl FnMut(usize, &mut [NodeId]),
+    ) -> Result<Self> {
+        if degrees.len() == 0 {
+            return Err(GraphError::Empty);
+        }
+        let g = Graph::build(degrees, fill)?;
+        g.validate()?;
+        Ok(g)
     }
 
     /// Builds a graph from explicit adjacency lists, validating that the
@@ -300,34 +471,25 @@ impl Graph {
     /// # Errors
     ///
     /// Returns an error for an empty node set, out-of-range entries,
-    /// loops, duplicate neighbors, or asymmetric adjacency.
+    /// loops, duplicate neighbors, or asymmetric adjacency — the first one
+    /// met scanning the lists in order, each entry checked for those four
+    /// faults in that order — or [`GraphError::TooManyHalfEdges`] for more
+    /// than `u32::MAX` entries in all.
     pub fn from_adjacency(adj: Vec<Vec<NodeId>>) -> Result<Self> {
-        let n = adj.len();
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        for (v, nbrs) in adj.iter().enumerate() {
-            let mut seen = std::collections::HashSet::new();
-            for &u in nbrs {
-                if u.index() >= n {
-                    return Err(GraphError::NodeOutOfRange { node: u.index(), n });
-                }
-                if u.index() == v {
-                    return Err(GraphError::LoopEdge { node: v });
-                }
-                if !seen.insert(u) {
-                    return Err(GraphError::ParallelEdge { u: v, v: u.index() });
-                }
-                if !adj[u.index()].contains(&NodeId::new(v)) {
-                    return Err(GraphError::InvalidParameter {
-                        reason: format!(
-                            "adjacency not symmetric: {v} lists {u} but not vice versa"
-                        ),
-                    });
-                }
+        Graph::from_fill(adj.iter().map(Vec::len), |v, slot| slot.copy_from_slice(&adj[v]))
+    }
+}
+
+impl fmt::Debug for Graph {
+    /// Prints the adjacency lists: `Graph { adj: [[NodeId(1)], …] }`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Lists<'a>(&'a Graph);
+        impl fmt::Debug for Lists<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.nodes().map(|v| self.0.neighbors(v))).finish()
             }
         }
-        Ok(Graph { adj })
+        f.debug_struct("Graph").field("adj", &Lists(self)).finish()
     }
 }
 
@@ -396,12 +558,14 @@ impl GraphBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::Empty`] for zero nodes.
+    /// Returns [`GraphError::Empty`] for zero nodes, or
+    /// [`GraphError::TooManyHalfEdges`] past `u32::MAX` half-edges.
     pub fn build_unconnected(self) -> Result<Graph> {
         if self.adj.is_empty() {
             return Err(GraphError::Empty);
         }
-        Ok(Graph::from_adjacency_unchecked(self.adj))
+        let adj = &self.adj;
+        Graph::build(adj.iter().map(Vec::len), |v, slot| slot.copy_from_slice(&adj[v]))
     }
 }
 
@@ -564,6 +728,15 @@ mod tests {
                 assert_eq!(h.reverse_port(h.endpoint(v, p), h.reverse_port(v, p)), p);
             }
         }
+    }
+
+    #[test]
+    fn offsets_past_u32_max_are_a_typed_error() {
+        let degrees = [u32::MAX as usize, 1].into_iter();
+        assert_eq!(
+            offsets_of(degrees).unwrap_err(),
+            GraphError::TooManyHalfEdges { half_edges: 1 << 32 }
+        );
     }
 
     #[test]

@@ -183,13 +183,14 @@ pub fn lift(base: &Graph, m: usize, voltages: &[Perm]) -> Result<Lift> {
     let edge_index: std::collections::HashMap<crate::graph::Edge, usize> =
         edges.iter().enumerate().map(|(k, &e)| (e, k)).collect();
     let inverses: Vec<Perm> = voltages.iter().map(Perm::inverse).collect();
-    // The permutation each port of each base node applies. The voltage
-    // acts along the canonical direction e.u → e.v; traversing against it
-    // applies the inverse.
-    let port_perms: Vec<Vec<&Perm>> = base
+    // The permutation each base half-edge applies, laid out like the base
+    // adjacency. The voltage acts along the canonical direction
+    // e.u → e.v; traversing against it applies the inverse.
+    let (edge_index, inverses) = (&edge_index, &inverses);
+    let port_perms: Vec<&Perm> = base
         .nodes()
-        .map(|v| {
-            let port_perm = |&u: &NodeId| {
+        .flat_map(|v| {
+            base.neighbors(v).iter().map(move |&u| {
                 let e = crate::graph::Edge::new(v, u);
                 let k = edge_index[&e];
                 if v == e.u {
@@ -197,28 +198,22 @@ pub fn lift(base: &Graph, m: usize, voltages: &[Perm]) -> Result<Lift> {
                 } else {
                     &inverses[k]
                 }
-            };
-            base.neighbors(v).iter().map(port_perm).collect()
+            })
         })
         .collect();
-    // Build adjacency directly so that port p of lift node (v, i) leads to
-    // a lift of the base neighbor at port p of v. This makes the projection
-    // a *port-preserving* local isomorphism, which is what lifting whole
+    // Write the lifted adjacency directly: lift node (v, i) sits at index
+    // v·m + i with degree deg(v), and port p of it leads to a lift of the
+    // base neighbor at port p of v. This makes the projection a
+    // *port-preserving* local isomorphism, which is what lifting whole
     // executions of port-aware algorithms requires.
-    let mut adj: Vec<Vec<NodeId>> = Vec::with_capacity(base_n * m);
-    for v in base.nodes() {
-        let perms = &port_perms[v.index()];
-        for i in 0..m {
-            adj.push(
-                base.neighbors(v)
-                    .iter()
-                    .zip(perms)
-                    .map(|(&u, perm)| idx(u, perm.apply(i)))
-                    .collect(),
-            );
-        }
-    }
-    let graph = Graph::from_adjacency(adj)?;
+    let graph =
+        Graph::from_fill((0..base_n * m).map(|x| base.degree(NodeId::new(x / m))), |x, slot| {
+            let (v, i) = (NodeId::new(x / m), x % m);
+            let perms = &port_perms[base.half_edges(v)];
+            for ((s, &u), perm) in slot.iter_mut().zip(base.neighbors(v)).zip(perms) {
+                *s = idx(u, perm.apply(i));
+            }
+        })?;
     let projection = (0..base_n * m).map(|x| NodeId::new(x / m)).collect();
     Ok(Lift { graph, projection, multiplicity: m })
 }

@@ -98,10 +98,8 @@ struct Plan {
     /// `first_round[k]`: the earliest round among code bits `0..=k`, the
     /// first round that changes when code bits `0..=k` do.
     first_round: Vec<usize>,
-    /// CSR neighbour list: node `v`'s neighbours, with multiplicity, are
-    /// `adj[offsets[v]..offsets[v + 1]]`.
-    offsets: Vec<usize>,
-    adj: Vec<usize>,
+    /// The network (a shared handle, not a copy).
+    graph: Graph,
 }
 
 impl Plan {
@@ -158,15 +156,7 @@ impl Plan {
                 Some(*min)
             })
             .collect();
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut adj = Vec::new();
-        offsets.push(0);
-        for v in g.nodes() {
-            adj.extend(g.neighbors(v).iter().map(|u| u.index()));
-            offsets.push(adj.len());
-        }
-        Ok(Plan { n, target, bits, tape, first_round, offsets, adj })
+        Ok(Plan { n, target, bits, tape, first_round, graph: g.clone() })
     }
 
     /// Node `v`'s bit in `round` under `code`, or `None` past its tape.
@@ -325,9 +315,10 @@ impl<A: ObliviousAlgorithm> Checkpoints<A> {
                 }
                 received.clear();
                 received.extend(
-                    plan.adj[plan.offsets[v]..plan.offsets[v + 1]]
+                    plan.graph
+                        .neighbors(NodeId::new(v))
                         .iter()
-                        .filter_map(|&u| self.messages[u].as_ref()),
+                        .filter_map(|u| self.messages[u.index()].as_ref()),
                 );
                 received.sort();
                 let state = self.states[prev + v].clone();

@@ -283,7 +283,9 @@ fn dense_ids_flat<T: Ord>(
 /// written once.
 struct RoundKernel {
     mode: ViewMode,
-    offsets: Vec<usize>,
+    /// Node `v`'s key is `keys[stride·a..stride·b]` for its half-edges
+    /// `a..b`: one `u32` per port under [`ViewMode::Portless`], two under
+    /// [`ViewMode::PortAware`].
     keys: Vec<u32>,
     order: Vec<u32>,
     bucket_ends: Vec<usize>,
@@ -291,34 +293,23 @@ struct RoundKernel {
 
 impl RoundKernel {
     fn new(graph: &Graph, mode: ViewMode, order: Vec<u32>) -> Self {
-        let stride = match mode {
-            ViewMode::Portless => 1,
-            ViewMode::PortAware => 2,
-        };
-        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
-        offsets.push(0);
-        let mut end = 0usize;
-        for v in graph.nodes() {
-            end += stride * graph.degree(v);
-            offsets.push(end);
-        }
-        let mut keys = vec![0u32; end];
+        let mut keys = vec![0u32; stride(mode) * 2 * graph.edge_count()];
         if mode == ViewMode::PortAware {
             for v in graph.nodes() {
-                let base = offsets[v.index()];
-                for p in 0..graph.degree(v) {
+                for (p, half_edge) in graph.half_edges(v).enumerate() {
                     let rev = graph.reverse_port(v, anonet_graph::Port::new(p));
-                    keys[base + 2 * p + 1] = rev.index() as u32;
+                    keys[2 * half_edge + 1] = rev.index() as u32;
                 }
             }
         }
-        RoundKernel { mode, offsets, keys, order, bucket_ends: Vec::new() }
+        RoundKernel { mode, keys, order, bucket_ends: Vec::new() }
     }
 
     /// Writes node `v`'s key (less its previous class) from `prev`.
     fn write_key(&mut self, graph: &Graph, prev: &[u32], v: usize) {
-        let key = &mut self.keys[self.offsets[v]..self.offsets[v + 1]];
-        let nbrs = graph.neighbors(NodeId::new(v));
+        let v = NodeId::new(v);
+        let key = &mut self.keys[key_range(graph, self.mode, v)];
+        let nbrs = graph.neighbors(v);
         match self.mode {
             ViewMode::Portless => {
                 for (slot, &u) in key.iter_mut().zip(nbrs) {
@@ -379,8 +370,8 @@ impl RoundKernel {
                     self.write_key(graph, prev, v);
                 }
             }
-            let (keys, offsets) = (&self.keys, &self.offsets);
-            let key = |v: u32| &keys[offsets[v as usize]..offsets[v as usize + 1]];
+            let (keys, mode) = (&self.keys, self.mode);
+            let key = |v: u32| &keys[key_range(graph, mode, NodeId::from(v))];
             let bucket = &mut self.order[lo..hi];
             lo = hi;
             let uniform = bucket.len() == 1 || {
@@ -407,6 +398,21 @@ impl RoundKernel {
         }
         count as usize
     }
+}
+
+/// `u32`s per port in a [`RoundKernel`] key.
+fn stride(mode: ViewMode) -> usize {
+    match mode {
+        ViewMode::Portless => 1,
+        ViewMode::PortAware => 2,
+    }
+}
+
+/// Node `v`'s slice of a [`RoundKernel`]'s keys: its half-edges, scaled
+/// by the stride.
+fn key_range(graph: &Graph, mode: ViewMode, v: NodeId) -> std::ops::Range<usize> {
+    let half_edges = graph.half_edges(v);
+    stride(mode) * half_edges.start..stride(mode) * half_edges.end
 }
 
 /// Every label encoded once into one byte buffer, with `n + 1` offsets
