@@ -452,7 +452,7 @@ impl Graph {
     /// # Errors
     ///
     /// As [`Graph::from_adjacency`].
-    pub(crate) fn from_fill(
+    pub fn from_fill(
         degrees: impl ExactSizeIterator<Item = usize>,
         fill: impl FnMut(usize, &mut [NodeId]),
     ) -> Result<Self> {

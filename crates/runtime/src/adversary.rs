@@ -6,10 +6,19 @@
 //! order in which it happens to iterate nodes within a round — and that
 //! independence is exactly the synchronizer reduction the Las-Vegas claims
 //! lean on. A [`RoundAdversary`] turns the claim into a tripwire: it picks,
-//! per round, the order in which the engine sweeps nodes through the
-//! compose (delivery) phase and the step (wakeup) phase. Any dependence of
-//! outputs on these orders is an engine or algorithm bug, surfaced by
-//! running the same seed under different adversaries and comparing.
+//! per round, the order in which the engine sweeps the live nodes through
+//! the compose (delivery) phase and the step (wakeup) phase. Any
+//! dependence of outputs on these orders is an engine or algorithm bug,
+//! surfaced by running the same seed under different adversaries and
+//! comparing.
+//!
+//! An adversary sees only the live set. Before each phase the engine fills
+//! one buffer, reused for the whole run, with the round's live nodes in
+//! ascending order, and the adversary reorders it in place. A round
+//! therefore costs the adversary and the engine's check of its answer
+//! `O(live)`, however many nodes have halted: [`FairScheduler`] leaves the
+//! buffer as it is, [`ReverseScheduler`] reverses it,
+//! [`SkewedScheduler`] rotates it, and [`ShuffledScheduler`] shuffles it.
 //!
 //! Random bits are *not* under adversary control: the engine draws them in
 //! canonical node order at the start of the round, mirroring the paper's
@@ -21,26 +30,28 @@
 //! not the schedule; build them with
 //! `anonet_graph::Graph::with_shuffled_ports` and friends.
 
-/// A per-round schedule: in which order the engine visits nodes during the
-/// compose (message delivery) and step (state transition) phases.
+/// A per-round schedule: in which order the engine visits the live nodes
+/// during the compose (message delivery) and step (state transition)
+/// phases.
 ///
-/// Implementations must return a permutation of `0..n`; the engine
-/// validates this and fails the execution with
+/// Each method receives `order` holding the round's live nodes in
+/// ascending order and must leave in it a permutation of those nodes. The
+/// engine checks this and fails the execution with
 /// [`RuntimeError::InvalidSchedule`](crate::RuntimeError::InvalidSchedule)
-/// otherwise. Halted nodes may appear in the order; the engine skips them.
+/// on a wrong length, an out-of-range entry, a repeat or a halted node,
+/// naming the phase, the round and the first bad entry.
 pub trait RoundAdversary {
-    /// The order in which nodes compose and deliver their messages in
-    /// `round` (1-indexed). Defaults to the fair (identity) order.
-    fn compose_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-        let _ = round;
-        (0..n).collect()
+    /// Reorders the live nodes into the order in which they compose and
+    /// deliver their messages in `round` (1-indexed). Defaults to the fair
+    /// (ascending) order: the buffer is left untouched.
+    fn compose_order(&mut self, order: &mut Vec<usize>, round: usize) {
+        let _ = (order, round);
     }
 
-    /// The order in which nodes step (wake up) in `round` (1-indexed).
-    /// Defaults to the fair (identity) order.
-    fn step_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-        let _ = round;
-        (0..n).collect()
+    /// Reorders the live nodes into the order in which they step (wake
+    /// up) in `round` (1-indexed). Defaults to the fair (ascending) order.
+    fn step_order(&mut self, order: &mut Vec<usize>, round: usize) {
+        let _ = (order, round);
     }
 
     /// A short human-readable name for reports and replay encodings.
@@ -49,7 +60,7 @@ pub trait RoundAdversary {
     }
 }
 
-/// The fair scheduler: canonical node order in both phases. This is what
+/// The fair scheduler: ascending node order in both phases. This is what
 /// [`run`](crate::run) uses.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FairScheduler;
@@ -60,18 +71,18 @@ impl RoundAdversary for FairScheduler {
     }
 }
 
-/// Sweeps nodes in reverse order in both phases — the cheapest
+/// Sweeps the live nodes in reverse order in both phases — the cheapest
 /// non-identity delay-reordering.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ReverseScheduler;
 
 impl RoundAdversary for ReverseScheduler {
-    fn compose_order(&mut self, n: usize, _round: usize) -> Vec<usize> {
-        (0..n).rev().collect()
+    fn compose_order(&mut self, order: &mut Vec<usize>, _round: usize) {
+        order.reverse();
     }
 
-    fn step_order(&mut self, n: usize, _round: usize) -> Vec<usize> {
-        (0..n).rev().collect()
+    fn step_order(&mut self, order: &mut Vec<usize>, _round: usize) {
+        order.reverse();
     }
 
     fn name(&self) -> &'static str {
@@ -79,9 +90,10 @@ impl RoundAdversary for ReverseScheduler {
     }
 }
 
-/// Skewed wakeups: each round starts its sweep at a different node
-/// (rotation by `round · stride`), so no node is consistently first or
-/// last. Models a synchronizer that releases nodes in drifting order.
+/// Skewed wakeups: each round starts its sweep at a different live node
+/// (rotation by `round · stride` positions), so no node is consistently
+/// first or last. Models a synchronizer that releases nodes in drifting
+/// order.
 #[derive(Clone, Copy, Debug)]
 pub struct SkewedScheduler {
     /// Rotation advance per round.
@@ -94,14 +106,22 @@ impl Default for SkewedScheduler {
     }
 }
 
+impl SkewedScheduler {
+    fn shift(&self, live: usize, round: usize) -> usize {
+        round.wrapping_mul(self.stride) % live.max(1)
+    }
+}
+
 impl RoundAdversary for SkewedScheduler {
-    fn compose_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-        rotate(n, round.wrapping_mul(self.stride))
+    fn compose_order(&mut self, order: &mut Vec<usize>, round: usize) {
+        let by = self.shift(order.len(), round);
+        order.rotate_left(by);
     }
 
-    fn step_order(&mut self, n: usize, round: usize) -> Vec<usize> {
+    fn step_order(&mut self, order: &mut Vec<usize>, round: usize) {
         // Step in the opposite rotation, so the two phases disagree too.
-        rotate(n, n.wrapping_sub(round.wrapping_mul(self.stride) % n.max(1)))
+        let by = self.shift(order.len(), round);
+        order.rotate_right(by);
     }
 
     fn name(&self) -> &'static str {
@@ -109,8 +129,9 @@ impl RoundAdversary for SkewedScheduler {
     }
 }
 
-/// A deterministic seeded shuffle, different in every round and phase:
-/// the strongest delay-reordering short of exhaustive order enumeration.
+/// A deterministic seeded shuffle of the live nodes, different in every
+/// round and phase: the strongest delay-reordering short of exhaustive
+/// order enumeration.
 #[derive(Clone, Copy, Debug)]
 pub struct ShuffledScheduler {
     key: u64,
@@ -125,12 +146,12 @@ impl ShuffledScheduler {
 }
 
 impl RoundAdversary for ShuffledScheduler {
-    fn compose_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-        keyed_shuffle(n, self.key ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15))
+    fn compose_order(&mut self, order: &mut Vec<usize>, round: usize) {
+        keyed_shuffle(order, self.key ^ (round as u64).wrapping_mul(0x9E3779B97F4A7C15));
     }
 
-    fn step_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-        keyed_shuffle(n, self.key ^ (round as u64).wrapping_mul(0xD1B54A32D192ED03) ^ 0x5555)
+    fn step_order(&mut self, order: &mut Vec<usize>, round: usize) {
+        keyed_shuffle(order, self.key ^ (round as u64).wrapping_mul(0xD1B54A32D192ED03) ^ 0x5555);
     }
 
     fn name(&self) -> &'static str {
@@ -138,16 +159,9 @@ impl RoundAdversary for ShuffledScheduler {
     }
 }
 
-fn rotate(n: usize, by: usize) -> Vec<usize> {
-    if n == 0 {
-        return Vec::new();
-    }
-    (0..n).map(|i| (i + by) % n).collect()
-}
-
 /// Fisher–Yates driven by SplitMix64 — self-contained so adversaries stay
 /// deterministic without threading an external RNG through the engine.
-fn keyed_shuffle(n: usize, mut state: u64) -> Vec<usize> {
+fn keyed_shuffle(order: &mut [usize], mut state: u64) {
     let mut next = move || {
         state = state.wrapping_add(0x9E3779B97F4A7C15);
         let mut x = state;
@@ -155,33 +169,27 @@ fn keyed_shuffle(n: usize, mut state: u64) -> Vec<usize> {
         x = (x ^ (x >> 27)).wrapping_mul(0x94D049BB133111EB);
         x ^ (x >> 31)
     };
-    let mut order: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
+    for i in (1..order.len()).rev() {
         let j = (next() % (i as u64 + 1)) as usize;
         order.swap(i, j);
     }
-    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn is_permutation(order: &[usize], n: usize) -> bool {
-        let mut seen = vec![false; n];
-        order.len() == n
-            && order.iter().all(|&v| {
-                if v < n && !seen[v] {
-                    seen[v] = true;
-                    true
-                } else {
-                    false
-                }
-            })
+    /// The orders `adv` makes of the live set `live` in `round`.
+    fn orders(adv: &mut dyn RoundAdversary, live: &[usize], round: usize) -> [Vec<usize>; 2] {
+        let mut compose = live.to_vec();
+        adv.compose_order(&mut compose, round);
+        let mut step = live.to_vec();
+        adv.step_order(&mut step, round);
+        [compose, step]
     }
 
     #[test]
-    fn all_schedulers_emit_permutations() {
+    fn all_schedulers_permute_the_live_set() {
         let mut adversaries: Vec<Box<dyn RoundAdversary>> = vec![
             Box::new(FairScheduler),
             Box::new(ReverseScheduler),
@@ -189,34 +197,52 @@ mod tests {
             Box::new(SkewedScheduler { stride: 3 }),
             Box::new(ShuffledScheduler::new(7)),
         ];
+        let sets: [&[usize]; 5] =
+            [&[], &[4], &[0, 9], &[1, 2, 3, 5, 8, 13, 21], &[0, 1, 2, 3, 4, 5]];
         for adv in &mut adversaries {
-            for n in [0usize, 1, 2, 7, 16] {
+            for live in sets {
                 for round in 1..=20 {
-                    assert!(is_permutation(&adv.compose_order(n, round), n), "{}", adv.name());
-                    assert!(is_permutation(&adv.step_order(n, round), n), "{}", adv.name());
+                    for mut order in orders(adv.as_mut(), live, round) {
+                        order.sort_unstable();
+                        assert_eq!(order, live, "{}", adv.name());
+                    }
                 }
             }
         }
     }
 
     #[test]
+    fn fair_leaves_the_buffer_untouched() {
+        let live = [2, 3, 7, 11];
+        assert_eq!(orders(&mut FairScheduler, &live, 5), [live.to_vec(), live.to_vec()]);
+    }
+
+    #[test]
     fn shuffled_is_deterministic_and_round_dependent() {
-        let mut a = ShuffledScheduler::new(42);
-        let mut b = ShuffledScheduler::new(42);
-        assert_eq!(a.compose_order(9, 3), b.compose_order(9, 3));
-        assert_eq!(a.step_order(9, 3), b.step_order(9, 3));
+        let live: Vec<usize> = (0..9).collect();
+        assert_eq!(
+            orders(&mut ShuffledScheduler::new(42), &live, 3),
+            orders(&mut ShuffledScheduler::new(42), &live, 3)
+        );
         let differs = (1..50).any(|r| {
-            ShuffledScheduler::new(42).compose_order(9, r)
-                != ShuffledScheduler::new(42).compose_order(9, r + 1)
+            orders(&mut ShuffledScheduler::new(42), &live, r)[0]
+                != orders(&mut ShuffledScheduler::new(42), &live, r + 1)[0]
         });
         assert!(differs, "shuffles must vary across rounds");
     }
 
     #[test]
-    fn skewed_rotates_the_start() {
+    fn skewed_rotates_the_start_of_the_live_set() {
         let mut s = SkewedScheduler::default();
-        assert_eq!(s.compose_order(4, 1), vec![1, 2, 3, 0]);
-        assert_eq!(s.compose_order(4, 2), vec![2, 3, 0, 1]);
+        assert_eq!(orders(&mut s, &[0, 1, 2, 3], 1), [vec![1, 2, 3, 0], vec![3, 0, 1, 2]]);
+        assert_eq!(orders(&mut s, &[0, 1, 2, 3], 2)[0], vec![2, 3, 0, 1]);
+        // Halted nodes are not in the set, so the rotation skips them.
+        assert_eq!(orders(&mut s, &[1, 5, 6], 4), [vec![5, 6, 1], vec![6, 1, 5]]);
+    }
+
+    #[test]
+    fn reverse_reverses_the_live_set() {
+        assert_eq!(orders(&mut ReverseScheduler, &[1, 5, 6], 1), [vec![6, 5, 1], vec![6, 5, 1]]);
     }
 
     #[test]

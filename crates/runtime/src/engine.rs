@@ -199,14 +199,14 @@ where
 }
 
 /// [`run`] under an explicit [`RoundAdversary`] controlling the within-round
-/// sweep orders (delivery and wakeup). Rounds are simultaneous in the
-/// model, so outputs must not depend on the adversary — divergence under
-/// different adversaries is an engine or algorithm bug.
+/// sweep orders (delivery and wakeup) of the live nodes. Rounds are
+/// simultaneous in the model, so outputs must not depend on the adversary —
+/// divergence under different adversaries is an engine or algorithm bug.
 ///
 /// # Errors
 ///
 /// As [`run`], plus [`RuntimeError::InvalidSchedule`] if the adversary
-/// emits something that is not a permutation of the node set.
+/// leaves something that is not a permutation of the round's live nodes.
 pub fn run_with_adversary<A, S>(
     alg: &A,
     net: &LabeledGraph<A::Input>,
@@ -232,8 +232,6 @@ where
     let mut outputs: Vec<Option<A::Output>> = vec![None; n];
     let mut output_rounds: Vec<Option<usize>> = vec![None; n];
     let mut halt_rounds: Vec<Option<usize>> = vec![None; n];
-    let mut halted = vec![false; n];
-    let mut active = n;
     let mut history: Option<Vec<Vec<A::State>>> =
         config.record_states.then(|| vec![snapshot(&states)]);
 
@@ -245,18 +243,25 @@ where
     let mut active_per_round: Vec<usize> = Vec::new();
     let mut bits_consumed = 0usize;
     let mut rounds = 0usize;
+    // The live nodes in ascending order: every sweep of a round walks
+    // this list (or the adversary's permutation of it), and nodes that
+    // halt leave it at the end of their round.
+    let mut live: Vec<usize> = (0..n).collect();
+    let mut halted = vec![false; n];
+    // The adversary's buffer, refilled from `live` before each phase.
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut seen = OrderStamps::new(n);
     // One reusable outgoing buffer per node, filled by `compose_round`:
     // a single entry for a uniform sender, one per port otherwise.
     let mut outgoing: Vec<Vec<Option<A::Message>>> = vec![Vec::new(); n];
-    // Only active nodes' bits are read, and each round writes all of them.
+    // Only live nodes' bits are read, and each round writes all of them.
     let mut bits: Vec<bool> = vec![false; n];
-    let mut seen = OrderStamps::new(n);
     // The inbox slot buffer, kept empty between rounds: each round's
     // slots borrow that round's outgoing buffers.
     let mut spare_slots: Vec<Option<&'static ()>> = Vec::new();
 
     let status = loop {
-        if active == 0 {
+        if live.is_empty() {
             break Status::Completed;
         }
         let round = rounds + 1;
@@ -264,15 +269,12 @@ where
             break Status::MaxRounds;
         }
 
-        // Draw this round's bits for active nodes first: if any tape is
+        // Draw this round's bits for live nodes first: if any tape is
         // exhausted, the prescribed simulation ends *before* this round.
         let mut exhausted = false;
-        for v in g.nodes() {
-            if halted[v.index()] {
-                continue;
-            }
-            match source.bit(v, round) {
-                Some(b) => bits[v.index()] = b,
+        for &i in &live {
+            match source.bit(NodeId::new(i), round) {
+                Some(b) => bits[i] = b,
                 None => {
                     exhausted = true;
                     break;
@@ -283,25 +285,23 @@ where
             break Status::OutOfBits;
         }
 
-        active_per_round.push(active);
+        active_per_round.push(live.len());
         let round_message_base = messages_sent;
 
         // Compose, in the adversary's delivery order. Every node composes
         // against the same pre-round state snapshot into its own buffer,
         // so the order cannot change the delivered messages — the
-        // adversary only gets to prove that. A halted node's buffer stays
-        // empty: its neighbors hear silence.
-        let order = adversary.compose_order(n, round);
-        seen.check(&order, round, "compose")?;
+        // adversary only gets to prove that. A halted node's buffer was
+        // emptied when it left the live list: its neighbors hear silence.
+        order.clone_from(&live);
+        adversary.compose_order(&mut order, round);
+        seen.check(&order, &halted, live.len(), round, "compose")?;
         for &i in &order {
-            let out = &mut outgoing[i];
-            out.clear();
-            if halted[i] {
-                continue;
-            }
             let Some(state) = states[i].as_ref() else {
                 continue;
             };
+            let out = &mut outgoing[i];
+            out.clear();
             let v = NodeId::new(i);
             let degree = g.degree(v);
             alg.compose_round(state, degree, out);
@@ -341,13 +341,12 @@ where
         // the next round, and each node writes only its own slots, so
         // this order is equally inert. One slot buffer serves every inbox
         // of the run.
-        let order = adversary.step_order(n, round);
-        seen.check(&order, round, "step")?;
+        order.clone_from(&live);
+        adversary.step_order(&mut order, round);
+        seen.check(&order, &halted, live.len(), round, "step")?;
+        let mut any_halted = false;
         let mut slots: Vec<Option<&A::Message>> = recycle(std::mem::take(&mut spare_slots));
         for &i in &order {
-            if halted[i] {
-                continue;
-            }
             let Some(state) = states[i].take() else {
                 continue;
             };
@@ -377,7 +376,7 @@ where
             outputs[i] = actions.output;
             if actions.halt {
                 halted[i] = true;
-                active -= 1;
+                any_halted = true;
                 halt_rounds[i] = Some(round);
                 if let Some(ev) = events.as_mut() {
                     ev.push(crate::Event::Halted { round, node: v });
@@ -386,6 +385,16 @@ where
         }
 
         spare_slots = recycle(slots);
+        // Nodes that halted leave the live list, and their emptied
+        // buffers are silence to their neighbors from the next round on.
+        if any_halted {
+            live.retain(|&i| {
+                if halted[i] {
+                    outgoing[i].clear();
+                }
+                !halted[i]
+            });
+        }
         rounds = round;
         messages_per_round.push(messages_sent - round_message_base);
         if let Some(h) = history.as_mut() {
@@ -427,9 +436,10 @@ fn snapshot<S: Clone>(states: &[Option<S>]) -> Vec<S> {
     states.iter().flatten().cloned().collect()
 }
 
-/// Validates adversary-supplied orders as permutations of `0..n`, in
-/// place: `stamp[v] == epoch` marks node `v` as seen by the current check,
-/// and each check starts a fresh epoch, so the buffer is never cleared.
+/// Validates adversary-supplied orders as permutations of the live set,
+/// in place: `stamp[v] == epoch` marks node `v` as seen by the current
+/// check, and each check starts a fresh epoch, so the buffer is never
+/// cleared and a check costs `O(live)`.
 struct OrderStamps {
     stamp: Vec<u64>,
     epoch: u64,
@@ -440,18 +450,25 @@ impl OrderStamps {
         OrderStamps { stamp: vec![0; n], epoch: 0 }
     }
 
-    /// Checks `order`; the error names the phase, the round and the first
+    /// Checks that `order` is a permutation of the `live` nodes not marked
+    /// `halted`; the error names the phase, the round and the first
     /// offending entry, never the whole order.
-    fn check(&mut self, order: &[usize], round: usize, phase: &str) -> Result<()> {
-        let n = self.stamp.len();
+    fn check(
+        &mut self,
+        order: &[usize],
+        halted: &[bool],
+        live: usize,
+        round: usize,
+        phase: &str,
+    ) -> Result<()> {
         let invalid = |what: String| {
             Err(RuntimeError::InvalidSchedule {
                 round,
-                reason: format!("{phase} order is not a permutation of 0..{n}: {what}"),
+                reason: format!("{phase} order is not a permutation of the live set: {what}"),
             })
         };
-        if order.len() != n {
-            return invalid(format!("it has {} entries", order.len()));
+        if order.len() != live {
+            return invalid(format!("{} entries for {live} live", order.len()));
         }
         self.epoch += 1;
         for (k, &v) in order.iter().enumerate() {
@@ -460,6 +477,7 @@ impl OrderStamps {
                 Some(s) if *s == self.epoch => {
                     return invalid(format!("entry {k} repeats node {v}"));
                 }
+                Some(_) if halted[v] => return invalid(format!("entry {k} is {v}, which halted")),
                 Some(s) => *s = self.epoch,
             }
         }
@@ -472,7 +490,7 @@ mod tests {
     use super::*;
     use crate::assignment::BitAssignment;
     use crate::randomness::{RngSource, TapeSource, ZeroSource};
-    use anonet_graph::{generators, BitString, Graph};
+    use anonet_graph::{generators, BitString, Graph, LabeledGraph};
 
     /// Each node floods the maximum input label it has seen; after `k`
     /// rounds it outputs that maximum and halts.
@@ -813,8 +831,8 @@ mod tests {
     fn malformed_schedules_are_rejected() {
         struct Bad;
         impl crate::adversary::RoundAdversary for Bad {
-            fn step_order(&mut self, n: usize, _round: usize) -> Vec<usize> {
-                vec![0; n] // not a permutation
+            fn step_order(&mut self, order: &mut Vec<usize>, _round: usize) {
+                order.fill(0); // not a permutation
             }
         }
         let net = generators::cycle(3).unwrap().with_uniform_label(0u32);
@@ -830,6 +848,83 @@ mod tests {
         assert!(err.to_string().contains("permutation"));
     }
 
+    /// A 200-node cycle whose odd nodes halt in round 1 and even nodes in
+    /// round 5: 200 live nodes in round 1, the 100 even ones in rounds 2–5.
+    fn staggered() -> LabeledGraph<u32> {
+        let halts = (0..200).map(|i| if i % 2 == 1 { 1 } else { 5 }).collect();
+        generators::cycle(200).unwrap().with_labels(halts).unwrap()
+    }
+
+    /// Each node outputs the round its input names, and halts, then;
+    /// nothing is sent.
+    #[derive(Debug)]
+    struct Staggered;
+
+    impl Algorithm for Staggered {
+        type Input = u32;
+        type Message = ();
+        type Output = usize;
+        type State = u32;
+
+        fn init(&self, input: &u32, _: usize) -> u32 {
+            *input
+        }
+        fn compose(&self, _: &u32, _: Port) -> Option<()> {
+            None
+        }
+        fn step(
+            &self,
+            halt: u32,
+            round: usize,
+            _: &Inbox<()>,
+            _: bool,
+            actions: &mut Actions<usize>,
+        ) -> u32 {
+            if round == halt as usize {
+                actions.output(round);
+                actions.halt();
+            }
+            halt
+        }
+    }
+
+    /// Records the buffer the engine hands over in each phase and round.
+    #[derive(Default)]
+    struct Recording {
+        compose: Vec<Vec<usize>>,
+        step: Vec<Vec<usize>>,
+    }
+
+    impl crate::adversary::RoundAdversary for Recording {
+        fn compose_order(&mut self, order: &mut Vec<usize>, round: usize) {
+            assert_eq!(self.compose.len() + 1, round);
+            self.compose.push(order.clone());
+        }
+        fn step_order(&mut self, order: &mut Vec<usize>, round: usize) {
+            assert_eq!(self.step.len() + 1, round);
+            self.step.push(order.clone());
+        }
+    }
+
+    #[test]
+    fn an_adversary_is_shown_exactly_the_live_nodes() {
+        let net = staggered();
+        let mut adv = Recording::default();
+        let exec =
+            run_with_adversary(&Staggered, &net, &mut ZeroSource, &ExecConfig::default(), &mut adv)
+                .unwrap();
+        assert_eq!(exec.rounds(), 5);
+        assert_eq!(exec.active_per_round(), &[200, 100, 100, 100, 100]);
+        assert_eq!(adv.compose, adv.step);
+        for (r, shown) in adv.compose.iter().enumerate() {
+            assert_eq!(shown.len(), exec.active_per_round()[r], "round {}", r + 1);
+            // Ascending, and exactly the nodes that had not halted.
+            let live: Vec<usize> =
+                (0..200).filter(|&i| exec.halt_rounds()[i].is_none_or(|h| h > r)).collect();
+            assert_eq!(shown, &live, "round {}", r + 1);
+        }
+    }
+
     /// Fair in both phases, except that `bad_round`'s orders pass through
     /// `spoil`.
     struct Spoiled {
@@ -839,31 +934,28 @@ mod tests {
     }
 
     impl Spoiled {
-        fn order(&self, phase: &str, n: usize, round: usize) -> Vec<usize> {
-            let mut order: Vec<usize> = (0..n).collect();
+        fn order(&self, phase: &str, order: &mut Vec<usize>, round: usize) {
             if round == self.bad_round && phase == self.phase {
-                (self.spoil)(&mut order);
+                (self.spoil)(order);
             }
-            order
         }
     }
 
     impl crate::adversary::RoundAdversary for Spoiled {
-        fn compose_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-            self.order("compose", n, round)
+        fn compose_order(&mut self, order: &mut Vec<usize>, round: usize) {
+            self.order("compose", order, round);
         }
-        fn step_order(&mut self, n: usize, round: usize) -> Vec<usize> {
-            self.order("step", n, round)
+        fn step_order(&mut self, order: &mut Vec<usize>, round: usize) {
+            self.order("step", order, round);
         }
     }
 
-    /// Runs a 5-round flood on a 200-node cycle under `adversary` and
-    /// returns its schedule error.
+    /// Runs `Staggered` on [`staggered`] under `adversary` and returns its
+    /// schedule error.
     fn schedule_error(adversary: &mut Spoiled) -> (usize, String) {
-        let net = generators::cycle(200).unwrap().with_uniform_label(0u32);
         let err = run_with_adversary(
-            &FloodMax { k: 5 },
-            &net,
+            &Staggered,
+            &staggered(),
             &mut ZeroSource,
             &ExecConfig::default(),
             adversary,
@@ -882,13 +974,13 @@ mod tests {
 
     #[test]
     fn a_repeat_after_valid_rounds_is_caught_in_its_round() {
-        // Rounds 1 and 2 stamp every node twice; round 3's step order
+        // Rounds 1 and 2 stamp every live node twice; round 3's step order
         // repeats node 0 in its last entry.
         let mut adv =
             Spoiled { bad_round: 3, phase: "step", spoil: |o| *o.last_mut().unwrap() = 0 };
         let (round, text) = schedule_error(&mut adv);
         assert_eq!(round, 3);
-        assert!(text.contains("entry 199 repeats node 0"), "{text}");
+        assert!(text.contains("entry 99 repeats node 0"), "{text}");
     }
 
     #[test]
@@ -896,9 +988,11 @@ mod tests {
         let mut short = Spoiled { bad_round: 2, phase: "compose", spoil: |o| _ = o.pop() };
         let (round, text) = schedule_error(&mut short);
         assert_eq!(round, 2);
-        assert!(text.contains("199 entries"), "{text}");
+        assert!(text.contains("99 entries for 100 live"), "{text}");
         let mut long = Spoiled { bad_round: 1, phase: "step", spoil: |o| o.push(0) };
-        assert_eq!(schedule_error(&mut long).0, 1);
+        let (round, text) = schedule_error(&mut long);
+        assert_eq!(round, 1);
+        assert!(text.contains("201 entries for 200 live"), "{text}");
     }
 
     #[test]
@@ -907,6 +1001,15 @@ mod tests {
         let (round, text) = schedule_error(&mut adv);
         assert_eq!(round, 4);
         assert!(text.contains("entry 7 is 200, out of range"), "{text}");
+    }
+
+    #[test]
+    fn halted_nodes_are_rejected() {
+        // Node 1 halted in round 1; round 2's step order lists it first.
+        let mut adv = Spoiled { bad_round: 2, phase: "step", spoil: |o| o[0] = 1 };
+        let (round, text) = schedule_error(&mut adv);
+        assert_eq!(round, 2);
+        assert!(text.contains("entry 0 is 1, which halted"), "{text}");
     }
 
     #[test]

@@ -160,19 +160,16 @@ pub fn quotient<L: Label>(g: &LabeledGraph<L>, mode: ViewMode) -> Result<ViewQuo
     // shared by every member of its class (the refinement key pins it
     // down), so ports descend to the quotient. Portless: members may
     // disagree on port order, so we fix a canonical one (ascending class).
-    let mut adj: Vec<Vec<NodeId>> = Vec::with_capacity(k);
-    for &rep in &representatives {
-        let mut nbrs: Vec<NodeId> = graph
-            .neighbors(rep)
-            .iter()
-            .map(|&u| NodeId::new(classes[u.index()] as usize))
-            .collect();
-        if mode == ViewMode::Portless {
-            nbrs.sort_unstable();
+    let degrees = representatives.iter().map(|&rep| graph.degree(rep));
+    let fill = |c: usize, slot: &mut [NodeId]| {
+        for (s, &u) in slot.iter_mut().zip(graph.neighbors(representatives[c])) {
+            *s = NodeId::new(classes[u.index()] as usize);
         }
-        adj.push(nbrs);
-    }
-    let qgraph = Graph::from_adjacency(adj).map_err(|e| {
+        if mode == ViewMode::Portless {
+            slot.sort_unstable();
+        }
+    };
+    let qgraph = Graph::from_fill(degrees, fill).map_err(|e| {
         // Symmetry can only fail if the refinement was inconsistent, which
         // would be an internal bug — surface it loudly.
         unreachable!("quotient adjacency must be a valid simple graph: {e}")

@@ -55,3 +55,26 @@ fn relabelling_allocates_only_the_label_vector() {
     assert_eq!(allocations, 1, "lift_labels on a 4096-lift");
     assert_eq!(labelled.expect("one label per base node").graph(), lifted.graph());
 }
+
+#[test]
+fn a_quotient_allocates_independently_of_its_size_beyond_its_refinement() {
+    use anonet::views::{quotient, BoundedRefinement, ViewMode};
+    // Distinct labels make every node its own view class, so the
+    // quotient is as large as the graph. The refinement it runs first is
+    // counted on its own and subtracted: what remains is the quotient's
+    // own build, its graph included.
+    let counted_quotient = |n: usize| {
+        let net = generators::cycle(n).expect("valid").with_labels((0..n as u32).collect());
+        let net = net.expect("one label per node");
+        let (_, refinement) =
+            counting::counted(|| BoundedRefinement::compute(&net, ViewMode::Portless));
+        let (q, allocations) = counting::counted(|| quotient(&net, ViewMode::Portless));
+        assert_eq!(q.expect("a 2-hop coloring").graph().node_count(), n);
+        allocations - refinement
+    };
+    let at_8 = counted_quotient(8);
+    for n in [64, 4096] {
+        let allocations = counted_quotient(n);
+        assert_eq!(allocations, at_8, "a {n}-node quotient made {allocations}, an 8-node {at_8}");
+    }
+}

@@ -13,17 +13,26 @@
 //! The checkpointed kernel must also save work on these searches: it may
 //! make at most 0.8× the literal loop's `step` calls on every base.
 //! Re-simulating each code from round 1 would make exactly as many.
+//!
+//! The seeded search, the default strategy, is pinned on the
+//! `stage1_golden` cases: each graph is 2-hop colored by stage 1 under its
+//! seed, and `RandomizedMis` is derandomized on the colored instance. Its
+//! rounds, messages, bits, attempts and an output digest were captured
+//! before the engine swept only live nodes.
+
+mod common;
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use anonet::algorithms::mis::{MisMessage, MisState, RandomizedMis};
+use anonet::algorithms::two_hop_coloring::TwoHopColoring;
 use anonet::core::{Derandomizer, SearchStrategy};
 use anonet::graph::coloring::greedy_two_hop_coloring;
 use anonet::graph::{generators, LabeledGraph, NodeId};
 use anonet::runtime::{
     first_successful_extension, run, Actions, BitAssignment, ExecConfig, Oblivious,
-    ObliviousAlgorithm, TapeSource,
+    ObliviousAlgorithm, RngSource, TapeSource,
 };
 use anonet::views::{canonical_order, quotient, ViewMode};
 use rand::SeedableRng;
@@ -171,5 +180,68 @@ fn the_kernel_makes_at_most_0_8_of_the_literal_step_calls() {
             kernel_steps * 10 <= literal_steps * 8,
             "kernel {kernel_steps} vs literal {literal_steps} step calls"
         );
+    }
+}
+
+/// `(rounds, messages_sent, bits_consumed, attempts, output digest)`.
+type SeededCounters = (usize, usize, usize, usize, u64);
+
+/// Captured from the engine that swept all `n` nodes in every round.
+const SEEDED_GOLDEN: &[(&str, SeededCounters)] = &[
+    ("petersen/s0", (19, 471, 157, 1, 10307696996904887205)),
+    ("petersen/s1", (22, 489, 163, 1, 10307696996904887205)),
+    ("petersen/s2", (16, 462, 154, 1, 10307696996904887205)),
+    ("petersen/s3", (28, 660, 220, 1, 12274844052346151985)),
+    ("petersen/s4", (19, 525, 175, 1, 1239830631534086788)),
+    ("grid(5,5)", (19, 1259, 388, 1, 4145366230981560207)),
+    ("cycle(17)", (10, 310, 155, 1, 16286036522120578963)),
+    ("gnp(64,0.1)", (40, 10664, 1759, 1, 12783376927451755208)),
+    ("3-regular(128)", (34, 6423, 2141, 1, 1671415233487587642)),
+];
+
+/// Stage 1 under the case's seed, then the default seeded search for
+/// `RandomizedMis` on the colored instance. Messages and bits come from
+/// replaying the selected assignment on the quotient.
+fn seeded_search(g: &anonet::graph::Graph, seed: u64) -> SeededCounters {
+    let unit = g.with_uniform_label(());
+    let config = ExecConfig::default();
+    let stage1 =
+        run(&Oblivious(TwoHopColoring::new()), &unit, &mut RngSource::seeded(seed), &config)
+            .expect("stage 1 runs on connected graphs");
+    let colored = g.with_labels(stage1.outputs_unwrapped()).unwrap();
+    let instance = unit.zip(&colored).unwrap();
+    let derandomized = Derandomizer::new(RandomizedMis::new())
+        .with_strategy(SearchStrategy::default())
+        .with_config(config)
+        .run(&instance)
+        .unwrap();
+    let q = quotient(&instance, ViewMode::Portless).unwrap();
+    let j = q.graph().map_labels(|_| ());
+    let replay = run(
+        &Oblivious(RandomizedMis::new()),
+        &j,
+        &mut TapeSource::new(derandomized.assignment.clone()),
+        &config,
+    )
+    .unwrap();
+    assert!(replay.is_successful());
+    assert_eq!(replay.rounds(), derandomized.simulation_rounds);
+    let digest = derandomized
+        .outputs
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3));
+    (replay.rounds(), replay.messages_sent(), replay.bits_consumed(), derandomized.attempts, digest)
+}
+
+#[test]
+fn seeded_search_matches_the_golden_values() {
+    let got: Vec<(String, SeededCounters)> = common::stage1_cases()
+        .into_iter()
+        .map(|(name, g, seed)| (name, seeded_search(&g, seed)))
+        .collect();
+    assert_eq!(got.len(), SEEDED_GOLDEN.len());
+    for ((name, c), (want_name, want)) in got.iter().zip(SEEDED_GOLDEN) {
+        assert_eq!(name, want_name);
+        assert_eq!(c, want, "{name}: (rounds, messages, bits, attempts, digest)");
     }
 }
