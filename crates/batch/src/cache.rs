@@ -7,23 +7,18 @@
 //! graphs produce the *same* key, and therefore share entries. By Lemma 3
 //! that covers every pair of lifts of a common base.
 //!
-//! Two tables:
+//! One table of **assignment entries**, keyed by `(problem-id, s(G_*))`:
+//! the minimal successful [`BitAssignment`] of the canonical simulation,
+//! with tapes stored **by canonical position** (index `p` holds the tape
+//! of the `p`-th node in the canonical order on `V_*`) so they transfer
+//! to any isomorphic presentation of the quotient, plus the attempt count
+//! and simulation length needed to reproduce the full derandomizer
+//! metadata on a hit. The key bytes *are* the serialized `G_*` (node
+//! count, labels, adjacency under the canonical order), and by Lemma 3 a
+//! lift is determined by its base, so nothing else about the quotient is
+//! worth keeping.
 //!
-//! * **quotient entries**, keyed by `s(G_*)`: the content-addressed record
-//!   of a derandomized core. The key bytes *are* the serialized `G_*`
-//!   (node count, labels, adjacency under the canonical order), so holding
-//!   the key holds the graph and its canonical total order; the entry adds
-//!   the refinement-partition shape observed at insertion (`|V_*|`, fiber
-//!   multiplicity) and hit/byte accounting.
-//! * **assignment entries**, keyed by `(problem-id, s(G_*))`: the minimal
-//!   successful [`BitAssignment`] of the canonical simulation, with tapes
-//!   stored **by canonical position** (index `p` holds the tape of the
-//!   `p`-th node in the canonical order on `V_*`) so they transfer to any
-//!   isomorphic presentation of the quotient, plus the attempt count and
-//!   simulation length needed to reproduce the full derandomizer metadata
-//!   on a hit.
-//!
-//! The store is a [`Mutex`]-guarded pair of hash maps. Lock poisoning is
+//! The table is a [`Mutex`]-guarded hash map. Lock poisoning is
 //! deliberately ignored (`into_inner` on poison): a panicking job in a
 //! batch must not take the cache down with it, and every value is updated
 //! atomically under the lock, so a poisoned state is still consistent.
@@ -36,10 +31,10 @@
 //! a batch interleave, so the accounting is as reproducible as the
 //! outputs.
 //!
-//! Optionally, a [`CacheBackend`] (see [`crate::persist`]) sits beneath
-//! the tables as a durable second tier: memory misses fall through to it
-//! (outside the lock), disk hits are promoted into memory, and fresh
-//! inserts write through. Backend failures never fail a lookup — they
+//! Optionally, an `anonet-store` [`Store`] (see [`crate::persist`]) sits
+//! beneath the table as a durable second tier: memory misses fall through
+//! to it (outside the lock), disk hits are promoted into memory, and
+//! fresh inserts write through. Store failures never fail a lookup — they
 //! count as [`CacheStats::disk_errors`] and the cache runs memory-only.
 
 use std::collections::{HashMap, HashSet};
@@ -48,10 +43,10 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use anonet_graph::BitString;
 use anonet_graph::{Label, LabeledGraph};
-use anonet_store::StoreError;
+use anonet_store::{Store, StoreError};
 use anonet_views::{canonical_encoding, quotient, ViewMode};
 
-use crate::persist::{CacheBackend, WarmEntry};
+use crate::persist;
 
 /// The canonical content address `s(G_*)` of a prime labeled graph (a view
 /// quotient). Isomorphism-invariant: equal for isomorphic quotients.
@@ -96,15 +91,6 @@ fn assignment_bytes(problem: &str, key: &[u8], cached: &CachedAssignment) -> usi
 }
 
 #[derive(Debug)]
-struct QuotientEntry {
-    nodes: usize,
-    multiplicity: usize,
-    bytes: usize,
-    hits: u64,
-    last_use: u64,
-}
-
-#[derive(Debug)]
 struct AssignmentEntry {
     cached: CachedAssignment,
     bytes: usize,
@@ -114,12 +100,9 @@ struct AssignmentEntry {
 
 #[derive(Debug, Default)]
 struct Tables {
-    quotients: HashMap<Vec<u8>, QuotientEntry>,
     assignments: HashMap<(String, Vec<u8>), AssignmentEntry>,
     /// Assignment addresses held by a live [`SearchClaim`].
     claimed: HashSet<(String, Vec<u8>)>,
-    quotient_hits: u64,
-    quotient_misses: u64,
     assignment_hits: u64,
     assignment_misses: u64,
     evictions: u64,
@@ -132,14 +115,8 @@ struct Tables {
 /// A point-in-time snapshot of cache accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Distinct quotients recorded.
-    pub quotient_entries: usize,
     /// Distinct `(problem, quotient)` assignments stored.
     pub assignment_entries: usize,
-    /// Quotient-table hits (an already-known `s(G_*)` was recorded again).
-    pub quotient_hits: u64,
-    /// Quotient-table misses (a new `s(G_*)` was recorded).
-    pub quotient_misses: u64,
     /// Assignment lookups that found an entry.
     pub assignment_hits: u64,
     /// Assignment lookups that found nothing.
@@ -154,7 +131,7 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Memory misses the persistent tier also missed.
     pub disk_misses: u64,
-    /// Backend calls that failed; the cache degraded to memory-only for
+    /// Store calls that failed; the cache degraded to memory-only for
     /// that operation.
     pub disk_errors: u64,
 }
@@ -189,15 +166,8 @@ impl CacheStats {
             after.checked_sub(before).ok_or(CounterRegression { counter, before, after })
         }
         Ok(CacheStats {
-            quotient_entries: self.quotient_entries,
             assignment_entries: self.assignment_entries,
             bytes: self.bytes,
-            quotient_hits: window("quotient_hits", self.quotient_hits, before.quotient_hits)?,
-            quotient_misses: window(
-                "quotient_misses",
-                self.quotient_misses,
-                before.quotient_misses,
-            )?,
             assignment_hits: window(
                 "assignment_hits",
                 self.assignment_hits,
@@ -229,17 +199,13 @@ impl CacheStats {
             String::new()
         };
         format!(
-            "cache: {} quotient(s), {} assignment(s), {} B; \
-             assignment hits {} / misses {} (hit rate {:.1}%), \
-             quotient hits {} / misses {}, {} eviction(s){disk}",
-            self.quotient_entries,
+            "cache: {} assignment(s), {} B; \
+             assignment hits {} / misses {} (hit rate {:.1}%), {} eviction(s){disk}",
             self.assignment_entries,
             self.bytes,
             self.assignment_hits,
             self.assignment_misses,
             100.0 * self.hit_rate(),
-            self.quotient_hits,
-            self.quotient_misses,
             self.evictions,
         )
     }
@@ -299,7 +265,7 @@ impl Drop for SearchClaim<'_> {
 /// # Example
 ///
 /// ```
-/// use anonet_batch::DerandCache;
+/// use anonet_batch::{CachedAssignment, DerandCache};
 /// use anonet_graph::generators;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -308,11 +274,14 @@ impl Drop for SearchClaim<'_> {
 /// let c3 = generators::cycle(3)?.with_labels(vec![1u32, 2, 3])?;
 /// let c12 = generators::cycle(12)?
 ///     .with_labels(vec![1u32, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3])?;
-/// assert_eq!(anonet_batch::instance_key(&c3)?, anonet_batch::instance_key(&c12)?);
-/// cache.record_quotient(&anonet_batch::instance_key(&c3)?, 3, 1);
-/// cache.record_quotient(&anonet_batch::instance_key(&c12)?, 3, 4);
-/// assert_eq!(cache.stats().quotient_entries, 1);
-/// assert_eq!(cache.stats().quotient_hits, 1);
+/// let key = anonet_batch::instance_key(&c3)?;
+/// assert_eq!(key, anonet_batch::instance_key(&c12)?);
+/// let tapes = ["1", "01", "001"].iter().map(|t| t.parse()).collect::<Result<_, _>>()?;
+/// let cached = CachedAssignment { tapes, attempts: 4, simulation_rounds: 2 };
+/// cache.insert_assignment("mis", &key, cached.clone());
+/// // The C12 lift hits the entry its base stored.
+/// assert_eq!(cache.lookup_assignment("mis", &anonet_batch::instance_key(&c12)?), Some(cached));
+/// assert_eq!(cache.stats().assignment_entries, 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -322,7 +291,7 @@ pub struct DerandCache {
     /// Signalled whenever a [`SearchClaim`] is released.
     released: Condvar,
     max_entries: Option<usize>,
-    backend: Option<Arc<dyn CacheBackend>>,
+    store: Option<Arc<Store>>,
 }
 
 impl DerandCache {
@@ -331,68 +300,23 @@ impl DerandCache {
         DerandCache::default()
     }
 
-    /// A cache evicting least-recently-used entries beyond `max_entries`
-    /// (counted across both tables).
+    /// A cache evicting least-recently-used entries beyond `max_entries`.
     pub fn with_capacity(max_entries: usize) -> Self {
         DerandCache { max_entries: Some(max_entries), ..DerandCache::default() }
     }
 
-    /// Layers a durable [`CacheBackend`] beneath the memory tables (see
-    /// [`crate::PersistentDerandCache`] for the batteries-included
-    /// bundle). Capacity eviction only drops the memory copy — the disk
-    /// tier keeps evicted entries.
-    pub fn with_backend(mut self, backend: Arc<dyn CacheBackend>) -> Self {
-        self.backend = Some(backend);
+    /// Layers a durable [`Store`] beneath the memory table (built by
+    /// [`crate::PersistentDerandCache`]). Capacity eviction only drops the
+    /// memory copy — the disk tier keeps evicted entries.
+    pub(crate) fn with_store(mut self, store: Arc<Store>) -> Self {
+        self.store = Some(store);
         self
-    }
-
-    /// `true` if a persistent tier is attached.
-    pub fn has_backend(&self) -> bool {
-        self.backend.is_some()
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Tables> {
         // A job that panicked mid-batch must not poison the whole cache;
         // all updates are atomic under the lock, so the state is sound.
         self.tables.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Records that a quotient with address `key` (holding `nodes` quotient
-    /// nodes, observed at fiber multiplicity `multiplicity`) was seen.
-    /// Returns `true` if this was the first sighting.
-    ///
-    /// With a backend attached, first sightings and multiplicity
-    /// increases write through (outside the lock; latest write wins on
-    /// disk, so the stored multiplicity is the running maximum).
-    pub fn record_quotient(&self, key: &[u8], nodes: usize, multiplicity: usize) -> bool {
-        let (first, write_multiplicity) = {
-            let mut t = self.lock();
-            t.clock += 1;
-            let now = t.clock;
-            if let Some(entry) = t.quotients.get_mut(key) {
-                entry.hits += 1;
-                entry.last_use = now;
-                let grew = multiplicity > entry.multiplicity;
-                entry.multiplicity = entry.multiplicity.max(multiplicity);
-                let max = entry.multiplicity;
-                t.quotient_hits += 1;
-                (false, grew.then_some(max))
-            } else {
-                t.quotients.insert(
-                    key.to_vec(),
-                    QuotientEntry { nodes, multiplicity, bytes: key.len(), hits: 0, last_use: now },
-                );
-                t.quotient_misses += 1;
-                self.enforce_capacity(&mut t);
-                (true, Some(multiplicity))
-            }
-        };
-        if let (Some(m), Some(backend)) = (write_multiplicity, &self.backend) {
-            if backend.record_quotient(key, nodes, m).is_err() {
-                self.lock().disk_errors += 1;
-            }
-        }
-        first
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
@@ -412,10 +336,10 @@ impl DerandCache {
     /// and then hit the inserted entry (or, if the holder gave up, one of
     /// them claims the address in turn).
     ///
-    /// Memory answers first; with a backend attached, a memory miss falls
+    /// Memory answers first; with a store attached, a memory miss falls
     /// through to the disk tier (outside the lock), and a disk hit is
     /// promoted into memory so it pays the read once per process. A
-    /// backend error counts as a miss plus a
+    /// store error counts as a miss plus a
     /// [`disk_errors`](CacheStats::disk_errors) tick — persistence never
     /// fails a lookup.
     ///
@@ -443,13 +367,13 @@ impl DerandCache {
                 return Ok(cached);
             }
             t.claimed.insert(address.clone());
-            if self.backend.is_none() {
+            if self.store.is_none() {
                 t.assignment_misses += 1;
             }
         }
         let claim = SearchClaim { cache: self, address };
-        let Some(backend) = &self.backend else { return Err(claim) };
-        match backend.load_assignment(problem, key) {
+        let Some(store) = &self.store else { return Err(claim) };
+        match persist::load_assignment(store, problem, key) {
             Ok(Some(cached)) => {
                 let mut t = self.lock();
                 t.clock += 1;
@@ -487,7 +411,7 @@ impl DerandCache {
     /// write wins: concurrent inserts of the same key keep the existing
     /// entry (both compute the same canonical object, so this only
     /// stabilizes the per-entry hit counters). A fresh insert writes
-    /// through to the backend, if one is attached.
+    /// through to the store, if one is attached.
     pub fn insert_assignment(&self, problem: &str, key: &[u8], cached: CachedAssignment) {
         let bytes = assignment_bytes(problem, key, &cached);
         let fresh = {
@@ -502,76 +426,47 @@ impl DerandCache {
             self.enforce_capacity(&mut t);
             fresh
         };
-        if fresh {
-            if let Some(backend) = &self.backend {
-                if backend.store_assignment(problem, key, &cached).is_err() {
-                    self.lock().disk_errors += 1;
-                }
+        if let (true, Some(store)) = (fresh, &self.store) {
+            if persist::store_assignment(store, problem, key, &cached).is_err() {
+                self.lock().disk_errors += 1;
             }
         }
     }
 
-    /// Preloads up to `limit` entries from the backend into the memory
-    /// tables (no-op without a backend). Hit/miss counters are untouched;
+    /// Preloads up to `limit` entries from the store into the memory
+    /// table (no-op without a store). Hit/miss counters are untouched;
     /// already-resident entries keep their memory copy. Returns the
     /// number of entries loaded.
     ///
     /// # Errors
     ///
-    /// Backend read errors (entries decoded before the failure stay
-    /// loaded).
+    /// Store read errors (nothing is loaded on error).
     pub fn warm(&self, limit: usize) -> Result<usize, StoreError> {
-        let Some(backend) = &self.backend else { return Ok(0) };
-        let entries = backend.warm(limit)?;
+        let Some(store) = &self.store else { return Ok(0) };
+        let entries = persist::warm_scan(store, limit)?;
         let mut t = self.lock();
         let mut loaded = 0;
-        for entry in entries {
+        for (problem, key, cached) in entries {
             t.clock += 1;
             let now = t.clock;
-            match entry {
-                WarmEntry::Quotient { key, nodes, multiplicity } => {
-                    let bytes = key.len();
-                    t.quotients.entry(key).or_insert_with(|| {
-                        loaded += 1;
-                        QuotientEntry { nodes, multiplicity, bytes, hits: 0, last_use: now }
-                    });
-                }
-                WarmEntry::Assignment { problem, key, cached } => {
-                    let bytes = assignment_bytes(&problem, &key, &cached);
-                    t.assignments.entry((problem, key)).or_insert_with(|| {
-                        loaded += 1;
-                        AssignmentEntry { cached, bytes, hits: 0, last_use: now }
-                    });
-                }
-            }
+            let bytes = assignment_bytes(&problem, &key, &cached);
+            t.assignments.entry((problem, key)).or_insert_with(|| {
+                loaded += 1;
+                AssignmentEntry { cached, bytes, hits: 0, last_use: now }
+            });
         }
         self.enforce_capacity(&mut t);
         Ok(loaded)
     }
 
-    /// Flushes the backend, if one is attached.
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O.
-    pub fn flush(&self) -> Result<(), StoreError> {
-        match &self.backend {
-            Some(backend) => backend.flush(),
-            None => Ok(()),
-        }
-    }
-
     /// Drops everything, keeping cumulative hit/miss counters.
     pub fn clear(&self) {
-        let mut t = self.lock();
-        t.quotients.clear();
-        t.assignments.clear();
+        self.lock().assignments.clear();
     }
 
-    /// Total entries across both tables.
+    /// Resident entries.
     pub fn len(&self) -> usize {
-        let t = self.lock();
-        t.quotients.len() + t.assignments.len()
+        self.lock().assignments.len()
     }
 
     /// `true` if no entries are resident.
@@ -583,33 +478,15 @@ impl DerandCache {
     pub fn stats(&self) -> CacheStats {
         let t = self.lock();
         CacheStats {
-            quotient_entries: t.quotients.len(),
             assignment_entries: t.assignments.len(),
-            quotient_hits: t.quotient_hits,
-            quotient_misses: t.quotient_misses,
             assignment_hits: t.assignment_hits,
             assignment_misses: t.assignment_misses,
             evictions: t.evictions,
             disk_hits: t.disk_hits,
             disk_misses: t.disk_misses,
             disk_errors: t.disk_errors,
-            bytes: t.quotients.values().map(|e| e.bytes).sum::<usize>()
-                + t.assignments.values().map(|e| e.bytes).sum::<usize>(),
+            bytes: t.assignments.values().map(|e| e.bytes).sum(),
         }
-    }
-
-    /// Per-entry accounting for the quotient table: `(s(G_*) key, |V_*|,
-    /// max observed multiplicity, hits, bytes)`, sorted by key for
-    /// deterministic output.
-    pub fn quotient_accounting(&self) -> Vec<(Vec<u8>, usize, usize, u64, usize)> {
-        let t = self.lock();
-        let mut rows: Vec<_> = t
-            .quotients
-            .iter()
-            .map(|(k, e)| (k.clone(), e.nodes, e.multiplicity, e.hits, e.bytes))
-            .collect();
-        rows.sort();
-        rows
     }
 
     /// Per-entry accounting for the assignment table: `(problem, s(G_*)
@@ -627,24 +504,13 @@ impl DerandCache {
 
     fn enforce_capacity(&self, t: &mut Tables) {
         let Some(max) = self.max_entries else { return };
-        while t.quotients.len() + t.assignments.len() > max {
-            let oldest_q = t.quotients.iter().min_by_key(|(_, e)| e.last_use);
-            let oldest_a = t.assignments.iter().min_by_key(|(_, e)| e.last_use);
-            match (oldest_q, oldest_a) {
-                (Some((qk, qe)), Some((_, ae))) if qe.last_use <= ae.last_use => {
-                    let qk = qk.clone();
-                    t.quotients.remove(&qk);
-                }
-                (_, Some((ak, _))) => {
-                    let ak = ak.clone();
-                    t.assignments.remove(&ak);
-                }
-                (Some((qk, _)), None) => {
-                    let qk = qk.clone();
-                    t.quotients.remove(&qk);
-                }
-                (None, None) => return,
-            }
+        while t.assignments.len() > max {
+            let Some(oldest) =
+                t.assignments.iter().min_by_key(|(_, e)| e.last_use).map(|(k, _)| k.clone())
+            else {
+                return;
+            };
+            t.assignments.remove(&oldest);
             t.evictions += 1;
         }
     }
@@ -707,23 +573,6 @@ mod tests {
     }
 
     #[test]
-    fn quotient_recording_deduplicates() {
-        let cache = DerandCache::new();
-        let k3 = instance_key(&colored_cycle(3)).unwrap();
-        assert!(cache.record_quotient(&k3, 3, 1));
-        assert!(!cache.record_quotient(&k3, 3, 4));
-        assert!(!cache.record_quotient(&k3, 3, 2));
-        let s = cache.stats();
-        assert_eq!(s.quotient_entries, 1);
-        assert_eq!(s.quotient_hits, 2);
-        assert_eq!(s.quotient_misses, 1);
-        let rows = cache.quotient_accounting();
-        assert_eq!(rows[0].1, 3); // |V_*|
-        assert_eq!(rows[0].2, 4); // max multiplicity observed
-        assert_eq!(rows[0].3, 2); // hits
-    }
-
-    #[test]
     fn first_insert_wins() {
         let cache = DerandCache::new();
         let key = instance_key(&colored_cycle(3)).unwrap();
@@ -767,12 +616,11 @@ mod tests {
         let cache = Arc::new(DerandCache::new());
         let key = instance_key(&colored_cycle(12)).unwrap();
         std::thread::scope(|scope| {
-            for t in 0..8 {
+            for _ in 0..8 {
                 let cache = Arc::clone(&cache);
                 let key = key.clone();
                 scope.spawn(move || {
                     for i in 0..50 {
-                        cache.record_quotient(&key, 3, t + 1);
                         if cache.lookup_assignment("mis", &key).is_none() {
                             cache.insert_assignment(
                                 "mis",
@@ -789,9 +637,8 @@ mod tests {
             }
         });
         let s = cache.stats();
-        assert_eq!(s.quotient_entries, 1);
         assert_eq!(s.assignment_entries, 1);
-        assert_eq!(s.quotient_hits + s.quotient_misses, 400);
+        assert_eq!(s.assignment_hits + s.assignment_misses, 400);
         // Whoever inserted first won; the entry is internally consistent.
         let got = cache.lookup_assignment("mis", &key).unwrap();
         assert_eq!(got.tapes.len(), 3);

@@ -9,15 +9,15 @@
 //!
 //! Three cooperating parts:
 //!
-//! * [`DerandCache`] — a thread-safe, content-addressed store keyed by the
-//!   canonical byte encoding `s(G_*)` of the quotient (and, for assignment
-//!   entries, by `(problem-id, s(G_*))`). A cache hit replaces the whole
-//!   canonical-assignment search with a single tape replay.
-//! * [`PersistentDerandCache`] — the same cache layered over the
-//!   crash-safe on-disk tier from `anonet-store` via the [`CacheBackend`]
-//!   trait: memory misses fall through to disk, fresh results write
-//!   through, and [`PersistentDerandCache::warm`] preloads a new process
-//!   from a previous run's state, so hit rates compound across restarts.
+//! * [`DerandCache`] — a thread-safe, content-addressed table of canonical
+//!   assignments keyed by `(problem-id, s(G_*))`, where `s(G_*)` is the
+//!   canonical byte encoding of the quotient. A cache hit replaces the
+//!   whole canonical-assignment search with a single tape replay.
+//! * [`PersistentDerandCache`] — the same cache layered over a crash-safe
+//!   on-disk `anonet-store` [`Store`](anonet_store::Store): memory misses
+//!   fall through to disk, fresh results write through, and
+//!   [`PersistentDerandCache::warm`] preloads a new process from a
+//!   previous run's state, so hit rates compound across restarts.
 //! * [`BatchScheduler`] — a work-queue driver over [`std::thread::scope`]
 //!   (no dependencies beyond `std`, per the DESIGN dependency policy) that
 //!   runs many instances concurrently with deterministic,
@@ -43,5 +43,5 @@ pub use cache::{
     instance_key, quotient_key, CacheStats, CachedAssignment, CounterRegression, DerandCache,
     SearchClaim,
 };
-pub use persist::{CacheBackend, PersistentDerandCache, StoreBackend, WarmEntry};
+pub use persist::PersistentDerandCache;
 pub use scheduler::{BatchOutcome, BatchScheduler, BatchStats, JobResult};

@@ -1,29 +1,27 @@
-//! Persistence for the derandomization cache: the [`CacheBackend`]
-//! trait, its `anonet-store` implementation, and the
-//! [`PersistentDerandCache`] bundle that batch runs and pipelines plug
-//! in wherever an `Arc<DerandCache>` goes today.
+//! Persistence for the derandomization cache: the assignment records
+//! the disk tier holds, and the [`PersistentDerandCache`] bundle that
+//! batch runs and pipelines plug in wherever an `Arc<DerandCache>` goes
+//! today.
 //!
 //! The layering is strictly memory-first: [`DerandCache`] answers every
-//! lookup it can from its tables, and only on a memory miss consults the
-//! backend (outside the cache lock — the store shards have their own
+//! lookup it can from its table, and only on a memory miss reads the
+//! store (outside the cache lock — the store shards have their own
 //! locks). A disk hit is promoted into memory, so a key pays the disk
 //! read once per process; fresh inserts write through, so the disk tier
 //! only ever grows (first write wins on both tiers — every writer
-//! computes the same canonical object). Backend *errors* degrade
+//! computes the same canonical object). Store *errors* degrade
 //! gracefully: the lookup is simply a miss, counted in
 //! [`CacheStats::disk_errors`](crate::CacheStats), and the run proceeds
 //! memory-only — persistence must never turn a working pipeline into a
 //! failing one.
 //!
-//! On-disk layout (two namespaces in one store):
-//!
-//! * namespace 0 — quotient records: key `s(G_*)`, value
-//!   `nodes:u64le multiplicity:u64le`.
-//! * namespace 1 — assignment records: key
-//!   `s(G_*) problem_bytes qkey_len:u32le` (self-delimiting from the
-//!   end; the first byte stays the quotient's, so both namespaces of one
-//!   quotient share a shard), value = the serialized
-//!   [`CachedAssignment`].
+//! On-disk layout: namespace 1 of one store holds the assignment
+//! records, key `s(G_*) problem_bytes qkey_len:u32le` (self-delimiting
+//! from the end; the first byte stays the quotient's, so one quotient's
+//! assignments share a shard), value = the serialized
+//! [`CachedAssignment`]. Namespace 0 held quotient sightings in earlier
+//! stores; nothing reads it, so such stores open and warm unchanged and
+//! their namespace-0 records are never served.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -35,90 +33,12 @@ use anonet_store::{Store, StoreConfig, StoreError, StoreStats};
 use crate::cache::{CacheStats, CachedAssignment, DerandCache};
 use crate::scheduler::BatchScheduler;
 
-/// Store namespace for quotient records.
-const NS_QUOTIENT: u8 = 0;
 /// Store namespace for assignment records.
 const NS_ASSIGNMENT: u8 = 1;
 
-/// One entry streamed out of a backend by [`CacheBackend::warm`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WarmEntry {
-    /// A quotient sighting: `(s(G_*), |V_*|, max multiplicity)`.
-    Quotient {
-        /// The canonical quotient encoding.
-        key: Vec<u8>,
-        /// Quotient node count.
-        nodes: usize,
-        /// Maximum fiber multiplicity observed.
-        multiplicity: usize,
-    },
-    /// A cached canonical simulation for `(problem, s(G_*))`.
-    Assignment {
-        /// The derandomizer problem id.
-        problem: String,
-        /// The canonical quotient encoding.
-        key: Vec<u8>,
-        /// The replayable simulation.
-        cached: CachedAssignment,
-    },
-}
-
-/// A durable tier under [`DerandCache`]. Implementations must be safe to
-/// call from many batch workers at once and must **never** panic —
-/// errors surface as [`StoreError`] and the cache degrades to
-/// memory-only.
-pub trait CacheBackend: std::fmt::Debug + Send + Sync {
-    /// Loads the assignment for `(problem, key)`, if the tier holds one.
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O or corruption.
-    fn load_assignment(
-        &self,
-        problem: &str,
-        key: &[u8],
-    ) -> Result<Option<CachedAssignment>, StoreError>;
-
-    /// Durably stores the assignment for `(problem, key)`.
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O.
-    fn store_assignment(
-        &self,
-        problem: &str,
-        key: &[u8],
-        cached: &CachedAssignment,
-    ) -> Result<(), StoreError>;
-
-    /// Durably records a quotient sighting (latest write wins, so callers
-    /// pass the running maximum multiplicity).
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O.
-    fn record_quotient(
-        &self,
-        key: &[u8],
-        nodes: usize,
-        multiplicity: usize,
-    ) -> Result<(), StoreError>;
-
-    /// Streams up to `limit` entries (hottest first) for preloading a
-    /// fresh process's memory tier.
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O or corruption.
-    fn warm(&self, limit: usize) -> Result<Vec<WarmEntry>, StoreError>;
-
-    /// Forces buffered writes to stable storage.
-    ///
-    /// # Errors
-    ///
-    /// Backend I/O.
-    fn flush(&self) -> Result<(), StoreError>;
-}
+/// One assignment streamed out of the store by [`warm_scan`]:
+/// `(problem, s(G_*), cached)`.
+pub(crate) type WarmEntry = (String, Vec<u8>, CachedAssignment);
 
 // ---------------------------------------------------------------------
 // Record codecs (plain little-endian framing, like the store's own).
@@ -217,97 +137,37 @@ fn split_assignment_disk_key(key: &[u8]) -> Result<(String, Vec<u8>), StoreError
     Ok((problem, body[..qlen].to_vec()))
 }
 
-fn encode_quotient(nodes: usize, multiplicity: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16);
-    push_u64(&mut out, nodes as u64);
-    push_u64(&mut out, multiplicity as u64);
-    out
-}
-
-fn decode_quotient(bytes: &[u8]) -> Result<(usize, usize), StoreError> {
-    let mut at = 0;
-    let nodes = read_u64(bytes, &mut at)? as usize;
-    let multiplicity = read_u64(bytes, &mut at)? as usize;
-    if at != bytes.len() {
-        return Err(StoreError::codec("quotient value has trailing bytes"));
-    }
-    Ok((nodes, multiplicity))
-}
-
-// ---------------------------------------------------------------------
-
-/// [`CacheBackend`] over an [`anonet_store::Store`].
-#[derive(Debug)]
-pub struct StoreBackend {
-    store: Store,
-}
-
-impl StoreBackend {
-    /// Wraps an open store.
-    pub fn new(store: Store) -> Self {
-        StoreBackend { store }
-    }
-
-    /// The underlying store.
-    pub fn store(&self) -> &Store {
-        &self.store
+/// Loads the assignment for `(problem, key)`, if the store holds one.
+pub(crate) fn load_assignment(
+    store: &Store,
+    problem: &str,
+    key: &[u8],
+) -> Result<Option<CachedAssignment>, StoreError> {
+    match store.get(NS_ASSIGNMENT, &assignment_disk_key(problem, key))? {
+        Some(value) => Ok(Some(decode_assignment(&value)?)),
+        None => Ok(None),
     }
 }
 
-impl CacheBackend for StoreBackend {
-    fn load_assignment(
-        &self,
-        problem: &str,
-        key: &[u8],
-    ) -> Result<Option<CachedAssignment>, StoreError> {
-        match self.store.get(NS_ASSIGNMENT, &assignment_disk_key(problem, key))? {
-            Some(value) => Ok(Some(decode_assignment(&value)?)),
-            None => Ok(None),
-        }
-    }
+/// Durably stores the assignment for `(problem, key)`.
+pub(crate) fn store_assignment(
+    store: &Store,
+    problem: &str,
+    key: &[u8],
+    cached: &CachedAssignment,
+) -> Result<(), StoreError> {
+    store.put(NS_ASSIGNMENT, &assignment_disk_key(problem, key), &encode_assignment(cached))
+}
 
-    fn store_assignment(
-        &self,
-        problem: &str,
-        key: &[u8],
-        cached: &CachedAssignment,
-    ) -> Result<(), StoreError> {
-        self.store.put(
-            NS_ASSIGNMENT,
-            &assignment_disk_key(problem, key),
-            &encode_assignment(cached),
-        )
+/// Streams up to `limit` assignments (hottest first) for preloading a
+/// fresh process's memory tier.
+pub(crate) fn warm_scan(store: &Store, limit: usize) -> Result<Vec<WarmEntry>, StoreError> {
+    let mut out = Vec::new();
+    for (key, value) in store.warm_scan(NS_ASSIGNMENT, limit)? {
+        let (problem, qkey) = split_assignment_disk_key(&key)?;
+        out.push((problem, qkey, decode_assignment(&value)?));
     }
-
-    fn record_quotient(
-        &self,
-        key: &[u8],
-        nodes: usize,
-        multiplicity: usize,
-    ) -> Result<(), StoreError> {
-        self.store.put(NS_QUOTIENT, key, &encode_quotient(nodes, multiplicity))
-    }
-
-    fn warm(&self, limit: usize) -> Result<Vec<WarmEntry>, StoreError> {
-        let mut out = Vec::new();
-        for (key, value) in self.store.warm_scan(NS_ASSIGNMENT, limit)? {
-            let (problem, qkey) = split_assignment_disk_key(&key)?;
-            out.push(WarmEntry::Assignment {
-                problem,
-                key: qkey,
-                cached: decode_assignment(&value)?,
-            });
-        }
-        for (key, value) in self.store.warm_scan(NS_QUOTIENT, limit)? {
-            let (nodes, multiplicity) = decode_quotient(&value)?;
-            out.push(WarmEntry::Quotient { key, nodes, multiplicity });
-        }
-        Ok(out)
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        self.store.flush()
-    }
+    Ok(out)
 }
 
 /// A [`DerandCache`] layered over a persistent [`Store`]: the drop-in
@@ -343,7 +203,7 @@ impl CacheBackend for StoreBackend {
 #[derive(Debug)]
 pub struct PersistentDerandCache {
     cache: Arc<DerandCache>,
-    backend: Arc<StoreBackend>,
+    store: Arc<Store>,
 }
 
 impl PersistentDerandCache {
@@ -364,13 +224,13 @@ impl PersistentDerandCache {
     ///
     /// Store open/recovery errors.
     pub fn open_with(cfg: StoreConfig, max_entries: Option<usize>) -> Result<Self, StoreError> {
-        let backend = Arc::new(StoreBackend::new(Store::open(cfg)?));
+        let store = Arc::new(Store::open(cfg)?);
         let cache = match max_entries {
             Some(max) => DerandCache::with_capacity(max),
             None => DerandCache::new(),
         };
-        let cache = Arc::new(cache.with_backend(Arc::clone(&backend) as Arc<dyn CacheBackend>));
-        Ok(PersistentDerandCache { cache, backend })
+        let cache = Arc::new(cache.with_store(Arc::clone(&store)));
+        Ok(PersistentDerandCache { cache, store })
     }
 
     /// The layered cache — pass this wherever an `Arc<DerandCache>` goes
@@ -379,17 +239,12 @@ impl PersistentDerandCache {
         &self.cache
     }
 
-    /// The store backend.
-    pub fn backend(&self) -> &StoreBackend {
-        &self.backend
-    }
-
     /// Preloads up to `limit` hot disk entries into the memory tier.
     /// Returns how many entries were loaded.
     ///
     /// # Errors
     ///
-    /// Backend read errors (nothing is partially visible on error beyond
+    /// Store read errors (nothing is partially visible on error beyond
     /// the entries already promoted).
     pub fn warm(&self, limit: usize) -> Result<usize, StoreError> {
         self.cache.warm(limit)
@@ -399,9 +254,9 @@ impl PersistentDerandCache {
     ///
     /// # Errors
     ///
-    /// Backend I/O.
+    /// Store I/O.
     pub fn flush(&self) -> Result<(), StoreError> {
-        self.backend.flush()
+        self.store.flush()
     }
 
     /// Compacts every shard sequentially; returns bytes reclaimed.
@@ -410,7 +265,7 @@ impl PersistentDerandCache {
     ///
     /// The first shard failure.
     pub fn compact(&self) -> Result<u64, StoreError> {
-        self.backend.store.compact()
+        self.store.compact()
     }
 
     /// Compacts all shards concurrently on `scheduler` (shards lock
@@ -421,8 +276,8 @@ impl PersistentDerandCache {
     ///
     /// The first shard failure (other shards still complete).
     pub fn compact_with(&self, scheduler: &BatchScheduler) -> Result<u64, StoreError> {
-        let shards: Vec<usize> = (0..self.backend.store.shard_count()).collect();
-        let outcome = scheduler.run(&shards, |_, &s| self.backend.store.compact_shard(s));
+        let shards: Vec<usize> = (0..self.store.shard_count()).collect();
+        let outcome = scheduler.run(&shards, |_, &s| self.store.compact_shard(s));
         let mut reclaimed = 0;
         let mut first_err: Option<String> = None;
         for result in &outcome.results {
@@ -443,7 +298,7 @@ impl PersistentDerandCache {
 
     /// Disk-tier accounting.
     pub fn store_stats(&self) -> StoreStats {
-        self.backend.store.stats()
+        self.store.stats()
     }
 
     /// Memory-tier accounting (includes the `disk_*` counters).
@@ -453,7 +308,7 @@ impl PersistentDerandCache {
 
     /// The store's JSON report (shared `anonet_obs::Json` serializer).
     pub fn report_json(&self) -> Json {
-        self.backend.store.report_json()
+        self.store.report_json()
     }
 }
 
@@ -514,25 +369,36 @@ mod tests {
     }
 
     #[test]
-    fn backend_roundtrips_through_a_real_store() {
-        let dir = tmp("backend");
-        let backend = StoreBackend::new(Store::open(StoreConfig::new(&dir)).unwrap());
+    fn records_roundtrip_through_a_real_store() {
+        let dir = tmp("records");
+        let store = Store::open(StoreConfig::new(&dir)).unwrap();
         let cached = sample();
-        backend.store_assignment("p", b"qk", &cached).unwrap();
-        backend.record_quotient(b"qk", 3, 4).unwrap();
-        assert_eq!(backend.load_assignment("p", b"qk").unwrap(), Some(cached.clone()));
-        assert_eq!(backend.load_assignment("other", b"qk").unwrap(), None);
-        let warm = backend.warm(16).unwrap();
-        assert!(warm.contains(&WarmEntry::Assignment {
-            problem: "p".into(),
-            key: b"qk".to_vec(),
-            cached
-        }));
-        assert!(warm.contains(&WarmEntry::Quotient {
-            key: b"qk".to_vec(),
-            nodes: 3,
-            multiplicity: 4
-        }));
+        store_assignment(&store, "p", b"qk", &cached).unwrap();
+        assert_eq!(load_assignment(&store, "p", b"qk").unwrap(), Some(cached.clone()));
+        assert_eq!(load_assignment(&store, "other", b"qk").unwrap(), None);
+        assert_eq!(warm_scan(&store, 16).unwrap(), vec![("p".to_string(), b"qk".to_vec(), cached)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_store_with_legacy_quotient_records_still_warms() {
+        // Earlier stores also wrote a 16-byte quotient sighting
+        // (`nodes:u64le multiplicity:u64le`) under namespace 0.
+        let dir = tmp("legacy");
+        let cached = sample();
+        {
+            let store = Store::open(StoreConfig::new(&dir)).unwrap();
+            store.put(0, b"qk", &[3, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0]).unwrap();
+            store_assignment(&store, "mis", b"qk", &cached).unwrap();
+            store.flush().unwrap();
+        }
+        let pdc = PersistentDerandCache::open(&dir).unwrap();
+        assert_eq!(pdc.store_stats().live_records, 2);
+        assert_eq!(pdc.warm(1024).unwrap(), 1, "only the assignment is loaded");
+        assert_eq!(pdc.cache().len(), 1);
+        assert_eq!(pdc.cache().lookup_assignment("mis", b"qk"), Some(cached));
+        let stats = pdc.cache_stats();
+        assert_eq!((stats.assignment_hits, stats.disk_hits, stats.disk_errors), (1, 0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -544,7 +410,6 @@ mod tests {
             let pdc = PersistentDerandCache::open(&dir).unwrap();
             assert!(pdc.cache().lookup_assignment("mis", b"qk").is_none());
             pdc.cache().insert_assignment("mis", b"qk", cached.clone());
-            assert!(pdc.cache().record_quotient(b"qk", 3, 2));
             pdc.flush().unwrap();
             let stats = pdc.cache_stats();
             assert_eq!(stats.disk_misses, 1);
@@ -564,13 +429,12 @@ mod tests {
         // warm() preloads without touching hit counters.
         let pdc2 = PersistentDerandCache::open(&dir).unwrap();
         let loaded = pdc2.warm(1024).unwrap();
-        assert_eq!(loaded, 2); // one assignment + one quotient
+        assert_eq!(loaded, 1);
         let before = pdc2.cache_stats();
         assert_eq!(before.assignment_hits + before.assignment_misses, 0);
         assert_eq!(pdc2.cache().lookup_assignment("mis", b"qk"), Some(cached));
         let after = pdc2.cache_stats();
         assert_eq!(after.disk_hits, 0); // served from warmed memory
-        assert!(!pdc2.cache().record_quotient(b"qk", 3, 2)); // already known
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -587,8 +451,8 @@ mod tests {
                     attempts: round,
                     simulation_rounds: 1,
                 };
-                // Bypass first-write-wins by writing the backend directly.
-                pdc.backend().store_assignment("p", &[k], &cached).unwrap();
+                // Bypass first-write-wins by writing the store directly.
+                store_assignment(&pdc.store, "p", &[k], &cached).unwrap();
             }
         }
         let before = pdc.store_stats();
@@ -596,7 +460,7 @@ mod tests {
         let reclaimed = pdc.compact_with(&BatchScheduler::with_threads(4)).unwrap();
         assert!(reclaimed > 0);
         assert_eq!(pdc.store_stats().dead_bytes, 0);
-        assert_eq!(pdc.backend().load_assignment("p", &[3]).unwrap().unwrap().attempts, 19);
+        assert_eq!(load_assignment(&pdc.store, "p", &[3]).unwrap().unwrap().attempts, 19);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

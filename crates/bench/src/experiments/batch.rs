@@ -190,7 +190,6 @@ pub fn to_json(rows: &[BatchRow], s: &BatchSummary) -> String {
         (
             "cache",
             Json::obj([
-                ("quotient_entries", Json::from(s.cache.quotient_entries)),
                 ("assignment_entries", Json::from(s.cache.assignment_entries)),
                 ("assignment_hits", Json::from(s.cache.assignment_hits)),
                 ("assignment_misses", Json::from(s.cache.assignment_misses)),

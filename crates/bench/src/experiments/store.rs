@@ -23,7 +23,7 @@ use anonet_core::SearchStrategy;
 use anonet_graph::LabeledGraph;
 use anonet_runtime::ExecConfig;
 
-use crate::experiments::batch::{lift_families, run_bytes};
+use crate::experiments::batch::{lift_families, run_bytes, THREADS};
 use crate::experiments::{common::tick, ExpResult};
 use crate::table::Json;
 use crate::Table;
@@ -61,12 +61,13 @@ pub struct StoreSummary {
 }
 
 /// One lifecycle: open the store at `dir`, optionally warm, run the
-/// whole workload on the batch scheduler, flush, and report.
+/// whole workload on `threads` batch workers, flush, and report.
 fn run_phase(
     dir: &std::path::Path,
     name: &'static str,
     do_warm: bool,
     graphs: &[LabeledGraph<((), u32)>],
+    threads: usize,
 ) -> ExpResult<(StorePhase, Vec<Vec<u8>>, anonet_store::StoreStats)> {
     let pdc = PersistentDerandCache::open(dir)?;
     let opened = pdc.store_stats();
@@ -75,10 +76,7 @@ fn run_phase(
     let alg = RandomizedMis::new();
     let strategy = SearchStrategy::Exhaustive { max_total_bits: 24 };
     let config = ExecConfig::default();
-    // One worker: each larger multiplicity of a known quotient appends a
-    // record, so the order in which a family's lifts reach the store
-    // decides `recovered_records` and `disk_bytes`.
-    let scheduler = BatchScheduler::with_threads(1);
+    let scheduler = BatchScheduler::with_threads(threads);
     let cache = Arc::clone(pdc.cache());
     let outcome = derandomize_batch(&alg, graphs, strategy, &config, &scheduler, Some(&cache));
     let mut outputs = Vec::with_capacity(graphs.len());
@@ -97,12 +95,22 @@ fn run_phase(
     Ok((phase, outputs, disk))
 }
 
-/// Runs the two-process protocol against a throwaway store directory.
+/// Runs the two-process protocol against a throwaway store directory on
+/// [`THREADS`] batch workers.
 ///
 /// # Errors
 ///
 /// Propagates store, lift-construction, and derandomization errors.
 pub fn measure() -> ExpResult<StoreSummary> {
+    measure_with(THREADS)
+}
+
+/// [`measure`] on `threads` batch workers.
+///
+/// # Errors
+///
+/// See [`measure`].
+pub fn measure_with(threads: usize) -> ExpResult<StoreSummary> {
     // One directory per call: tests measure concurrently in one process.
     static CALLS: AtomicUsize = AtomicUsize::new(0);
     let call = CALLS.fetch_add(1, Ordering::Relaxed);
@@ -117,9 +125,9 @@ pub fn measure() -> ExpResult<StoreSummary> {
     }
     let graphs: Vec<_> = lift_families()?.into_iter().map(|(_, _, g)| g).collect();
 
-    let (cold, cold_out, _) = run_phase(&dir, "cold", false, &graphs)?;
+    let (cold, cold_out, _) = run_phase(&dir, "cold", false, &graphs, threads)?;
     // Second lifecycle: fresh memory, the disk tier carries everything.
-    let (warm, warm_out, disk) = run_phase(&dir, "warm", true, &graphs)?;
+    let (warm, warm_out, disk) = run_phase(&dir, "warm", true, &graphs, threads)?;
     let summary = StoreSummary {
         jobs: graphs.len(),
         identical: cold_out == warm_out,
@@ -260,13 +268,13 @@ mod tests {
         assert_eq!(s.cold.cache.disk_hits, 0);
         assert_eq!(s.cold.cache.disk_errors, 0);
         assert_eq!(s.cold.warmed, 0);
-        // Warm: everything answered from the preloaded cache.
-        assert!(s.warm.warmed >= 2, "warm() must preload both base families");
+        // Warm: both base families' assignments answer everything.
+        assert_eq!(s.warm.warmed, 2, "warm() must preload both base families");
         assert_eq!(s.warm.cache.assignment_misses, 0);
         assert_eq!(s.warm.cache.assignment_hits, 16);
         assert_eq!(s.warm.cache.disk_errors, 0);
-        // The second open replayed the first lifecycle's records.
-        assert!(s.warm.recovered_records >= 4);
+        // The second open replayed the first lifecycle's two records.
+        assert_eq!(s.warm.recovered_records, 2);
         assert!(s.warm_strictly_better);
         assert!(check(&s).is_ok());
         assert!(s.warm.cache.hit_rate() == 1.0);
@@ -274,8 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn two_measurements_render_the_same_bytes() {
-        assert_eq!(to_json(&measure().unwrap()), to_json(&measure().unwrap()));
+    fn the_store_report_is_the_same_at_one_two_and_four_threads() {
+        let render = |threads| to_json(&measure_with(threads).unwrap());
+        let one = render(1);
+        assert_eq!(render(2), one);
+        assert_eq!(render(4), one);
+        assert_eq!(render(THREADS), one, "two measurements render the same bytes");
     }
 
     #[test]

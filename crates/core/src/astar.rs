@@ -37,8 +37,8 @@
 //!   `Update-Bits` run once per distinct candidate selected in a phase,
 //!   since they depend on the node only through its image `v̊` (DESIGN
 //!   §8.4);
-//! * [`run_astar_reference`] / [`run_astar_reference_observed`] — the
-//!   literal per-node enumeration, kept as the semantic baseline. The
+//! * [`run_astar_reference`] — the literal per-node enumeration, kept as
+//!   the semantic baseline (no spans: only the fast path is traced). The
 //!   testkit's differential oracle pins `fast ≡ reference` byte-for-byte
 //!   (outputs, output phases, final bits, phase counts) across problem
 //!   families and adversarial schedules.
@@ -451,29 +451,6 @@ where
     P: Problem<Input = A::Input>,
     C: Label,
 {
-    run_astar_reference_observed(alg, problem, instance, cfg, &NoopRecorder)
-}
-
-/// [`run_astar_reference`] under a [`Recorder`] (same spans as
-/// [`run_astar_observed`], without the memo counters).
-///
-/// # Errors
-///
-/// See [`run_astar`].
-pub fn run_astar_reference_observed<A, P, C>(
-    alg: &A,
-    problem: &P,
-    instance: &LabeledGraph<(A::Input, C)>,
-    cfg: &AStarConfig,
-    rec: &dyn Recorder,
-) -> Result<AStarRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-    P: Problem<Input = A::Input>,
-    C: Label,
-{
-    let _astar_span = Span::new(rec, names::SPAN_ASTAR);
     let g = instance.graph();
     let n = g.node_count();
     let mut bits: Vec<BitString> = vec![BitString::new(); n];
@@ -489,7 +466,6 @@ where
         // views are per-node. Both depend on the phase only.
         let mut new_bits = bits.clone();
         for v in g.nodes() {
-            let update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
             let view_v = ViewTree::build(&ip, v, p)?.canonical_encoding();
 
             // The label universe: marks occurring in L_p(v, I^p), i.e.
@@ -539,7 +515,6 @@ where
                     selected = Some((q, v_star));
                 }
             }
-            drop(update_graph_span);
             let Some((q, v_star)) = selected else { continue }; // skip phase p at v
 
             let order = canonical_order(q.graph(), ViewMode::Portless)?;
@@ -549,7 +524,6 @@ where
             let assignment = BitAssignment::new(tapes);
 
             // Update-Output: simulate with the candidate's tapes.
-            let update_output_span = Span::new(rec, names::SPAN_UPDATE_OUTPUT);
             let mut src = TapeSource::new(assignment.clone());
             let exec = run(&Oblivious(alg.clone()), &j, &mut src, &cfg.sim_config)?;
             if exec.is_successful() {
@@ -566,10 +540,8 @@ where
                     }
                 }
             }
-            drop(update_output_span);
 
             // Update-Bits: smallest p-extension inducing success.
-            let update_bits_span = Span::new(rec, names::SPAN_UPDATE_BITS);
             if let Some(b_min) =
                 smallest_successful_extension_literal(alg, &j, &assignment, p, &order, cfg)?
             {
@@ -577,7 +549,6 @@ where
                     // anonet-lint: allow(panic-hygiene, reason = "reference engine kept literal to Figure 3; conformance oracles diff it against the fast engine")
                     b_min.tape(v_star).expect("extension covers the quotient").clone();
             }
-            drop(update_bits_span);
         }
         bits = new_bits;
 

@@ -188,7 +188,6 @@ where
         let mut claim = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
-            cache.record_quotient(&key, q.graph().node_count(), multiplicity);
             let problem = self.problem_id();
             let hit = cache.lookup_or_claim(&problem, &key).map_err(|miss| claim = Some(miss));
             if let Ok(hit) = hit {

@@ -85,34 +85,15 @@ where
     A: ObliviousAlgorithm + Clone,
     A::Input: Label,
 {
-    run_pipeline_with_config(alg, net, seed, strategy, &ExecConfig::default())
+    run_pipeline_cached(alg, net, seed, strategy, &ExecConfig::default(), None)
 }
 
-/// [`run_pipeline`] with an explicit execution config for both stages.
-///
-/// # Errors
-///
-/// See [`run_pipeline`].
-pub fn run_pipeline_with_config<A>(
-    alg: &A,
-    net: &LabeledGraph<A::Input>,
-    seed: u64,
-    strategy: SearchStrategy,
-    config: &ExecConfig,
-) -> Result<PipelineRun<A::Output>>
-where
-    A: ObliviousAlgorithm + Clone,
-    A::Input: Label,
-{
-    run_pipeline_cached(alg, net, seed, strategy, config, None)
-}
-
-/// [`run_pipeline_with_config`] with an optional content-addressed
-/// [`DerandCache`] handle for the deterministic stage. Stage 1 (the
-/// randomized coloring) is never cached — it is seed-dependent by design —
-/// but two different seeds frequently color a graph into the *same*
-/// quotient up to isomorphism, so stage-2 sharing kicks in even within a
-/// single network.
+/// [`run_pipeline`] with an explicit execution config for both stages and
+/// an optional content-addressed [`DerandCache`] handle for the
+/// deterministic stage. Stage 1 (the randomized coloring) is never cached
+/// — it is seed-dependent by design — but two different seeds frequently
+/// color a graph into the *same* quotient up to isomorphism, so stage-2
+/// sharing kicks in even within a single network.
 ///
 /// # Errors
 ///
