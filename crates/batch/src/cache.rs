@@ -25,8 +25,10 @@
 //!
 //! Assignment misses are **single-flight**: the first lookup that misses
 //! an address gets a [`SearchClaim`], and concurrent lookups of the same
-//! address wait until the claim is dropped — after the holder inserted
-//! the assignment, or gave up — instead of repeating the search. Each
+//! address wait until the claim is released — by the insert of the
+//! assignment, or because the holder gave up — instead of repeating the
+//! search. The claim owns the address, and the set of live claims holds
+//! only a 64-bit digest of it, so a miss holds its key once. Each
 //! distinct address therefore counts exactly one miss however the jobs of
 //! a batch interleave, so the accounting is as reproducible as the
 //! outputs.
@@ -39,12 +41,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::{Arc, Condvar, Mutex};
 
 use anonet_graph::BitString;
 use anonet_graph::{Label, LabeledGraph};
 use anonet_store::{Store, StoreError};
-use anonet_views::{canonical_encoding, quotient, ViewMode};
+use anonet_views::{canonical_encoding, quotient, FastHash, ViewMode};
 
 use crate::persist;
 
@@ -98,11 +101,21 @@ struct AssignmentEntry {
     last_use: u64,
 }
 
+/// A cache address: the problem id and the key bytes `s(G_*)`.
+type Address = (String, Vec<u8>);
+
+/// The 64-bit digest that stands for an address in the claim set. Two
+/// addresses with one digest only make one lookup wait for the other's
+/// claim, so the set need not hold a second copy of the key.
+fn digest(address: &Address) -> u64 {
+    FastHash::default().hash_one(address)
+}
+
 #[derive(Debug, Default)]
 struct Tables {
-    assignments: HashMap<(String, Vec<u8>), AssignmentEntry>,
-    /// Assignment addresses held by a live [`SearchClaim`].
-    claimed: HashSet<(String, Vec<u8>)>,
+    assignments: HashMap<Address, AssignmentEntry>,
+    /// Digests of the addresses held by a live [`SearchClaim`].
+    claimed: HashSet<u64, FastHash>,
     assignment_hits: u64,
     assignment_misses: u64,
     evictions: u64,
@@ -238,22 +251,25 @@ impl fmt::Display for CounterRegression {
 
 impl std::error::Error for CounterRegression {}
 
-/// A claimed assignment miss, from [`DerandCache::lookup_or_claim`].
+/// A claimed assignment miss, from [`DerandCache::lookup_or_claim`]. It
+/// owns the address the lookup was given, so a miss holds its key once.
 ///
 /// The holder is the one caller searching this address; concurrent
-/// lookups of it wait until the claim is dropped. Insert the found
-/// assignment with [`DerandCache::insert_assignment`] *before* dropping
-/// the claim, so the waiters hit it.
+/// lookups of it wait until the claim is released. Hand the found
+/// assignment to [`DerandCache::insert_assignment`], which consumes the
+/// claim and releases it after the insert, so the waiters hit it; dropping
+/// the claim instead gives up.
 #[must_use = "dropping the claim at once lets concurrent lookups search too"]
 #[derive(Debug)]
 pub struct SearchClaim<'a> {
     cache: &'a DerandCache,
-    address: (String, Vec<u8>),
+    address: Address,
+    digest: u64,
 }
 
 impl Drop for SearchClaim<'_> {
     fn drop(&mut self) {
-        self.cache.lock().claimed.remove(&self.address);
+        self.cache.lock().claimed.remove(&self.digest);
         self.cache.released.notify_all();
     }
 }
@@ -278,7 +294,8 @@ impl Drop for SearchClaim<'_> {
 /// assert_eq!(key, anonet_batch::instance_key(&c12)?);
 /// let tapes = ["1", "01", "001"].iter().map(|t| t.parse()).collect::<Result<_, _>>()?;
 /// let cached = CachedAssignment { tapes, attempts: 4, simulation_rounds: 2 };
-/// cache.insert_assignment("mis", &key, cached.clone());
+/// let claim = cache.lookup_or_claim("mis", key.clone()).unwrap_err(); // a miss
+/// cache.insert_assignment(claim, cached.clone());
 /// // The C12 lift hits the entry its base stored.
 /// assert_eq!(cache.lookup_assignment("mis", &anonet_batch::instance_key(&c12)?), Some(cached));
 /// assert_eq!(cache.stats().assignment_entries, 1);
@@ -320,21 +337,24 @@ impl DerandCache {
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
-    /// addressed by `key`: [`DerandCache::lookup_or_claim`] without
-    /// keeping the claim on a miss.
+    /// addressed by `key`: [`DerandCache::lookup_or_claim`] on a copy of
+    /// the key, without keeping the claim on a miss.
     pub fn lookup_assignment(&self, problem: &str, key: &[u8]) -> Option<CachedAssignment> {
-        self.lookup_or_claim(problem, key).ok()
+        self.lookup_or_claim(problem, key.to_vec()).ok()
     }
 
     /// Looks up the canonical simulation for `problem` on the quotient
     /// addressed by `key`. Clones the entry out so the lock is held only
-    /// briefly.
+    /// briefly. The key is moved into the address, and on a miss into the
+    /// claim: no copy of it is made.
     ///
     /// A miss returns a [`SearchClaim`] on the address: the caller
-    /// searches, inserts what it finds, then drops the claim. While the
-    /// claim lives, lookups of the same address from other threads wait,
-    /// and then hit the inserted entry (or, if the holder gave up, one of
-    /// them claims the address in turn).
+    /// searches and hands what it finds to
+    /// [`DerandCache::insert_assignment`], which releases the claim, or
+    /// drops the claim to give up. While the claim lives, lookups of the
+    /// same address from other threads wait, and then hit the inserted
+    /// entry (or, if the holder gave up, one of them claims the address in
+    /// turn).
     ///
     /// Memory answers first; with a store attached, a memory miss falls
     /// through to the disk tier (outside the lock), and a disk hit is
@@ -349,12 +369,13 @@ impl DerandCache {
     pub fn lookup_or_claim(
         &self,
         problem: &str,
-        key: &[u8],
+        key: Vec<u8>,
     ) -> Result<CachedAssignment, SearchClaim<'_>> {
-        let address = (problem.to_string(), key.to_vec());
+        let address = (problem.to_string(), key);
+        let digest = digest(&address);
         {
             let mut t = self.lock();
-            while t.claimed.contains(&address) {
+            while t.claimed.contains(&digest) {
                 t = self.released.wait(t).unwrap_or_else(|poisoned| poisoned.into_inner());
             }
             t.clock += 1;
@@ -366,23 +387,24 @@ impl DerandCache {
                 t.assignment_hits += 1;
                 return Ok(cached);
             }
-            t.claimed.insert(address.clone());
+            t.claimed.insert(digest);
             if self.store.is_none() {
                 t.assignment_misses += 1;
             }
         }
-        let claim = SearchClaim { cache: self, address };
+        let mut claim = SearchClaim { cache: self, address, digest };
         let Some(store) = &self.store else { return Err(claim) };
-        match persist::load_assignment(store, problem, key) {
+        match persist::load_assignment(store, problem, &claim.address.1) {
             Ok(Some(cached)) => {
+                let bytes = assignment_bytes(problem, &claim.address.1, &cached);
+                let address = std::mem::take(&mut claim.address);
                 let mut t = self.lock();
                 t.clock += 1;
                 let now = t.clock;
                 t.assignment_hits += 1;
                 t.disk_hits += 1;
-                let bytes = assignment_bytes(problem, key, &cached);
-                // or_insert: an inserter that held no claim may have won.
-                t.assignments.entry(claim.address.clone()).or_insert(AssignmentEntry {
+                // or_insert: a warm scan may have loaded the entry.
+                t.assignments.entry(address).or_insert(AssignmentEntry {
                     cached: cached.clone(),
                     bytes,
                     hits: 0,
@@ -406,31 +428,32 @@ impl DerandCache {
         }
     }
 
-    /// Stores the canonical simulation for `problem` on the quotient
-    /// addressed by `key`. Tapes must be in canonical-position order. First
-    /// write wins: concurrent inserts of the same key keep the existing
-    /// entry (both compute the same canonical object, so this only
-    /// stabilizes the per-entry hit counters). A fresh insert writes
-    /// through to the store, if one is attached.
-    pub fn insert_assignment(&self, problem: &str, key: &[u8], cached: CachedAssignment) {
+    /// Stores the canonical simulation found for the address of `claim`,
+    /// moving the claim's address into the table, then releases the
+    /// claim. Tapes must be in canonical-position order. First write wins:
+    /// an entry a warm scan loaded meanwhile is kept (both are the same
+    /// canonical object, so this only stabilizes the per-entry hit
+    /// counters). A fresh insert writes through to the store, if one is
+    /// attached, before it enters memory.
+    pub fn insert_assignment(&self, mut claim: SearchClaim<'_>, cached: CachedAssignment) {
+        let (problem, key) = &claim.address;
         let bytes = assignment_bytes(problem, key, &cached);
-        let fresh = {
-            let mut t = self.lock();
-            t.clock += 1;
-            let now = t.clock;
-            let mut fresh = false;
-            t.assignments.entry((problem.to_string(), key.to_vec())).or_insert_with(|| {
-                fresh = true;
-                AssignmentEntry { cached: cached.clone(), bytes, hits: 0, last_use: now }
-            });
-            self.enforce_capacity(&mut t);
-            fresh
-        };
-        if let (true, Some(store)) = (fresh, &self.store) {
-            if persist::store_assignment(store, problem, key, &cached).is_err() {
+        if let Some(store) = &self.store {
+            let fresh = !self.lock().assignments.contains_key(&claim.address);
+            if fresh && persist::store_assignment(store, problem, key, &cached).is_err() {
                 self.lock().disk_errors += 1;
             }
         }
+        let address = std::mem::take(&mut claim.address);
+        {
+            let mut t = self.lock();
+            t.clock += 1;
+            let now = t.clock;
+            let entry = AssignmentEntry { cached, bytes, hits: 0, last_use: now };
+            t.assignments.entry(address).or_insert(entry);
+            self.enforce_capacity(&mut t);
+        }
+        drop(claim);
     }
 
     /// Preloads up to `limit` entries from the store into the memory
@@ -530,6 +553,12 @@ mod tests {
         bits.parse().unwrap()
     }
 
+    /// Claims the miss at `(problem, key)` and inserts `cached` there.
+    fn fill(cache: &DerandCache, problem: &str, key: &[u8], cached: CachedAssignment) {
+        let claim = cache.lookup_or_claim(problem, key.to_vec()).unwrap_err();
+        cache.insert_assignment(claim, cached);
+    }
+
     #[test]
     fn lifts_share_an_address() {
         let keys: Vec<Vec<u8>> =
@@ -550,13 +579,12 @@ mod tests {
     fn assignment_roundtrip_and_accounting() {
         let cache = DerandCache::new();
         let key = instance_key(&colored_cycle(6)).unwrap();
-        assert_eq!(cache.lookup_assignment("mis", &key), None);
         let cached = CachedAssignment {
             tapes: vec![tape("101"), tape("011"), tape("000")],
             attempts: 7,
             simulation_rounds: 4,
         };
-        cache.insert_assignment("mis", &key, cached.clone());
+        fill(&cache, "mis", &key, cached.clone());
         assert_eq!(cache.lookup_assignment("mis", &key), Some(cached));
         // Different problem id: separate entry space.
         assert_eq!(cache.lookup_assignment("coloring", &key), None);
@@ -573,25 +601,26 @@ mod tests {
     }
 
     #[test]
-    fn first_insert_wins() {
+    fn an_inserted_address_is_never_claimed_again() {
         let cache = DerandCache::new();
         let key = instance_key(&colored_cycle(3)).unwrap();
         let first = CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 };
-        let second = CachedAssignment { tapes: vec![tape("0")], attempts: 9, simulation_rounds: 9 };
-        cache.insert_assignment("p", &key, first.clone());
-        cache.insert_assignment("p", &key, second);
-        assert_eq!(cache.lookup_assignment("p", &key), Some(first));
+        fill(&cache, "p", &key, first.clone());
+        // The next lookup hits: no second claim, so no second insert.
+        assert_eq!(cache.lookup_or_claim("p", key.clone()).ok(), Some(first));
+        let s = cache.stats();
+        assert_eq!((s.assignment_entries, s.assignment_misses, s.assignment_hits), (1, 1, 1));
     }
 
     #[test]
     fn capacity_evicts_lru() {
         let cache = DerandCache::with_capacity(2);
         let a = CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 };
-        cache.insert_assignment("p", b"k1", a.clone());
-        cache.insert_assignment("p", b"k2", a.clone());
+        fill(&cache, "p", b"k1", a.clone());
+        fill(&cache, "p", b"k2", a.clone());
         // Touch k1 so k2 is the LRU entry.
         assert!(cache.lookup_assignment("p", b"k1").is_some());
-        cache.insert_assignment("p", b"k3", a.clone());
+        fill(&cache, "p", b"k3", a.clone());
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.lookup_assignment("p", b"k2").is_none());
@@ -603,7 +632,7 @@ mod tests {
     fn clear_keeps_counters() {
         let cache = DerandCache::new();
         let a = CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 };
-        cache.insert_assignment("p", b"k", a);
+        fill(&cache, "p", b"k", a);
         assert!(cache.lookup_assignment("p", b"k").is_some());
         cache.clear();
         assert!(cache.is_empty());
@@ -621,10 +650,9 @@ mod tests {
                 let key = key.clone();
                 scope.spawn(move || {
                     for i in 0..50 {
-                        if cache.lookup_assignment("mis", &key).is_none() {
+                        if let Err(claim) = cache.lookup_or_claim("mis", key.clone()) {
                             cache.insert_assignment(
-                                "mis",
-                                &key,
+                                claim,
                                 CachedAssignment {
                                     tapes: vec![tape("101"), tape("011"), tape("000")],
                                     attempts: 3,
@@ -648,18 +676,17 @@ mod tests {
     #[test]
     fn concurrent_misses_on_one_address_search_once() {
         let cache = DerandCache::new();
-        let claim = cache.lookup_or_claim("mis", b"k").unwrap_err();
+        let claim = cache.lookup_or_claim("mis", b"k".to_vec()).unwrap_err();
         std::thread::scope(|scope| {
             // Whether a waiter looks up before or after the insert, it
             // must hit: while the claim lives it waits for the holder.
-            let waiters: Vec<_> =
-                (0..4).map(|_| scope.spawn(|| cache.lookup_or_claim("mis", b"k").ok())).collect();
+            let waiters: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.lookup_or_claim("mis", b"k".to_vec()).ok()))
+                .collect();
             cache.insert_assignment(
-                "mis",
-                b"k",
+                claim,
                 CachedAssignment { tapes: vec![tape("1")], attempts: 1, simulation_rounds: 1 },
             );
-            drop(claim);
             for w in waiters {
                 assert!(w.join().unwrap().is_some());
             }
@@ -671,14 +698,14 @@ mod tests {
     #[test]
     fn an_abandoned_claim_passes_to_the_next_lookup() {
         let cache = DerandCache::new();
-        let claim = cache.lookup_or_claim("mis", b"k").unwrap_err();
+        let claim = cache.lookup_or_claim("mis", b"k".to_vec()).unwrap_err();
         std::thread::scope(|scope| {
-            let next = scope.spawn(|| cache.lookup_or_claim("mis", b"k").is_err());
+            let next = scope.spawn(|| cache.lookup_or_claim("mis", b"k".to_vec()).is_err());
             drop(claim); // the holder's search failed: nothing inserted
             assert!(next.join().unwrap());
         });
         assert_eq!(cache.stats().assignment_misses, 2);
-        assert!(cache.lookup_or_claim("mis", b"k").is_err(), "no claim outlives its holder");
+        assert!(cache.lookup_assignment("mis", b"k").is_none(), "no claim outlives its holder");
     }
 
     #[test]

@@ -187,8 +187,8 @@ pub(crate) fn warm_scan(store: &Store, limit: usize) -> Result<Vec<WarmEntry>, S
 /// {
 ///     // First process: a miss, computed, written through to disk.
 ///     let pdc = PersistentDerandCache::open(&dir)?;
-///     assert!(pdc.cache().lookup_assignment("mis", b"qkey").is_none());
-///     pdc.cache().insert_assignment("mis", b"qkey", cached.clone());
+///     let claim = pdc.cache().lookup_or_claim("mis", b"qkey".to_vec()).unwrap_err();
+///     pdc.cache().insert_assignment(claim, cached.clone());
 ///     pdc.flush()?;
 /// }
 /// // Second process: warm-started, the lookup is a disk-backed hit.
@@ -408,8 +408,8 @@ mod tests {
         let cached = sample();
         {
             let pdc = PersistentDerandCache::open(&dir).unwrap();
-            assert!(pdc.cache().lookup_assignment("mis", b"qk").is_none());
-            pdc.cache().insert_assignment("mis", b"qk", cached.clone());
+            let claim = pdc.cache().lookup_or_claim("mis", b"qk".to_vec()).unwrap_err();
+            pdc.cache().insert_assignment(claim, cached.clone());
             pdc.flush().unwrap();
             let stats = pdc.cache_stats();
             assert_eq!(stats.disk_misses, 1);

@@ -27,6 +27,9 @@
 //! Two engines compute the *same function*:
 //!
 //! * [`run_astar`] / [`run_astar_observed`] — the **fast path** (default):
+//!   every phase runs once per fibre, on the instance's view quotient
+//!   `G_*`, and the run is lifted through the projection (all nodes of a
+//!   fibre have equal views, so they compute the same thing);
 //!   `Update-Graph` runs against the [`crate::astar_cache`] memo —
 //!   candidate pools built once per `(p_capped, universe)` over 2-hop
 //!   colored labelings only, one per labeled-isomorphism class, the C2
@@ -55,6 +58,7 @@
 
 use std::collections::HashMap;
 
+use anonet_graph::lift::Perm;
 use anonet_graph::{distance, BitString, Label, LabeledGraph, NodeId};
 use anonet_obs::{names, NoopRecorder, Recorder, Span};
 use anonet_runtime::{
@@ -139,19 +143,40 @@ where
     run_astar_observed(alg, problem, instance, cfg, &NoopRecorder)
 }
 
-/// [`run_astar`] under an observability [`Recorder`]. Each phase reports
-/// an `astar/prepare` span (candidate pools, selection indexes and the
-/// instance's view ids), one `update_graph` span per node (its C2
-/// lookup), and one `update_output` plus one
-/// `update_bits` span per *distinct selected candidate* — every node that
-/// selected the same candidate reads its output and tape from that one
-/// step — all nested under an `astar` parent, so aggregating backends
-/// expose the wall-time breakdown of the paper's three Update-* rules.
-/// The memo additionally reports `astar.pool.hit` / `astar.pool.miss`,
-/// the size of each pool it builds (`astar.pool.candidates`), the
-/// candidate quotients its selection indexes build
-/// (`astar.pool.quotients`) and the per-node C2 lookup counters. With the
-/// no-op recorder this is exactly [`run_astar`].
+/// [`run_astar`] under an observability [`Recorder`].
+///
+/// Every Update-* rule reads only a node's view, and all nodes of a fibre
+/// of the projection `G → G_*` have equal views at every depth (Lemma 3:
+/// `G → G_*` is a covering), so they compute the same thing in every
+/// phase. The run therefore computes `quotient(instance, Portless)` once,
+/// runs every phase on `G_*` — numbered in *representative order*, each
+/// class at its smallest instance node — and lifts `outputs`,
+/// `output_phase` and `final_bits` through the projection. One quotient
+/// serves every phase: the bits are a function of the view, so they never
+/// split a class, and the stable partition of `I^p` is that of `I`. If
+/// the quotient fails (the input is not 2-hop colored, so Lemma 2 does not
+/// apply), the same engine runs on the instance with the identity
+/// projection.
+///
+/// Each phase reports an `astar/prepare` span (candidate pools, selection
+/// indexes and the view ids), one `update_graph` span per quotient node
+/// (its C2 lookup), and one `update_output` plus one `update_bits` span per
+/// *distinct selected candidate* — every node that selected the same
+/// candidate reads its output and tape from that one step — all nested
+/// under an `astar` parent, so aggregating backends expose the wall-time
+/// breakdown of the paper's three Update-* rules. The per-node counters
+/// keep their per-instance-node meaning by adding the fibre size instead
+/// of 1: the C2 lookups and hits (`astar.c2.*`) and the pool requests
+/// (`astar.pool.hit` / `astar.pool.miss`, where a build is one miss and
+/// the rest of its fibre hits). The memo also reports the size of each
+/// pool it builds (`astar.pool.candidates`) and the candidate quotients
+/// its selection indexes build (`astar.pool.quotients`). With the no-op
+/// recorder this is exactly [`run_astar`].
+///
+/// Errors are those of a per-node walk of the instance in node order: the
+/// first class in representative order to fail is the class of the first
+/// instance node to fail, and [`CoreError::InconsistentOutput`] names its
+/// representative.
 ///
 /// # Errors
 ///
@@ -170,23 +195,86 @@ where
     C: Label,
 {
     let _astar_span = Span::new(rec, names::SPAN_ASTAR);
-    let g = instance.graph();
-    let nodes: Vec<NodeId> = g.nodes().collect();
-    let mut state = AStarState::new(nodes.len());
+    let fibres = Fibres::of(instance)?;
+    let mut state = AStarState::new(fibres.graph.node_count());
     let mut cache: AstarCache<A::Input, C> = AstarCache::new();
 
     for p in 1..=cfg.max_phases {
         state.equivalent_rounds += p;
-        let ip = augment(instance, &state.bits)?;
+        let ip = augment(&fibres.graph, &state.bits)?;
         let prepare_span = Span::new(rec, names::SPAN_ASTAR_PREPARE);
-        let plan = prepare_phase(&mut cache, problem, &ip, p, cfg, rec)?;
+        let plan = prepare_phase(&mut cache, problem, &ip, &fibres.sizes, p, cfg, rec)?;
         drop(prepare_span);
-        let phase = astar_phase(alg, &nodes, p, &plan, &cache, cfg, rec);
-        if let Some(done) = state.commit_phase(phase, p)? {
-            return Ok(done);
+        let phase = astar_phase(alg, p, &plan, &fibres.sizes, &cache, cfg, rec);
+        if let Some(done) = state.commit_phase(phase, p, &fibres.representatives)? {
+            return Ok(fibres.lift(done));
         }
     }
     Err(CoreError::PhaseBudgetExceeded { phases: cfg.max_phases })
+}
+
+/// The graph the phases run on and its projection from the instance:
+/// `G_*` with its classes numbered in representative order, or the
+/// instance itself under the identity when it has no simple quotient.
+struct Fibres<L> {
+    /// `G_*`, quotient node `k` being the class with the `k`-th smallest
+    /// representative.
+    graph: LabeledGraph<L>,
+    /// The projection: instance node → quotient node.
+    class_of: Vec<NodeId>,
+    /// Per quotient node, the smallest instance node of its fibre.
+    representatives: Vec<NodeId>,
+    /// Per quotient node, its fibre's size.
+    sizes: Vec<u64>,
+}
+
+impl<L: Label> Fibres<L> {
+    /// The fibres of `instance`'s Portless view quotient, or the identity
+    /// projection if the quotient is not simple.
+    fn of(instance: &LabeledGraph<L>) -> Result<Self> {
+        let Ok(q) = quotient(instance, ViewMode::Portless) else {
+            return Ok(Fibres {
+                graph: instance.clone(),
+                class_of: instance.graph().nodes().collect(),
+                representatives: instance.graph().nodes().collect(),
+                sizes: vec![1; instance.node_count()],
+            });
+        };
+        // Quotient nodes are canonical refinement ids. Ranking the classes
+        // by first appearance in instance order ranks them by their
+        // smallest node.
+        let mut rank = vec![usize::MAX; q.graph().node_count()];
+        let (mut representatives, mut sizes) = (Vec::new(), Vec::new());
+        let mut class_of = Vec::with_capacity(instance.node_count());
+        for (v, c) in q.class_of().iter().enumerate() {
+            let k = &mut rank[c.index()];
+            if *k == usize::MAX {
+                *k = representatives.len();
+                representatives.push(NodeId::new(v));
+                sizes.push(0);
+            }
+            sizes[*k] += 1;
+            class_of.push(NodeId::new(*k));
+        }
+        let graph = q.graph().renumber(&Perm::new(rank)?)?;
+        Ok(Fibres { graph, class_of, representatives, sizes })
+    }
+
+    /// A run on `G_*` lifted to the instance through the projection.
+    fn lift<O: Clone>(&self, run: AStarRun<O>) -> AStarRun<O> {
+        AStarRun {
+            outputs: self.lift_nodes(&run.outputs),
+            phases_used: run.phases_used,
+            equivalent_rounds: run.equivalent_rounds,
+            output_phase: self.lift_nodes(&run.output_phase),
+            final_bits: self.lift_nodes(&run.final_bits),
+        }
+    }
+
+    /// Per-quotient-node values, read off at every instance node.
+    fn lift_nodes<T: Clone>(&self, per_class: &[T]) -> Vec<T> {
+        self.class_of.iter().map(|c| per_class[c.index()].clone()).collect()
+    }
 }
 
 /// `I^p`: the instance augmented with the current bitstring labels.
@@ -208,14 +296,17 @@ pub(crate) struct PhasePlan {
 }
 
 /// Phase-`p` setup against the memo: the radius-`(p − 1)` universes,
-/// built once per distinct universe, the instance's depth-`p` view ids,
-/// interned, and then one [`AstarCache::ensure_pool`] per node — a hash
-/// lookup for every node after the first in its universe class — whose
-/// index builds look the candidates' views up against those ids.
+/// built once per distinct universe, the depth-`p` view ids of `ip`,
+/// interned, and then one [`AstarCache::ensure_pool`] per node in node
+/// order — a hash lookup for every node after the first in its universe
+/// class — whose index builds look the candidates' views up against those
+/// ids. Node `v` stands for `sizes[v]` instance nodes in the pool
+/// counters.
 pub(crate) fn prepare_phase<I, C, P>(
     cache: &mut AstarCache<I, C>,
     problem: &P,
     ip: &LabeledGraph<CandidateLabel<I, C>>,
+    sizes: &[u64],
     p: usize,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
@@ -231,7 +322,9 @@ where
     let keys = ip
         .graph()
         .nodes()
-        .map(|v| cache.ensure_pool(problem, p_capped, &views, universes.of(v), rec))
+        .map(|v| {
+            cache.ensure_pool(problem, p_capped, &views, universes.of(v), sizes[v.index()], rec)
+        })
         .collect::<Result<_>>()?;
     Ok(PhasePlan { keys, views })
 }
@@ -256,7 +349,7 @@ struct CandidateStep<O> {
     extension: Option<BitAssignment>,
 }
 
-/// Phase `p` of the fast engine, in three steps:
+/// Phase `p` of the engine, in three steps:
 ///
 /// 1. per node, Update-Graph: the C2 lookup of its depth-`p` view id in
 ///    the pool's selection index;
@@ -271,9 +364,9 @@ struct CandidateStep<O> {
 /// in a later phase needs a fresh step.
 fn astar_phase<A, C>(
     alg: &A,
-    nodes: &[NodeId],
     p: usize,
     plan: &PhasePlan,
+    sizes: &[u64],
     cache: &AstarCache<A::Input, C>,
     cfg: &AStarConfig,
     rec: &dyn Recorder,
@@ -285,16 +378,17 @@ where
 {
     let mut slot_of: HashMap<(PoolKey, usize), usize, FastHash> = HashMap::default();
     let mut candidates: Vec<&CandidateQuotient<A::Input, C>> = Vec::new();
-    let selections = nodes
-        .iter()
-        .map(|&v| {
-            Ok(update_graph(v, p, plan, cache, rec)?.map(|(id, q, v_star)| {
-                let slot = *slot_of.entry(id).or_insert_with(|| {
-                    candidates.push(q);
-                    candidates.len() - 1
-                });
-                (slot, v_star)
-            }))
+    let selections = (0..plan.keys.len())
+        .map(|v| {
+            Ok(update_graph(NodeId::new(v), p, plan, sizes[v], cache, rec)?.map(
+                |(id, q, v_star)| {
+                    let slot = *slot_of.entry(id).or_insert_with(|| {
+                        candidates.push(q);
+                        candidates.len() - 1
+                    });
+                    (slot, v_star)
+                },
+            ))
         })
         .collect();
 
@@ -306,23 +400,25 @@ where
 type Selection<'c, I, C> = ((PoolKey, usize), &'c CandidateQuotient<I, C>, NodeId);
 
 /// One node's Update-Graph in phase `p`: its depth-`p` view id looked up
-/// in the pool's selection index.
+/// in the pool's selection index, counted once per node of its fibre of
+/// `size`.
 fn update_graph<'c, I: Label, C: Label>(
     v: NodeId,
     p: usize,
     plan: &PhasePlan,
+    size: u64,
     cache: &'c AstarCache<I, C>,
     rec: &dyn Recorder,
 ) -> Result<Option<Selection<'c, I, C>>> {
     let _update_graph_span = Span::new(rec, names::SPAN_UPDATE_GRAPH);
     let view = plan.views.id(v)?;
     if rec.is_enabled() {
-        rec.counter(names::ASTAR_C2_LOOKUPS, 1);
+        rec.counter(names::ASTAR_C2_LOOKUPS, size);
     }
     let key = plan.keys[v.index()];
     let selected = cache.select(key, p, view);
     if selected.is_some() && rec.is_enabled() {
-        rec.counter(names::ASTAR_C2_HITS, 1);
+        rec.counter(names::ASTAR_C2_HITS, size);
     }
     Ok(selected.map(|(idx, q, v_star)| ((key, idx), q, v_star)))
 }
@@ -357,8 +453,8 @@ where
     Ok(CandidateStep { outputs, extension })
 }
 
-/// The fast engine's mutable run state; phase results are committed in
-/// node order.
+/// The engine's mutable run state, per node of the graph the phases run
+/// on; phase results are committed in node order.
 struct AStarState<O> {
     bits: Vec<BitString>,
     outputs: Vec<Option<O>>,
@@ -378,11 +474,17 @@ impl<O: Clone + PartialEq> AStarState<O> {
 
     /// Applies one phase's results in node order — each node reads `v̊`'s
     /// output and extended tape from its candidate's step, adopts the
-    /// output (trapping Lemma-9 inconsistencies) and extends its
+    /// output (trapping Lemma-9 inconsistencies, reported at the node's
+    /// instance representative in `representatives`) and extends its
     /// bitstring — and returns the finished run once every node has
     /// output. A node's error is its own Update-Graph error or its
     /// candidate's; the first in node order wins.
-    fn commit_phase(&mut self, phase: PhaseResults<O>, p: usize) -> Result<Option<AStarRun<O>>> {
+    fn commit_phase(
+        &mut self,
+        phase: PhaseResults<O>,
+        p: usize,
+        representatives: &[NodeId],
+    ) -> Result<Option<AStarRun<O>>> {
         let mut new_bits = self.bits.clone();
         for (v, selection) in phase.selections.into_iter().enumerate() {
             let Some((slot, v_star)) = selection? else { continue }; // skip phase p at v
@@ -394,7 +496,8 @@ impl<O: Clone + PartialEq> AStarState<O> {
                     })?;
                 match &self.outputs[v] {
                     Some(existing) if existing != out => {
-                        return Err(CoreError::InconsistentOutput { node: v, phase: p });
+                        let node = representatives[v].index();
+                        return Err(CoreError::InconsistentOutput { node, phase: p });
                     }
                     Some(_) => {}
                     None => {
@@ -750,8 +853,13 @@ mod tests {
         .unwrap();
         let snap = rec.snapshot();
         assert_eq!(snap.span("astar").unwrap().count, 1);
+        // The triangle is prime: G_* is the triangle itself.
         let ug = snap.span("astar/update_graph").unwrap();
-        assert!(ug.count >= 3, "one Update-Graph per node per phase, got {}", ug.count);
+        assert_eq!(
+            ug.count,
+            3 * observed.phases_used as u64,
+            "one Update-Graph per node per phase"
+        );
         assert!(snap.span("astar/update_output").unwrap().count >= 1);
         assert!(snap.span("astar/update_bits").unwrap().count >= 1);
         assert_eq!(snap.span("astar/prepare").unwrap().count, observed.phases_used as u64);
@@ -778,17 +886,20 @@ mod tests {
         let rec = anonet_obs::MemoryRecorder::new();
         let run = run_astar_observed(&alg, &MisProblem, &inst, &cfg, &rec).unwrap();
 
-        // Replay the run, collecting each phase's selected (pool key,
-        // candidate index) pairs node by node.
-        let nodes: Vec<NodeId> = inst.graph().nodes().collect();
+        // Replay the run on the quotient, collecting each phase's
+        // selected (pool key, candidate index) pairs node by node.
+        let fibres = Fibres::of(&inst).unwrap();
+        assert_eq!(fibres.sizes, vec![4; 3]);
         let mut cache: AstarCache<(), u32> = AstarCache::new();
-        let mut state = AStarState::new(nodes.len());
+        let mut state = AStarState::new(fibres.graph.node_count());
         let mut distinct = 0usize;
         for p in 1..=run.phases_used {
-            let ip = augment(&inst, &state.bits).unwrap();
-            let plan = prepare_phase(&mut cache, &MisProblem, &ip, p, &cfg, &NoopRecorder).unwrap();
+            let ip = augment(&fibres.graph, &state.bits).unwrap();
+            let plan =
+                prepare_phase(&mut cache, &MisProblem, &ip, &fibres.sizes, p, &cfg, &NoopRecorder)
+                    .unwrap();
             let mut phase_pairs = std::collections::HashSet::new();
-            for &v in &nodes {
+            for v in ip.graph().nodes() {
                 let key = plan.keys[v.index()];
                 let view = plan.views.id(v).unwrap();
                 if let Some((idx, _, _)) = cache.select(key, p, view) {
@@ -796,15 +907,52 @@ mod tests {
                 }
             }
             distinct += phase_pairs.len();
-            let phase = astar_phase(&alg, &nodes, p, &plan, &cache, &cfg, &NoopRecorder);
-            let done = state.commit_phase(phase, p).unwrap();
+            let phase = astar_phase(&alg, p, &plan, &fibres.sizes, &cache, &cfg, &NoopRecorder);
+            let done = state.commit_phase(phase, p, &fibres.representatives).unwrap();
             assert_eq!(done.is_some(), p == run.phases_used);
         }
 
         let snap = rec.snapshot();
+        // One Update-Graph per quotient node, counted once per instance
+        // node of its fibre.
+        let phases = run.phases_used as u64;
+        assert_eq!(snap.span_total(names::SPAN_UPDATE_GRAPH).count, 3 * phases);
+        assert_eq!(snap.counter(names::ASTAR_C2_LOOKUPS), 12 * phases);
         assert_eq!(snap.span_total(names::SPAN_UPDATE_BITS).count, distinct as u64);
         assert_eq!(snap.span_total(names::SPAN_UPDATE_OUTPUT).count, distinct as u64);
         assert!(4 * distinct as u64 <= snap.counter(names::ASTAR_C2_HITS));
+    }
+
+    #[test]
+    fn fibres_number_classes_in_representative_order() {
+        use rand::SeedableRng;
+        // A shuffled 4-lift of the colored triangle: G_* is the triangle.
+        let lift = anonet_graph::lift::cyclic_cycle_lift(3, 4)
+            .unwrap()
+            .lift_labels(&[((), 1u32), ((), 2), ((), 3)])
+            .unwrap();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        let inst = lift.renumber(&Perm::random(12, &mut rng)).unwrap();
+        let fibres = Fibres::of(&inst).unwrap();
+        assert_eq!(fibres.sizes, vec![4; 3]);
+        assert!(fibres.representatives.windows(2).all(|w| w[0] < w[1]));
+        for (k, &r) in fibres.representatives.iter().enumerate() {
+            assert_eq!(fibres.class_of[r.index()].index(), k);
+            assert!(fibres.class_of[..r.index()].iter().all(|c| c.index() != k));
+            assert_eq!(fibres.graph.label(NodeId::new(k)), inst.label(r));
+        }
+        let (g, class_of) = (fibres.graph.graph(), &fibres.class_of);
+        assert!(inst
+            .graph()
+            .edges()
+            .all(|e| g.has_edge(class_of[e.u.index()], class_of[e.v.index()])));
+        // Without a simple quotient, the projection is the identity.
+        let c4 =
+            generators::cycle(4).unwrap().with_labels(vec![((), 1u32), ((), 2), ((), 1), ((), 2)]);
+        let identity = Fibres::of(&c4.unwrap()).unwrap();
+        let nodes: Vec<NodeId> = (0..4).map(NodeId::new).collect();
+        assert_eq!((&identity.class_of, &identity.representatives), (&nodes, &nodes));
+        assert_eq!(identity.sizes, vec![1; 4]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   `U_r(v) = {ℓ(v)} ∪ ⋃_{u∈N(v)} U_{r−1}(u)`, which is the label set of
 //!   `distance::ball(g, v, r)`. The bitsets are interned, and only each
 //!   distinct one becomes a sorted universe with its encoding and pool key
-//!   ([`AstarCache::phase_universes`]): the nodes of a fibre of a lift
-//!   share it;
+//!   ([`AstarCache::phase_universes`]): nodes with one label set share
+//!   it;
 //! * **Pools** — keyed by `(p_capped, Sym(universe encoding))`, a pool
 //!   entry stores every candidate that passes the node-independent gates
 //!   (2-hop coloring, C3 instance check). The pool is enumerated by
@@ -42,8 +42,9 @@
 //! **Layered view ids.** C2 asks only whether two depth-`p` views are
 //! equal, never for their bytes, so views are compared through the
 //! hash-consed layered ids of [`ViewIds`], computed in `p` sweeps over a
-//! graph instead of one `Δ^p`-vertex tree per node. The **instance
-//! interns**: [`AstarCache::view_ids`] sweeps it once per phase, interning
+//! graph instead of one `Δ^p`-vertex tree per node. The **instance**
+//! (the graph the phases run on: `G_*`, or the input itself when it has
+//! no simple quotient; see [`crate::astar`]) **interns**: [`AstarCache::view_ids`] sweeps it once per phase, interning
 //! every key of every layer, and returns the [`PhaseViews`] that
 //! [`AstarCache::ensure_pool`] requires, so no index of a phase is built
 //! before that phase's instance ids exist. Candidates only **look up**
@@ -350,11 +351,13 @@ impl<I: Label, C: Label> AstarCache<I, C> {
 
     /// Returns the key of the pool for `(p_capped, universe)`, building
     /// the pool on first sight and the selection index at `views`' depth
-    /// on the first sight of that depth. Records
-    /// [`names::ASTAR_POOL_HIT`] / [`names::ASTAR_POOL_MISS`], on a miss
-    /// the built pool's length as [`names::ASTAR_POOL_CANDIDATES`], and
-    /// the quotients an index build adds as
-    /// [`names::ASTAR_POOL_QUOTIENTS`].
+    /// on the first sight of that depth. The request stands for `weight`
+    /// instance nodes (a fibre of `G → G_*`), counted as if each had made
+    /// it in turn: a build is one miss and `weight − 1` hits, a memo
+    /// answer `weight` hits. Records [`names::ASTAR_POOL_HIT`] /
+    /// [`names::ASTAR_POOL_MISS`] accordingly, on a miss the built pool's length as
+    /// [`names::ASTAR_POOL_CANDIDATES`], and the quotients an index build
+    /// adds as [`names::ASTAR_POOL_QUOTIENTS`].
     ///
     /// # Errors
     ///
@@ -366,6 +369,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         p_capped: usize,
         views: &PhaseViews,
         universe: Universe<'_, CandidateLabel<I, C>>,
+        weight: u64,
         rec: &dyn Recorder,
     ) -> Result<PoolKey>
     where
@@ -374,7 +378,7 @@ impl<I: Label, C: Label> AstarCache<I, C> {
         // Split borrows: pool builds intern marks into `ids`.
         let AstarCache { views: ids, pools, hits, misses, .. } = self;
         let key = (p_capped, universe.sym);
-        let entry = match pools.entry(key) {
+        let (entry, missed) = match pools.entry(key) {
             Entry::Vacant(slot) => {
                 *misses += 1;
                 if rec.is_enabled() {
@@ -386,16 +390,14 @@ impl<I: Label, C: Label> AstarCache<I, C> {
                 if rec.is_enabled() {
                     rec.counter(names::ASTAR_POOL_CANDIDATES, entry.candidates.len() as u64);
                 }
-                slot.insert(entry)
+                (slot.insert(entry), 1)
             }
-            Entry::Occupied(slot) => {
-                *hits += 1;
-                if rec.is_enabled() {
-                    rec.counter(names::ASTAR_POOL_HIT, 1);
-                }
-                slot.into_mut()
-            }
+            Entry::Occupied(slot) => (slot.into_mut(), 0),
         };
+        *hits += weight - missed;
+        if weight > missed && rec.is_enabled() {
+            rec.counter(names::ASTAR_POOL_HIT, weight - missed);
+        }
         if !entry.indexes.contains_key(&views.depth) {
             let built = entry.quotients.len();
             let index = entry.build_index(views.depth, ids)?;
@@ -477,7 +479,9 @@ pub fn pool_keys<L: Label>(
 /// is the first entry of the run of equal inputs that contains it (in a
 /// sorted universe, all entries with its input). Equal ids imply equal
 /// inputs, so a shared decision is the decision of every candidate that
-/// shares it.
+/// shares it. When the universe has one input class (on `MisProblem`
+/// every input is `()`), every labeling of a shape has the same ids, so C3
+/// is decided once per shape and no per-candidate key is built.
 ///
 /// # Errors
 ///
@@ -510,9 +514,21 @@ where
         quotients: Vec::new(),
         indexes: HashMap::default(),
     };
+    // In a sorted universe, one input class means every id is 0.
+    let one_input = input_ids.last().is_some_and(|&last| last == 0);
     let mut c3: HashMap<Box<[usize]>, bool, FastHash> = HashMap::default();
     let mut key: Vec<usize> = Vec::new();
     for group in pool {
+        if one_input {
+            // C3: the (î, ĉ) part is an instance of Π^c.
+            let inputs = vec![input(0).clone(); group.graph.node_count()];
+            if problem.is_instance(&group.graph.with_labels(inputs)?) {
+                for labeling in group.labelings() {
+                    entry.push(group.graph, labeling);
+                }
+            }
+            continue;
+        }
         c3.clear();
         for labeling in group.labelings() {
             key.clear();
@@ -520,7 +536,6 @@ where
             let is_instance = match c3.get(key.as_slice()) {
                 Some(&known) => known,
                 None => {
-                    // C3: the (î, ĉ) part is an instance of Π^c.
                     let inputs = key.iter().map(|&i| input(i).clone()).collect();
                     let known = problem.is_instance(&group.graph.with_labels(inputs)?);
                     c3.insert(key.as_slice().into(), known);
@@ -528,13 +543,7 @@ where
                 }
             };
             if is_instance {
-                entry.candidates.push(PoolCandidate {
-                    shape: group.graph,
-                    start: entry.labels.len(),
-                    quotient: None,
-                    order: None,
-                });
-                entry.labels.extend_from_slice(labeling);
+                entry.push(group.graph, labeling);
             }
         }
     }
@@ -542,6 +551,18 @@ where
 }
 
 impl<I: Label, C: Label> PoolEntry<I, C> {
+    /// Appends the candidate `shape` labeled by universe indexes
+    /// `labeling`.
+    fn push(&mut self, shape: &'static Graph, labeling: &[usize]) {
+        self.candidates.push(PoolCandidate {
+            shape,
+            start: self.labels.len(),
+            quotient: None,
+            order: None,
+        });
+        self.labels.extend_from_slice(labeling);
+    }
+
     /// Candidate `idx` as a labeled graph: built only for the quotients
     /// and errors that need one.
     fn graph(&self, idx: usize) -> Result<LabeledGraph<CandidateLabel<I, C>>> {
@@ -757,7 +778,8 @@ mod tests {
         for p in 1..=3usize {
             let views = cache.view_ids(&ip, p);
             let u = universe_in(&mut cache, &universe);
-            let key = cache.ensure_pool(&MisProblem, p.min(3), &views, u, &NoopRecorder).unwrap();
+            let key =
+                cache.ensure_pool(&MisProblem, p.min(3), &views, u, 1, &NoopRecorder).unwrap();
             let pool = candidate_pool(p.min(3), &universe).unwrap();
             for v in ip.graph().nodes() {
                 let view_v = ViewTree::build(&ip, v, p).unwrap().canonical_encoding();
@@ -857,21 +879,21 @@ mod tests {
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         let u = universe_in(&mut cache, &universe);
         let depth3 = cache.view_ids(&triangle_ip(), 3);
-        let k1 = cache.ensure_pool(&MisProblem, 3, &depth3, u, &NoopRecorder).unwrap();
+        let k1 = cache.ensure_pool(&MisProblem, 3, &depth3, u, 1, &NoopRecorder).unwrap();
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (0, 1));
         let u = universe_in(&mut cache, &universe);
-        let k2 = cache.ensure_pool(&MisProblem, 3, &depth3, u, &NoopRecorder).unwrap();
+        let k2 = cache.ensure_pool(&MisProblem, 3, &depth3, u, 1, &NoopRecorder).unwrap();
         assert_eq!(k1, k2);
         // Same pool at a deeper view depth: a hit plus a fresh index.
         let depth4 = cache.view_ids(&triangle_ip(), 4);
         let u = universe_in(&mut cache, &universe);
-        let k3 = cache.ensure_pool(&MisProblem, 3, &depth4, u, &NoopRecorder).unwrap();
+        let k3 = cache.ensure_pool(&MisProblem, 3, &depth4, u, 1, &NoopRecorder).unwrap();
         assert_eq!(k1, k3);
         assert_eq!((cache.pool_hits(), cache.pool_misses()), (2, 1));
         // A different universe is a different pool.
         let other = vec![(((), 7u32), BitString::new())];
         let other = universe_in(&mut cache, &other);
-        let k4 = cache.ensure_pool(&MisProblem, 3, &depth3, other, &NoopRecorder).unwrap();
+        let k4 = cache.ensure_pool(&MisProblem, 3, &depth3, other, 1, &NoopRecorder).unwrap();
         assert_ne!(k1, k4);
         assert_eq!(cache.pool_misses(), 2);
     }
@@ -888,7 +910,7 @@ mod tests {
         for depth in 3..=5usize {
             let views = cache.view_ids(&ip, depth);
             let u = universe_in(&mut cache, &universe);
-            let key = cache.ensure_pool(&MisProblem, 3, &views, u, &NoopRecorder).unwrap();
+            let key = cache.ensure_pool(&MisProblem, 3, &views, u, 1, &NoopRecorder).unwrap();
             assert!(
                 cache.select(key, depth, views.id(v).unwrap()).is_some(),
                 "depth-{depth} lookup missed although the triangle has a candidate"
@@ -1116,7 +1138,8 @@ mod tests {
             let ip = random_lift(seed);
             let cfg = AStarConfig::default();
             let mut cache: AstarCache<(), u32> = AstarCache::new();
-            let plan = prepare_phase(&mut cache, &MisProblem, &ip, depth, &cfg, &NoopRecorder).unwrap();
+            let sizes = vec![1; ip.node_count()];
+            let plan = prepare_phase(&mut cache, &MisProblem, &ip, &sizes, depth, &cfg, &NoopRecorder).unwrap();
             let universes = cache.phase_universes(&ip, depth - 1);
             let mut oracle: HashMap<PoolKey, HashMap<Sym, _>> = HashMap::new();
             let mut hits = 0usize;
@@ -1309,13 +1332,21 @@ mod tests {
 
         /// C3 decided once per shape and input-label ids keeps exactly the
         /// candidates that `is_instance` on each candidate's own inputs
-        /// keeps, on a problem whose answer depends on both.
+        /// keeps, on a problem whose answer depends on both. With
+        /// `one_input == 1`, every input is 1, so C3 is decided once per shape
+        /// and keeps exactly the edgeless candidates.
         #[test]
         fn memoized_c3_agrees_with_per_candidate_is_instance(
             seed in 0u64..1_000_000,
             max_nodes in 1..=4usize,
+            one_input in 0..2usize,
         ) {
-            let universe = input_universe(seed);
+            let mut universe = input_universe(seed);
+            if one_input == 1 {
+                universe.iter_mut().for_each(|((i, _c), _b)| *i = 1);
+                universe.sort();
+                universe.dedup();
+            }
             let pool = two_hop_colored_pool(max_nodes, &universe, |((_i, c), _b)| c).unwrap();
             let literal = materialize(&pool, &universe);
             let entry = filter_pool(&OnesIndependent, &universe, pool, &mut ViewIds::new()).unwrap();
@@ -1335,7 +1366,7 @@ mod tests {
         let mut cache: AstarCache<(), u32> = AstarCache::new();
         let u = universe_in(&mut cache, &universe);
         let views = cache.view_ids(&triangle_ip(), 3);
-        let key = cache.ensure_pool(&MisProblem, 3, &views, u, &rec).unwrap();
+        let key = cache.ensure_pool(&MisProblem, 3, &views, u, 1, &rec).unwrap();
         let entry = &cache.pools[&key];
         let built = entry.candidates.len();
         assert_eq!(built, 10);
@@ -1351,7 +1382,7 @@ mod tests {
         // depth-4 index names only candidates depth 3 already quotiented.
         let views = cache.view_ids(&triangle_ip(), 4);
         let u = universe_in(&mut cache, &universe);
-        cache.ensure_pool(&MisProblem, 3, &views, u, &rec).unwrap();
+        cache.ensure_pool(&MisProblem, 3, &views, u, 1, &rec).unwrap();
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_CANDIDATES), built as u64);
         assert_eq!(rec.snapshot().counter(names::ASTAR_POOL_QUOTIENTS), 4);
     }

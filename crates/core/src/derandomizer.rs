@@ -182,14 +182,14 @@ where
         // Step 1½: the content address s(G_*) — free, the canonical order
         // is already in hand. A hit turns the search into one replay.
         let t1 = Instant::now();
-        let mut address: Option<(String, Vec<u8>)> = None;
         // Held from a miss until the search result is inserted, so
         // concurrent jobs on the same quotient wait for it and then hit.
+        // It owns the key.
         let mut claim = None;
         if let Some(cache) = &self.cache {
             let key = anonet_graph::canonical::encode_with_order(q.graph(), &order);
-            let problem = self.problem_id();
-            let hit = cache.lookup_or_claim(&problem, &key).map_err(|miss| claim = Some(miss));
+            let hit =
+                cache.lookup_or_claim(&self.problem_id(), key).map_err(|miss| claim = Some(miss));
             if let Ok(hit) = hit {
                 if hit.tapes.len() == order.len() {
                     // Cached tapes are by canonical position; reindex them
@@ -230,10 +230,10 @@ where
                     }
                     // The replay failed: a foreign entry (e.g. a key
                     // collision is impossible, but an incompatible config
-                    // is not) — fall through to the real search.
+                    // is not) — fall through to the real search, which
+                    // holds no claim and so leaves the entry as it is.
                 }
             }
-            address = Some((problem, key));
         }
 
         // Step 2: canonical successful simulation of A_R on J = (V_*, E_*, i_*).
@@ -251,14 +251,13 @@ where
         // Publish the found assignment under its content address, tapes
         // keyed by canonical position so any isomorphic presentation can
         // replay them.
-        if let (Some(cache), Some((problem, key))) = (&self.cache, address) {
+        if let (Some(cache), Some(claim)) = (&self.cache, claim) {
             let tapes = order
                 .iter()
                 .map(|&v| sim.assignment.tape(v).cloned().unwrap_or_default())
                 .collect();
             cache.insert_assignment(
-                &problem,
-                &key,
+                claim,
                 CachedAssignment {
                     tapes,
                     attempts: sim.attempts,
@@ -266,7 +265,6 @@ where
                 },
             );
         }
-        drop(claim);
 
         // Step 3: lift outputs along the projection.
         if observing {

@@ -5,14 +5,17 @@
 //! Lemma 3; no production path needs a view's *bytes*. So views are
 //! compared through ids computed in `d` sweeps over a graph:
 //!
-//! * `id_1(u) = intern(mark(u), 0)`;
-//! * `id_d(u) = intern(mark(u), deg(u), sorted id_{d−1} of the neighbours)`.
+//! * `id_1(u) = intern(mark(u))`;
+//! * `id_d(u) = intern(mark(u), sorted id_{d−1} of the neighbours)`.
 //!
 //! `mark(u)` is the interned encoding of `u`'s label. The Portless
 //! canonical view encoding ([`ViewTree::canonical_encoding`]) is the
 //! mark, the child count and the child encodings sorted by bytes, and
 //! every label encoding is self-delimiting, so by induction on `d` two
-//! ids of one [`ViewIds`] table are equal iff the canonical bytes are. A
+//! ids of one [`ViewIds`] table are equal iff the canonical bytes are.
+//! The key needs no child count of its own: it is `4 + 4k` bytes for `k`
+//! children, and the table compares whole keys, so equal keys have equal
+//! lengths and hence equal child counts. A
 //! sweep costs `O(d·|E|)` instead of one `Δ^d`-vertex tree per node, and
 //! counts each view's vertices alongside (saturating): a view over
 //! [`SIZE_BUDGET`] reports the error [`ViewTree::build`] reports for it.
@@ -191,11 +194,11 @@ impl ViewLayers {
         }
     }
 
-    /// Resolves the key `(mark, |kids|, kids)`.
+    /// Resolves the key `(mark, kids)`: `4 + 4k` bytes for `k` kids, so
+    /// its length already carries the child count.
     fn resolve_key(&mut self, mark: Sym, table: &mut Table<'_>) -> Option<Sym> {
         self.key.clear();
         self.key.extend_from_slice(&(mark.index() as u32).to_le_bytes());
-        self.key.extend_from_slice(&(self.kids.len() as u32).to_le_bytes());
         for kid in &self.kids {
             self.key.extend_from_slice(&kid.to_le_bytes());
         }

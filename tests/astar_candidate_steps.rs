@@ -5,7 +5,10 @@
 //! still the paper's `A_*`, for MIS and maximal matching on lifts of K3,
 //! the paw, the diamond and K4 at multiplicities 2–6:
 //!
-//! * fast ≡ the literal Figure-3 reference, on every field of the run;
+//! * fast ≡ the literal Figure-3 reference, on every field of the run, in
+//!   forward, reverse and shuffled node presentations of each lift (the
+//!   fast engine runs on the quotient `G_*` and lifts its run, so this
+//!   pins the lift through the projection);
 //! * the Update-Graph counters (`astar.c2.*`, pool hits/misses) equal the
 //!   values the per-node engine produced, pinned below;
 //! * aborting runs fail with the same typed error as before;
@@ -23,10 +26,11 @@ use anonet::core::astar::{
 };
 use anonet::core::CoreError;
 use anonet::graph::coloring::greedy_two_hop_coloring;
-use anonet::graph::lift::random_connected_lift;
+use anonet::graph::lift::{random_connected_lift, Perm};
 use anonet::graph::{generators, Graph, Label, LabeledGraph};
 use anonet::obs::{names, MemoryRecorder};
 use anonet::runtime::{ObliviousAlgorithm, Problem};
+use anonet::views::{quotient, ViewMode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -56,6 +60,18 @@ fn colored_lift<I: Label>(
     let labels: Vec<(I, u32)> =
         greedy_two_hop_coloring(base).labels().iter().map(|&c| (input(c), c)).collect();
     lift.lift_labels(&labels).unwrap()
+}
+
+/// The node presentations every engine is checked in: as given, reversed,
+/// and shuffled by a seeded permutation, each renumbering an `n`-node
+/// instance.
+fn presentations(n: usize) -> [(&'static str, Perm); 3] {
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5EED_0000 + n as u64);
+    [
+        ("forward", Perm::identity(n)),
+        ("reverse", Perm::new((0..n).rev().collect()).unwrap()),
+        ("shuffled", Perm::random(n, &mut rng)),
+    ]
 }
 
 fn assert_runs_identical<O: PartialEq + std::fmt::Debug>(
@@ -199,13 +215,16 @@ fn mis_sweep(keep: Filter, with_reference: Filter) {
         if !keep(name, m) {
             continue;
         }
-        let instance = colored_lift(&base, m, |_| ());
-        let ctx = format!("MIS on {name} x{m}");
-        let fast = check_fast(&alg, &MisProblem, &instance, &cfg, m, pinned, &ctx)
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        if with_reference(name, m) {
-            let reference = run_astar_reference(&alg, &MisProblem, &instance, &cfg).unwrap();
-            assert_runs_identical(&fast, &reference, &format!("{ctx} fast vs reference"));
+        let lift = colored_lift(&base, m, |_| ());
+        for (order, perm) in presentations(lift.node_count()) {
+            let instance = lift.renumber(&perm).unwrap();
+            let ctx = format!("MIS on {name} x{m}, {order}");
+            let fast = check_fast(&alg, &MisProblem, &instance, &cfg, m, pinned, &ctx)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            if with_reference(name, m) {
+                let reference = run_astar_reference(&alg, &MisProblem, &instance, &cfg).unwrap();
+                assert_runs_identical(&fast, &reference, &format!("{ctx} fast vs reference"));
+            }
         }
     }
 }
@@ -217,21 +236,26 @@ fn matching_sweep(keep: Filter, with_reference: Filter) {
         if !keep(name, m) {
             continue;
         }
-        let instance = colored_lift(&base, m, |c| c);
-        let ctx = format!("matching on {name} x{m}");
-        let fast = check_fast(&alg, &MatchingProblem, &instance, &cfg, m, pinned, &ctx);
-        if name == "K3" {
-            let fast = fast.unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            if with_reference(name, m) {
-                let reference =
-                    run_astar_reference(&alg, &MatchingProblem, &instance, &cfg).unwrap();
-                assert_runs_identical(&fast, &reference, &format!("{ctx} fast vs reference"));
+        let lift = colored_lift(&base, m, |c| c);
+        for (order, perm) in presentations(lift.node_count()) {
+            let instance = lift.renumber(&perm).unwrap();
+            let ctx = format!("matching on {name} x{m}, {order}");
+            let fast = check_fast(&alg, &MatchingProblem, &instance, &cfg, m, pinned, &ctx);
+            if name == "K3" {
+                let fast = fast.unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                if with_reference(name, m) {
+                    let reference =
+                        run_astar_reference(&alg, &MatchingProblem, &instance, &cfg).unwrap();
+                    assert_runs_identical(&fast, &reference, &format!("{ctx} fast vs reference"));
+                }
+            } else {
+                // On aborting runs only the fast engine's own error is
+                // pinned: the reference may abort with a different one
+                // (DESIGN §8.3).
+                let want =
+                    CoreError::SearchBudgetExceeded { quotient_nodes: 4, max_total_bits: 18 };
+                assert_eq!(fast.err(), Some(want), "{ctx}: aborting error moved");
             }
-        } else {
-            // On aborting runs only the fast engine's own error is pinned:
-            // the reference may abort with a different one (DESIGN §8.3).
-            let want = CoreError::SearchBudgetExceeded { quotient_nodes: 4, max_total_bits: 18 };
-            assert_eq!(fast.err(), Some(want), "{ctx}: aborting error moved");
         }
     }
 }
@@ -250,14 +274,17 @@ fn matching_on_small_lifts_keeps_its_pins() {
     matching_sweep(|name, m| m == 2 && (name == "K3" || name == "paw"), |_, _| false);
 }
 
-/// The full grid: every lift of both problems on every engine, the
-/// reference included wherever the run succeeds. About two minutes in a
-/// release build; the `reports` CI job runs it with `--ignored`.
+/// The full grid: every lift of both problems in all three presentations
+/// on every engine, the reference included wherever the run succeeds, and
+/// the prime path with the reference on every presentation.
+/// About five minutes in a release build; the `reports` CI job runs it
+/// with `--ignored`.
 #[test]
 #[ignore = "release-mode sweep: the literal reference takes minutes here"]
 fn full_lift_sweep_matches_the_reference() {
     mis_sweep(|_, _| true, |_, _| true);
     matching_sweep(|_, _| true, |_, _| true);
+    prime_path_sweep(true);
 }
 
 #[test]
@@ -273,4 +300,113 @@ fn aborting_config_fails_with_the_pinned_error() {
         let err = run_astar(&RandomizedMis::new(), &MisProblem, &instance, &cfg).unwrap_err();
         assert_eq!(err, want, "MIS on {name} x3");
     }
+}
+
+/// `run` on `instance`, read as a run on `instance.renumber(perm)`.
+fn renumbered<O: Clone>(run: &AStarRun<O>, perm: &Perm) -> AStarRun<O> {
+    let inverse = perm.inverse();
+    let moved = |v: usize| inverse.apply(v);
+    AStarRun {
+        outputs: (0..run.outputs.len()).map(|v| run.outputs[moved(v)].clone()).collect(),
+        phases_used: run.phases_used,
+        equivalent_rounds: run.equivalent_rounds,
+        output_phase: (0..run.outputs.len()).map(|v| run.output_phase[moved(v)]).collect(),
+        final_bits: (0..run.outputs.len()).map(|v| run.final_bits[moved(v)].clone()).collect(),
+    }
+}
+
+/// Fast runs of one problem on `instance` in all three presentations
+/// against the reference: equal runs where the reference succeeds, and
+/// otherwise the fast engine's own `pinned` error. With `every`, the
+/// reference runs on each presentation; without, it runs on `instance`
+/// and its run is renumbered to the other two.
+fn check_problem<A, P>(
+    alg: &A,
+    problem: &P,
+    instance: &LabeledGraph<(A::Input, u32)>,
+    cfg: &AStarConfig,
+    pinned: Option<&CoreError>,
+    every: bool,
+    ctx: &str,
+) where
+    A: ObliviousAlgorithm + Clone,
+    A::Input: Label,
+    A::Output: std::fmt::Debug,
+    P: Problem<Input = A::Input>,
+{
+    let forward = (!every).then(|| run_astar_reference(alg, problem, instance, cfg));
+    for (order, perm) in presentations(instance.node_count()) {
+        let ctx = format!("{ctx}, {order}");
+        let presented = instance.renumber(&perm).unwrap();
+        let fast = run_astar(alg, problem, &presented, cfg);
+        let reference = match &forward {
+            Some(run) => run.as_ref().map(|run| renumbered(run, &perm)).map_err(CoreError::clone),
+            None => run_astar_reference(alg, problem, &presented, cfg),
+        };
+        match (fast, reference) {
+            (Ok(fast), Ok(reference)) => {
+                assert_eq!(pinned, None, "{ctx}: both engines succeeded");
+                assert_runs_identical(&fast, &reference, &ctx);
+            }
+            // The reference is authoritative on error order, so where it
+            // aborts only the fast engine's own error is pinned.
+            (fast, Err(_)) => assert_eq!(fast.as_ref().err(), pinned, "{ctx}"),
+            (Err(e), Ok(_)) => panic!("{ctx}: only the fast engine failed: {e}"),
+        }
+    }
+}
+
+/// The path 0-1-2-3 colored 1, 2, 3, 1: 2-hop colored and prime, since
+/// nodes 0 and 3 share a color but not a view, so `G_*` is the path.
+fn prime_path() -> LabeledGraph<u32> {
+    let path = generators::path(4).unwrap().with_labels(vec![1u32, 2, 3, 1]).unwrap();
+    assert!(quotient(&path, ViewMode::Portless).unwrap().is_trivial());
+    path
+}
+
+/// The prime path, MIS solved in phase 6 and matching aborting in its
+/// Update-Bits budget, as in the lifts of the four-node bases. With
+/// `every`, the reference runs on every presentation and for matching too.
+fn prime_path_sweep(every: bool) {
+    let (path, cfg) = (prime_path(), AStarConfig::default());
+    let mis = path.map_labels(|&c| ((), c));
+    check_problem(&RandomizedMis::new(), &MisProblem, &mis, &cfg, None, every, "MIS on P4");
+    let matching = path.map_labels(|&c| (c, c));
+    let want = CoreError::SearchBudgetExceeded { quotient_nodes: 4, max_total_bits: 18 };
+    if every {
+        let alg = RandomizedMatching::<u32>::new();
+        check_problem(&alg, &MatchingProblem, &matching, &cfg, Some(&want), true, "matching on P4");
+    } else {
+        for (order, perm) in presentations(path.node_count()) {
+            let presented = matching.renumber(&perm).unwrap();
+            let fast =
+                run_astar(&RandomizedMatching::<u32>::new(), &MatchingProblem, &presented, &cfg);
+            assert_eq!(fast.err(), Some(want.clone()), "matching on P4, {order}");
+        }
+    }
+}
+
+#[test]
+fn a_prime_instance_runs_on_itself_and_matches_the_reference() {
+    // The literal reference costs seconds here in a debug build, so it
+    // runs once, on the forward presentation; the ignored sweep runs it
+    // on every presentation.
+    prime_path_sweep(false);
+}
+
+#[test]
+fn a_non_two_hop_colored_instance_runs_on_the_identity_projection() {
+    // C4 colored 1, 2, 1, 2 has no simple quotient: node 1 sees class
+    // {0, 2} twice (Lemma 2 needs a 2-hop coloring), so the engine runs
+    // on the instance itself. From phase 2 on no 2-hop colored candidate
+    // has a node with its view, so neither engine ever outputs there.
+    let c4 = generators::cycle(4).unwrap().with_labels(vec![1u32, 2, 1, 2]).unwrap();
+    assert!(quotient(&c4, ViewMode::Portless).is_err());
+    let cfg = AStarConfig { max_phases: 4, ..AStarConfig::default() };
+    let want = CoreError::PhaseBudgetExceeded { phases: 4 };
+    let mis = c4.map_labels(|&c| ((), c));
+    check_problem(&RandomizedMis::new(), &MisProblem, &mis, &cfg, Some(&want), true, "MIS on C4");
+    let matching = c4.map_labels(|&c| (c, c));
+    let alg = RandomizedMatching::<u32>::new();
+    check_problem(&alg, &MatchingProblem, &matching, &cfg, Some(&want), true, "matching on C4");
 }
